@@ -53,6 +53,7 @@ ARTIFACT_VERSIONS: dict[str, int] = {
     "profile": 1,
     "suite": 1,
     "suite-task": 1,  # per-task suite checkpoints (crash/interrupt resume)
+    "suite-shard": 1,  # shard-job checkpoints of a sharded suite run (--shards)
     "trace": 1,  # chunked trace files (repro.profiling.tracestore format v1)
     "serve-result": 1,  # repro.serve job results for uploaded-trace jobs
 }

@@ -11,12 +11,19 @@ fetch count and the line-access stream once per layout; cache organizations
 are then evaluated vectorized over that stream
 (:func:`repro.simulators.icache.count_misses`).
 
-Implementation: the trace is expanded to instruction-level NumPy arrays in
-bounded chunks (memory stays flat for arbitrarily long traces). For every
-instruction position the fetch length is computed vectorized; the actual
-fetch boundaries are the orbit of position 0 under ``p -> p + n[p]``,
-extracted by a vectorized jump-table traversal (:func:`_orbit_starts`)
-that walks all taken-branch-delimited segments in lockstep.
+Implementation: the trace is processed in bounded windows of events
+(memory stays flat for arbitrarily long traces). A branch can only be the
+last instruction of a block, so every SEQ.3 stop condition except the
+address-computed line and width caps is a property of the *event*:
+:func:`expand_chunk` keeps per-event arrays only — the address base of
+each event and ``stop``, the last instruction a fetch starting in it may
+reach. The fetch boundaries are the orbit of position 0 under
+``p -> p + length(p)``, extracted by a vectorized traversal
+(:func:`_fetch_starts`) that walks all taken-branch-delimited segments in
+lockstep and evaluates the length only at the active cursors, so a layout
+costs O(events + fetches) per window, not O(instructions).
+Per-instruction addresses and lengths are built on demand, for the trace
+cache's walk only (:class:`FetchLengths`).
 """
 
 from __future__ import annotations
@@ -33,11 +40,11 @@ from repro.profiling.trace import SEPARATOR, BlockTrace
 
 __all__ = [
     "ChunkContext",
+    "FetchLengths",
     "FetchResult",
     "FetchStream",
     "MISS_PENALTY_CYCLES",
     "expand_chunk",
-    "instruction_chunks",
     "iter_chunk_contexts",
     "simulate_fetch",
 ]
@@ -50,6 +57,9 @@ FETCH_WIDTH = 16
 BRANCH_LIMIT = 3
 
 _DEFAULT_CHUNK_EVENTS = 2_000_000
+
+#: ``addr >> _INSTR_SHIFT`` is the instruction-granular address.
+_INSTR_SHIFT = INSTR_BYTES.bit_length() - 1
 
 
 @dataclass
@@ -74,16 +84,6 @@ class FetchResult:
 
 
 @dataclass
-class _Chunk:
-    """Instruction-level arrays for a span of trace events."""
-
-    addr: np.ndarray  # int64 byte address per instruction
-    is_branch: np.ndarray  # bool: last instruction of a branch/call/return block
-    is_taken: np.ndarray  # bool: branch whose successor is non-sequential
-    last: bool  # final chunk of the trace
-
-
-@dataclass
 class ChunkContext:
     """Layout-independent expansion of one window of trace events.
 
@@ -95,14 +95,13 @@ class ChunkContext:
 
     ids: np.ndarray  # int64 block id per valid event
     ev_size: np.ndarray  # int64 instructions per event
-    rep_idx: np.ndarray  # int64: event index of each instruction
-    offset_bytes: np.ndarray  # int64: byte offset within its block
+    rep_idx: np.ndarray  # int32: event index of each instruction
+    start_bytes: np.ndarray  # int64: INSTR_BYTES * index of each event's first instr
     last_idx: np.ndarray  # int64: instruction index of each event's last instr
     branchy_ev: np.ndarray  # bool: event ends in a branch/call/return block
     adjacent: np.ndarray  # bool (len-1): no separator between events i, i+1
     next_id: int | None  # first block id after the window (None: sep/EOF)
     total: int  # instructions in the window
-    last: bool  # final window of the trace
 
 
 def iter_chunk_contexts(
@@ -142,17 +141,13 @@ def iter_chunk_contexts(
         ids = ev[valid_idx].astype(np.int64)
         ev_size = sizes[ids]
         ends = np.cumsum(ev_size)
-        total = int(ends[-1])
-        block_start = ends - ev_size
-        rep_idx = np.repeat(np.arange(ids.shape[0], dtype=np.int64), ev_size)
-        offset_bytes = np.arange(total, dtype=np.int64)
-        offset_bytes -= block_start[rep_idx]
-        offset_bytes *= INSTR_BYTES  # shared across layouts by the fused driver
         yield ChunkContext(
             ids=ids,
             ev_size=ev_size,
-            rep_idx=rep_idx,
-            offset_bytes=offset_bytes,
+            # int32: event indices stay below the window size, and the
+            # narrower gathers at the orbit's cursors are faster
+            rep_idx=np.repeat(np.arange(ids.shape[0], dtype=np.int32), ev_size),
+            start_bytes=(ends - ev_size) * INSTR_BYTES,
             last_idx=ends - 1,
             branchy_ev=branchy[ids],
             adjacent=(valid_idx[1:] - valid_idx[:-1]) == 1,
@@ -161,114 +156,117 @@ def iter_chunk_contexts(
                 if next_event is not None and next_event != SEPARATOR
                 else None
             ),
-            total=total,
-            last=next_event is None,
+            total=int(ends[-1]),
         )
 
 
+@dataclass
+class _Chunk:
+    """Per-layout SEQ.3 state of one window, at event granularity.
+
+    Instruction ``p`` belongs to event ``e = ctx.rep_idx[p]`` and sits at
+    byte address ``ev_base[e] + INSTR_BYTES * p``.
+    """
+
+    ctx: ChunkContext
+    ev_base: np.ndarray  # int64 per event: block address - ctx.start_bytes
+    taken_ev: np.ndarray  # bool per event: its last instruction is a taken branch
+    branch_ev: np.ndarray  # bool per event: its last instruction is a branch
+    taken_at: np.ndarray  # int64: indices of the taken events
+    stop: np.ndarray  # int64 per event: last instruction a fetch from it may reach
+    _addr: np.ndarray | None = None
+
+    @property
+    def n_taken(self) -> int:
+        return self.taken_at.shape[0]
+
+    @property
+    def addr(self) -> np.ndarray:
+        """Byte address per instruction, built on first use."""
+        if self._addr is None:
+            self._addr = _instruction_addr(self)
+        return self._addr
+
+
 def expand_chunk(ctx: ChunkContext, layout: Layout) -> _Chunk:
-    """Per-layout instruction arrays for one chunk context.
+    """Per-layout event arrays for one chunk context.
 
     Run separators force a taken branch on the preceding instruction (two
     profiled runs never fall through into each other).
     """
     addresses = layout.address
-    ev_addr = addresses[ctx.ids]
-    ev_end = ev_addr + ctx.ev_size * INSTR_BYTES
+    ev_base = addresses[ctx.ids]
+    ev_base -= ctx.start_bytes
     # a transition is sequential when the next block starts exactly where
-    # this one ends, with no run separator in between
+    # this one ends — the two events share their address base — with no
+    # run separator in between
     seq = np.zeros(ctx.ids.shape[0], dtype=bool)
     if ctx.ids.shape[0] > 1:
-        seq[:-1] = (ev_addr[1:] == ev_end[:-1]) & ctx.adjacent
+        np.equal(ev_base[1:], ev_base[:-1], out=seq[:-1])
+        seq[:-1] &= ctx.adjacent
     if ctx.next_id is not None:
-        seq[-1] = int(addresses[ctx.next_id]) == int(ev_end[-1])
+        seq[-1] = int(addresses[ctx.next_id]) - INSTR_BYTES * ctx.total == int(ev_base[-1])
 
-    addr = ev_addr[ctx.rep_idx]
-    addr += ctx.offset_bytes
-    is_branch = np.zeros(ctx.total, dtype=bool)
-    is_taken = np.zeros(ctx.total, dtype=bool)
     # any non-sequential transition behaves as a taken branch — including
     # a fall-through whose successor the layout moved away (the layout
     # step would insert an unconditional jump there)
-    non_seq = ~seq
-    is_branch[ctx.last_idx] = ctx.branchy_ev | non_seq
-    is_taken[ctx.last_idx] = non_seq
-    return _Chunk(addr=addr, is_branch=is_branch, is_taken=is_taken, last=ctx.last)
+    taken_ev = ~seq
+    branch_ev = ctx.branchy_ev | taken_ev
+    taken_at = np.flatnonzero(taken_ev)
+    return _Chunk(
+        ctx=ctx,
+        ev_base=ev_base,
+        taken_ev=taken_ev,
+        branch_ev=branch_ev,
+        taken_at=taken_at,
+        stop=_event_stops(ctx.last_idx, taken_at, np.flatnonzero(branch_ev)),
+    )
 
 
-def instruction_chunks(
-    trace: BlockTrace,
-    program: Program,
-    layout: Layout,
-    chunk_events: int = _DEFAULT_CHUNK_EVENTS,
-) -> Iterator[_Chunk]:
-    """Expand the block trace into per-instruction arrays, chunk by chunk."""
-    for ctx in iter_chunk_contexts(trace, program, chunk_events):
-        yield expand_chunk(ctx, layout)
+def _event_stops(last_idx: np.ndarray, taken_at: np.ndarray, branch_at: np.ndarray) -> np.ndarray:
+    """Per event, the last instruction a fetch starting in it may reach.
 
-
-def _fetch_lengths(chunk: _Chunk, line_instrs: int) -> np.ndarray:
-    """Vectorized SEQ.3 fetch length from every instruction position.
-
-    All distance computations are O(n) passes — a prefix count per branch
-    kind followed by a monotone (cache-friendly) gather into the branch
-    position list — carried out in int32 with in-place combining: this
-    function runs once per (layout, line size) per window and its memory
-    traffic dominates the fused suite, so every avoided temporary counts.
+    That is the end of the first taken event at or after it, of the
+    ``BRANCH_LIMIT``-th branch event at or after it, or the window's last
+    instruction, whichever comes first. Both candidates only grow with
+    the event index, so one reverse running minimum over a table that
+    holds, at each branch event, the stop of a fetch starting there
+    yields the stop of every event (taken events are branch events).
     """
-    n = chunk.addr.shape[0]
-    if n == 0:
-        return np.empty(0, dtype=np.int32)
-    idx = np.arange(n, dtype=np.int32)
+    stop = np.full(last_idx.shape[0], last_idx[-1], dtype=np.int64)
+    reach = branch_at.shape[0] - BRANCH_LIMIT + 1
+    if reach > 0:
+        stop[branch_at[:reach]] = last_idx[branch_at[BRANCH_LIMIT - 1 :]]
+    stop[taken_at] = last_idx[taken_at]
+    backwards = stop[::-1]
+    np.minimum.accumulate(backwards, out=backwards)
+    return stop
 
-    # distance to the next taken branch (inclusive): positions past the
-    # last taken branch run to the end of the chunk
-    taken_pos = np.flatnonzero(chunk.is_taken)
-    if taken_pos.size:
-        before_taken = np.cumsum(chunk.is_taken, dtype=np.int32)
-        before_taken -= chunk.is_taken  # exclusive prefix count, in place
-        np.minimum(before_taken, taken_pos.size - 1, out=before_taken)
-        until_taken = taken_pos.astype(np.int32).take(before_taken)
-        until_taken -= idx
-        until_taken += 1
-        tail = int(taken_pos[-1]) + 1  # past the last taken branch:
-        if tail < n:  # run to the chunk end
-            until_taken[tail:] = np.arange(n - tail, 0, -1, dtype=np.int32)
-    else:
-        until_taken = np.arange(n, 0, -1, dtype=np.int32)
 
-    # distance to the third branch (inclusive): exclusive prefix count of
-    # branches, clip-gathered into the branch positions; positions past
-    # the (size - BRANCH_LIMIT)-th branch have no third branch (a
-    # contiguous tail, since the count is monotone)
-    branch_pos = np.flatnonzero(chunk.is_branch)
-    if branch_pos.size >= BRANCH_LIMIT:
-        third = np.cumsum(chunk.is_branch, dtype=np.int32)
-        third -= chunk.is_branch
-        third += BRANCH_LIMIT - 1
-        np.minimum(third, branch_pos.size - 1, out=third)
-        until_third = branch_pos.astype(np.int32).take(third)
-        until_third -= idx
-        until_third += 1
-        cut = int(branch_pos[branch_pos.size - BRANCH_LIMIT]) + 1
-        if cut < n:
-            until_third[cut:] = n
-        np.minimum(until_taken, until_third, out=until_taken)
+def _fetch_ends(chunk: _Chunk, pos: np.ndarray, ev: np.ndarray, line_instrs: int) -> np.ndarray:
+    """One past the last instruction of the SEQ.3 fetch from each ``pos``.
 
-    # two consecutive cache lines from the fetch address
-    # addr // INSTR_BYTES as a shift (INSTR_BYTES is a power of two)
-    instr_pos = np.right_shift(chunk.addr, INSTR_BYTES.bit_length() - 1).astype(np.int32)
+    ``ev`` holds the event of each position. The fetch ends at the event's
+    ``stop``, at the end of the two cache lines reached from the fetch
+    address, or after ``FETCH_WIDTH`` instructions, whichever comes first.
+    This is the only SEQ.3 length rule; it runs at the orbit's cursors
+    (:func:`_fetch_starts`) and, for the trace cache, at every position.
+    """
+    # instruction-granular address: (ev_base + INSTR_BYTES * pos) >> shift
+    offset = chunk.ev_base[ev]
+    offset >>= _INSTR_SHIFT
+    offset += pos
     if line_instrs & (line_instrs - 1) == 0:
-        instr_pos &= line_instrs - 1
+        offset &= line_instrs - 1
     else:  # non-power-of-two line size: generic modulo
-        instr_pos %= line_instrs
-    np.subtract(2 * line_instrs, instr_pos, out=instr_pos)
-    cap = instr_pos
+        offset %= line_instrs
+    cap = np.subtract(2 * line_instrs, offset, out=offset)
     np.minimum(cap, FETCH_WIDTH, out=cap)
-
-    np.minimum(until_taken, cap, out=until_taken)
-    np.maximum(until_taken, 1, out=until_taken)
-    return until_taken
+    cap += pos
+    end = chunk.stop[ev]
+    end += 1
+    np.minimum(end, cap, out=end)
+    return end
 
 
 #: Lockstep rounds after which the few remaining long segments finish scalar.
@@ -276,59 +274,94 @@ _ORBIT_SCALAR_CUTOFF_ROUNDS = 64
 _ORBIT_SCALAR_CUTOFF_ACTIVE = 32
 
 
-def _orbit_starts_scalar(lengths: np.ndarray) -> np.ndarray:
-    """Reference orbit of 0 under ``p -> p + lengths[p]`` (scalar walk)."""
-    n = lengths.shape[0]
-    length_list = lengths.tolist()
-    starts: list[int] = []
-    append = starts.append
-    p = 0
-    while p < n:
-        append(p)
-        p += length_list[p]
-    return np.asarray(starts, dtype=np.int64)
+def _fetch_starts(chunk: _Chunk, line_bytes: int) -> np.ndarray:
+    """Start positions of the window's SEQ.3 fetches, in stream order.
 
-
-def _orbit_starts(lengths: np.ndarray, is_taken: np.ndarray) -> np.ndarray:
-    """Orbit of 0 under ``p -> p + lengths[p]``, vectorized.
-
-    Requires the SEQ.3 invariant that a fetch never crosses a taken branch
-    (``lengths[p] <= next_taken(p) - p + 1``, which :func:`_fetch_lengths`
-    guarantees). The orbit then decomposes into independent segments
-    delimited by taken branches: each segment's first fetch starts right
-    after the previous taken branch. All segments are walked in lockstep —
-    one gather per fetch — and the visited mask yields the starts already
-    in stream order. Rare pathological segments (thousands of short
-    fetches back to back) are finished with the scalar walk.
+    The starts are the orbit of 0 under ``p -> _fetch_ends(p)``. A fetch
+    never crosses a taken branch, so the orbit decomposes into independent
+    segments delimited by taken branches: each segment's first fetch
+    starts right after the previous taken branch. All segments are walked
+    in lockstep — the length is evaluated at the active cursors only — and
+    the visited mask yields the starts already in stream order. Rare
+    pathological segments (thousands of short fetches back to back) are
+    finished with a scalar walk over their remaining positions.
     """
-    n = lengths.shape[0]
-    if n == 0:
-        return np.empty(0, dtype=np.int64)
-    taken_pos = np.flatnonzero(is_taken)
-    seg_start = np.concatenate(([0], taken_pos + 1))
-    seg_end = np.concatenate((taken_pos, [n - 1]))[: seg_start.size]
+    ctx = chunk.ctx
+    n = ctx.total
+    line_instrs = line_bytes // INSTR_BYTES
+    taken_end = ctx.last_idx[chunk.taken_at]
+    seg_start = np.concatenate(([0], taken_end + 1))
+    seg_end = np.concatenate((taken_end, [n - 1]))[: seg_start.size]
     alive = seg_start <= seg_end  # drop the empty tail when the last
     cur = seg_start[alive]  # instruction is a taken branch
     end = seg_end[alive]
 
+    rep_idx = ctx.rep_idx
     visited = np.zeros(n, dtype=bool)
     rounds = 0
     while cur.size:
         visited[cur] = True
-        cur = cur + lengths[cur]
+        cur = _fetch_ends(chunk, cur, rep_idx[cur], line_instrs)
         keep = cur <= end
         if not keep.all():
             cur = cur[keep]
             end = end[keep]
         rounds += 1
         if rounds >= _ORBIT_SCALAR_CUTOFF_ROUNDS and cur.size <= _ORBIT_SCALAR_CUTOFF_ACTIVE:
-            length_list = lengths.tolist()
             for p, e in zip(cur.tolist(), end.tolist()):
+                first = p
+                ends = _fetch_ends(
+                    chunk, np.arange(first, e + 1), rep_idx[first : e + 1], line_instrs
+                ).tolist()
                 while p <= e:
                     visited[p] = True
-                    p += length_list[p]
+                    p = ends[p - first]
             break
     return np.flatnonzero(visited)
+
+
+def _instruction_addr(chunk: _Chunk) -> np.ndarray:
+    """Byte address of every instruction of the window."""
+    addr = np.repeat(chunk.ev_base, chunk.ctx.ev_size)
+    addr += np.arange(0, INSTR_BYTES * chunk.ctx.total, INSTR_BYTES, dtype=np.int64)
+    return addr
+
+
+def _instruction_lengths(chunk: _Chunk, line_bytes: int) -> np.ndarray:
+    """SEQ.3 fetch length from every instruction position of the window."""
+    pos = np.arange(chunk.ctx.total, dtype=np.int64)
+    lengths = _fetch_ends(chunk, pos, chunk.ctx.rep_idx, line_bytes // INSTR_BYTES)
+    lengths -= pos
+    return lengths
+
+
+class FetchLengths:
+    """SEQ.3 fetch lengths of one expanded chunk at one line size, on demand.
+
+    The fused driver hands one of these to every stream of a (layout,
+    line size). :class:`FetchStream` needs only the fetch starts
+    (:meth:`starts`); the per-instruction array (:meth:`array`) is built
+    the first time a trace cache asks for it. Both are kept, so streams
+    sharing the handle share the work.
+    """
+
+    def __init__(self, chunk: _Chunk, line_bytes: int) -> None:
+        self.chunk = chunk
+        self.line_bytes = line_bytes
+        self._starts: np.ndarray | None = None
+        self._array: np.ndarray | None = None
+
+    def starts(self) -> np.ndarray:
+        """Fetch start positions in stream order (:func:`_fetch_starts`)."""
+        if self._starts is None:
+            self._starts = _fetch_starts(self.chunk, self.line_bytes)
+        return self._starts
+
+    def array(self) -> np.ndarray:
+        """Fetch length from every instruction position."""
+        if self._array is None:
+            self._array = _instruction_lengths(self.chunk, self.line_bytes)
+        return self._array
 
 
 class FetchStream:
@@ -359,14 +392,14 @@ class FetchStream:
         self.n_taken = 0
         self.line_chunks: list[np.ndarray] | None = [] if collect_lines else None
 
-    def feed(self, chunk: _Chunk, lengths: np.ndarray) -> None:
-        """Consume one expanded chunk; ``lengths`` from :func:`_fetch_lengths`."""
-        n = chunk.addr.shape[0]
-        self.n_instructions += n
-        self.n_taken += int(chunk.is_taken.sum())
-        start_arr = _orbit_starts(lengths, chunk.is_taken)
+    def feed(self, chunk: _Chunk, lengths: FetchLengths) -> None:
+        """Consume one expanded chunk; ``lengths`` for this ``line_bytes``."""
+        self.n_instructions += chunk.ctx.total
+        self.n_taken += chunk.n_taken
+        start_arr = lengths.starts()
         self.n_fetches += start_arr.shape[0]
-        first_line = chunk.addr[start_arr]
+        first_line = chunk.ev_base[chunk.ctx.rep_idx[start_arr]]
+        first_line += INSTR_BYTES * start_arr
         if self.line_bytes & (self.line_bytes - 1) == 0:
             first_line >>= self.line_bytes.bit_length() - 1
         else:
@@ -398,9 +431,8 @@ def simulate_fetch(
     chunk_events: int = _DEFAULT_CHUNK_EVENTS,
 ) -> FetchResult:
     """Run the SEQ.3 fetch unit over a trace under a layout."""
-    line_instrs = line_bytes // INSTR_BYTES
+    from repro.simulators.fused import run_fused  # fused builds on this module
+
     stream = FetchStream(layout.name, line_bytes=line_bytes, collect_lines=True)
-    for ctx in iter_chunk_contexts(trace, program, chunk_events):
-        chunk = expand_chunk(ctx, layout)
-        stream.feed(chunk, _fetch_lengths(chunk, line_instrs))
+    run_fused(trace, program, [(layout, stream)], chunk_events=chunk_events)
     return stream.result()

@@ -7,24 +7,34 @@ configurations are attached miss counters. This driver runs any number of
 such streams — across layouts and configurations — in a *single* pass
 over the trace: each window of events is expanded to the
 layout-independent :class:`~repro.simulators.fetch.ChunkContext` once,
-then for each distinct layout the per-layout instruction arrays and SEQ.3
-fetch lengths are computed once and fed to every stream of that layout.
+then for each distinct layout the per-layout event arrays are computed
+once and fed to every stream of that layout, together with one
+:class:`~repro.simulators.fetch.FetchLengths` handle per line size. Fetch
+streams evaluate SEQ.3 only at their fetch starts; per-instruction arrays
+are built only when a trace-cache stream of the layout asks for them.
+The one-shot :func:`~repro.simulators.fetch.simulate_fetch` and
+:func:`~repro.simulators.tracecache.simulate_trace_cache` are single-stream
+passes of this driver.
 
 Peak memory is one window's expansion regardless of how many streams are
 fused: layouts are processed sequentially per window and the expansion is
 dropped before the next layout's is built. Because every stream carries
-its own state across windows exactly as in the one-shot simulators,
-fused results are bit-identical to running each simulation alone.
+its own state across windows, fused results are bit-identical to running
+each simulation alone.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 
-from repro.cfg.blocks import INSTR_BYTES
 from repro.cfg.layout import Layout
 from repro.cfg.program import Program
-from repro.simulators.fetch import _fetch_lengths, expand_chunk, iter_chunk_contexts
+from repro.simulators.fetch import (
+    _DEFAULT_CHUNK_EVENTS,
+    FetchLengths,
+    expand_chunk,
+    iter_chunk_contexts,
+)
 
 __all__ = ["run_fused"]
 
@@ -34,7 +44,7 @@ def run_fused(
     program: Program,
     pairs: Sequence[tuple[Layout, object]],
     *,
-    chunk_events: int = 2_000_000,
+    chunk_events: int = _DEFAULT_CHUNK_EVENTS,
     start_event: int = 0,
     stop_event: int | None = None,
 ) -> None:
@@ -43,9 +53,10 @@ def run_fused(
     ``trace`` is a :class:`~repro.profiling.trace.BlockTrace` or an
     on-disk :class:`~repro.profiling.tracestore.TraceStore`. Streams are
     mutated in place; read their counters or ``result()`` afterwards.
-    Streams sharing the same layout *object* share the per-window
-    expansion, and among those, streams with equal ``line_bytes`` share
-    the SEQ.3 fetch-length computation.
+    A stream is anything with a ``line_bytes`` attribute and a
+    ``feed(chunk, lengths)`` method. Streams sharing the same layout
+    *object* share the per-window expansion, and among those, streams
+    with equal ``line_bytes`` share one SEQ.3 ``lengths`` handle.
 
     ``start_event``/``stop_event`` restrict the pass to that event slice
     of the trace; the sharded engine (:mod:`repro.simulators.sharded`)
@@ -70,12 +81,11 @@ def run_fused(
     ):
         for layout, streams in groups:
             chunk = expand_chunk(ctx, layout)
-            lengths_for: dict[int, object] = {}
+            lengths_for: dict[int, FetchLengths] = {}
             for stream in streams:
                 line_bytes = stream.line_bytes
                 lengths = lengths_for.get(line_bytes)
                 if lengths is None:
-                    lengths = _fetch_lengths(chunk, line_bytes // INSTR_BYTES)
-                    lengths_for[line_bytes] = lengths
+                    lengths = lengths_for[line_bytes] = FetchLengths(chunk, line_bytes)
                 stream.feed(chunk, lengths)
-            del chunk, lengths_for  # one expansion live at a time
+            del chunk, lengths, lengths_for  # one expansion live at a time

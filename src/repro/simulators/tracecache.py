@@ -17,12 +17,16 @@ STC+trace-cache numbers of Table 4.
 Implementation: the outcome bitmask and third-branch distance the
 sequential walk needs are functions of the *next-branch index* of a
 position, so they are precomputed vectorized into per-branch tables
-(typically 5x smaller than the instruction stream) and the only
-per-instruction table beyond the shared SEQ.3 fetch lengths is one prefix
-count. The hot loop reads a handful of table cells per visited position.
-Cache entries persist across chunks (:class:`TraceCacheStream`); the fill
-window truncates at chunk boundaries exactly as before, so results at the
-default window match the previous implementation bit for bit.
+(typically 5x smaller than the instruction stream); the next-branch index
+itself is a per-event prefix count repeated over each event's
+instructions. The walk reads per-instruction addresses and SEQ.3 fetch
+lengths, which the expanded chunk builds on first use
+(:class:`~repro.simulators.fetch.FetchLengths`), so only layouts that
+carry a trace-cache stream pay for them. The hot loop reads a handful of
+table cells per visited position. Cache entries persist across
+chunks (:class:`TraceCacheStream`); the fill window truncates at chunk
+boundaries, as in the reference simulator
+(:func:`repro.validate.oracles.oracle_trace_cache`).
 """
 
 from __future__ import annotations
@@ -35,14 +39,14 @@ from repro.cfg.layout import Layout
 from repro.cfg.program import Program
 from repro.profiling.trace import BlockTrace
 from repro.simulators.fetch import (
+    _DEFAULT_CHUNK_EVENTS,
     BRANCH_LIMIT,
     FETCH_WIDTH,
     MISS_PENALTY_CYCLES,
+    FetchLengths,
     _Chunk,
-    _fetch_lengths,
-    expand_chunk,
-    iter_chunk_contexts,
 )
+from repro.simulators.fused import run_fused
 from repro.simulators.icache import CacheConfig, count_misses
 
 __all__ = [
@@ -96,9 +100,10 @@ class TraceCacheStream:
     The hot loop's lookup tables are indexed *by branch*, not by
     instruction: both the outcome bitmask and the third-branch distance
     from a position ``p`` are functions of ``first_branch[p]`` alone, so
-    the per-instruction vectorized work is a single prefix count and the
-    (typically 5x smaller) per-branch tables are read scalar only at the
-    ~n/8 positions the walk actually visits.
+    the per-instruction work of the stream itself is one expansion of a
+    per-event prefix count, and the (typically 5x smaller) per-branch
+    tables are read scalar only at the ~n/8 positions the walk actually
+    visits.
     """
 
     def __init__(
@@ -123,30 +128,29 @@ class TraceCacheStream:
         self._entries: list[tuple[int, int, int, int] | None] = [None] * config.n_entries
         self._low_bits = [(1 << k) - 1 for k in range(config.branch_limit + 1)]
 
-    def feed(self, chunk: _Chunk, lengths: np.ndarray) -> None:
-        """Consume one expanded chunk; ``lengths`` from :func:`_fetch_lengths`.
-
-        ``lengths`` must be computed for this stream's ``line_bytes`` (the
-        SEQ.3 advance on the miss path).
-        """
+    def feed(self, chunk: _Chunk, lengths: FetchLengths) -> None:
+        """Consume one expanded chunk; ``lengths`` for this ``line_bytes``
+        (the SEQ.3 advance on the miss path)."""
         config = self.config
         width = config.trace_instructions
         blimit = config.branch_limit
-        n = chunk.addr.shape[0]
+        ctx = chunk.ctx
+        n = ctx.total
         self.n_instructions += n
-        self.n_taken += int(chunk.is_taken.sum())
-        is_branch = chunk.is_branch
-        branch_pos = np.flatnonzero(is_branch)
+        self.n_taken += chunk.n_taken
+        branch_ev = chunk.branch_ev
+        branch_pos = ctx.last_idx[branch_ev]
         nb = int(branch_pos.size)
-        # next-branch index per position (exclusive prefix count of
-        # branches) — the only per-instruction table beyond the shared
-        # fetch lengths; everything else is indexed by branch
-        first_branch = np.cumsum(is_branch, dtype=np.int32)
-        first_branch -= is_branch
+        # next-branch index per position: a branch ends its event, so this
+        # is the exclusive prefix count of branch events, repeated over
+        # each event's instructions — everything else is indexed by branch
+        branches_before = np.cumsum(branch_ev, dtype=np.int32)
+        branches_before -= branch_ev
+        first_branch = np.repeat(branches_before, ctx.ev_size)
 
         # outcome bitmask of the next `blimit` branches from every branch
         # index (including nb = "past the last branch"), zero-padded
-        taken_at = chunk.is_taken[branch_pos].astype(np.int64)
+        taken_at = chunk.taken_ev[branch_ev].astype(np.int64)
         padded = np.concatenate((taken_at, np.zeros(blimit, dtype=np.int64)))
         mask_by_branch = np.zeros(nb + 1, dtype=np.int64)
         for j in range(blimit):
@@ -160,9 +164,9 @@ class TraceCacheStream:
         # zero-copy memoryviews: the loop touches only the positions it
         # visits, so materializing full Python lists would cost more than
         # the walk itself
-        seq_len = np.ascontiguousarray(lengths).data
-        addr = np.ascontiguousarray(chunk.addr).data
-        fb_of = np.ascontiguousarray(first_branch).data
+        seq_len = lengths.array().data
+        addr = chunk.addr.data
+        fb_of = first_branch.data
         mask_of = mask_by_branch.data
         third_of = third_by_branch.data
 
@@ -268,12 +272,9 @@ def simulate_trace_cache(
     config: TraceCacheConfig = TraceCacheConfig(),
     *,
     line_bytes: int = 32,
-    chunk_events: int = 2_000_000,
+    chunk_events: int = _DEFAULT_CHUNK_EVENTS,
 ) -> TraceCacheResult:
     """Stateful trace-cache + SEQ.3 simulation over one trace."""
     stream = TraceCacheStream(layout.name, config, line_bytes=line_bytes, collect_lines=True)
-    line_instrs = line_bytes // 4
-    for ctx in iter_chunk_contexts(trace, program, chunk_events):
-        chunk = expand_chunk(ctx, layout)
-        stream.feed(chunk, _fetch_lengths(chunk, line_instrs))
+    run_fused(trace, program, [(layout, stream)], chunk_events=chunk_events)
     return stream.result()

@@ -17,7 +17,7 @@ import time
 
 import pytest
 
-from repro.cache import default_cache
+from repro.cache import ARTIFACT_VERSIONS, ArtifactCache, default_cache
 from repro.experiments import suite as suite_mod
 from repro.experiments.config import PRIMARY_ROWS
 from repro.experiments.harness import get_workload
@@ -268,6 +268,25 @@ def test_sharded_suite_is_bit_identical_to_serial(workload, tmp_path):
     shard_jobs = [e for e in data["events"] if e["type"] == "shard-job"]
     assert shard_jobs and all(e["source"] == "computed" for e in shard_jobs)
     assert len(_shard_checkpoint_files()) == len(shard_jobs)
+
+
+def test_every_suite_cache_kind_has_a_version(workload, tmp_path, monkeypatch):
+    """A kind missing from ARTIFACT_VERSIONS would silently key at version
+    0, so bumping it could never invalidate stale checkpoints."""
+    written = set()
+    real_store = ArtifactCache.store
+
+    def spy(self, kind, key_obj, value):
+        written.add(kind)
+        return real_store(self, kind, key_obj, value)
+
+    monkeypatch.setattr(ArtifactCache, "store", spy)
+    monkeypatch.setattr(suite_mod, "_SUITES", {})  # no in-memory hit
+    suite_mod.get_suite(workload, GRID[:1], jobs=1)
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "sharded-cache"))
+    compute_suite(workload, GRID[:1], jobs=1, shards=2)
+    assert {"suite", "suite-task", "suite-shard"} <= written
+    assert written <= set(ARTIFACT_VERSIONS)
 
 
 def test_sharded_failure_resumes_recomputing_only_missing_shards(

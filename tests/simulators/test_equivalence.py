@@ -1,62 +1,93 @@
 """Equivalence properties for the vectorized simulator hot paths.
 
-Each vectorized implementation has a scalar reference it must match
-exactly: the lockstep orbit walk vs the plain ``p -> p + lengths[p]``
-loop, and the batched/chunked cache models vs the stateful scalar models.
+Each vectorized implementation must match a reference exactly: the
+lockstep SEQ.3 orbit against the loop-literal oracle
+(:func:`repro.validate.oracles.oracle_fetch`), and the batched/chunked
+cache models against the stateful scalar models.
 """
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cfg import BlockKind, Layout, ProgramBuilder
+from repro.profiling import BlockTrace
 from repro.simulators import CacheConfig, count_misses, simulate_victim_cache
 from repro.simulators.fetch import (
     _ORBIT_SCALAR_CUTOFF_ROUNDS,
-    _orbit_starts,
-    _orbit_starts_scalar,
+    _fetch_starts,
+    expand_chunk,
+    iter_chunk_contexts,
 )
+from repro.validate.generators import random_case
+from repro.validate.oracles import oracle_fetch
+
+LINE_SIZES = (16, 32, 64)
 
 
-def _random_stream(rng, n):
-    """Random (lengths, is_taken) satisfying the SEQ.3 orbit invariant:
-    a fetch never extends past the next taken branch."""
-    is_taken = rng.random(n) < 0.2
-    idx = np.arange(n)
-    cand = np.where(is_taken, idx, n - 1)
-    next_taken = np.minimum.accumulate(cand[::-1])[::-1]
-    limit = np.minimum(next_taken - idx + 1, 16)
-    lengths = rng.integers(1, limit + 1)
-    return lengths.astype(np.int64), is_taken
+def _orbit_first_lines(trace, program, layout, line_bytes, chunk_events):
+    """First cache line of every fetch the production orbit starts."""
+    lines = []
+    for ctx in iter_chunk_contexts(trace, program, chunk_events):
+        chunk = expand_chunk(ctx, layout)
+        starts = _fetch_starts(chunk, line_bytes)
+        lines += (chunk.addr[starts] // line_bytes).tolist()
+    return lines
 
 
-@given(st.integers(0, 2**32 - 1), st.integers(1, 400))
+def _assert_orbit_matches_oracle(trace, program, layout, line_bytes, chunk_events):
+    ora = oracle_fetch(
+        trace, program, layout, line_bytes=line_bytes, chunk_events=chunk_events
+    )
+    lines = _orbit_first_lines(trace, program, layout, line_bytes, chunk_events)
+    assert len(lines) == ora.n_fetches
+    assert lines == ora.lines[0::2]
+
+
+@given(st.integers(0, 2**32 - 1), st.sampled_from(LINE_SIZES))
 @settings(max_examples=60, deadline=None)
-def test_orbit_matches_scalar_walk(seed, n):
-    rng = np.random.default_rng(seed)
-    lengths, is_taken = _random_stream(rng, n)
-    vec = _orbit_starts(lengths, is_taken)
-    ref = _orbit_starts_scalar(lengths)
-    np.testing.assert_array_equal(vec, ref)
+def test_orbit_matches_oracle_fetch(seed, line_bytes):
+    case = random_case(seed)
+    _assert_orbit_matches_oracle(
+        case.trace, case.program, case.layout, line_bytes, case.chunk_events
+    )
+
+
+def _straight_program(sizes, kinds):
+    b = ProgramBuilder()
+    b.add_procedure("f", "executor", sizes=sizes, kinds=kinds)
+    return b.build()
 
 
 def test_orbit_scalar_cutoff_path():
-    # one taken-branch-free segment much longer than the lockstep cutoff:
-    # the stragglers must be finished by the scalar fallback, not dropped
-    n = 50 * _ORBIT_SCALAR_CUTOFF_ROUNDS
-    lengths = np.ones(n, dtype=np.int64)
-    is_taken = np.zeros(n, dtype=bool)
-    np.testing.assert_array_equal(_orbit_starts(lengths, is_taken), np.arange(n))
+    # one taken-branch-free segment of single-instruction not-taken
+    # branches: three per fetch, far more fetches than the lockstep
+    # cutoff, so the stragglers must be finished by the scalar fallback
+    n = 6 * _ORBIT_SCALAR_CUTOFF_ROUNDS
+    program = _straight_program([1] * n, [BlockKind.BRANCH] * (n - 1) + [BlockKind.RETURN])
+    trace = BlockTrace(np.arange(n, dtype=np.int32))
+    for line_bytes in LINE_SIZES:
+        _assert_orbit_matches_oracle(
+            trace, program, Layout.original(program), line_bytes, 2_000_000
+        )
 
 
 def test_orbit_edge_cases():
-    empty = np.empty(0, dtype=np.int64)
-    assert _orbit_starts(empty, np.empty(0, dtype=bool)).size == 0
-    # stream ending on a taken branch leaves an empty trailing segment
-    lengths = np.array([2, 1, 1], dtype=np.int64)
-    is_taken = np.array([False, False, True])
-    np.testing.assert_array_equal(
-        _orbit_starts(lengths, is_taken), _orbit_starts_scalar(lengths)
+    program = _straight_program(
+        [2, 1, 5], [BlockKind.FALL_THROUGH, BlockKind.BRANCH, BlockKind.RETURN]
     )
+    gap = Layout.from_placements(program, {0: 0, 1: 8, 2: 100}, name="gap")
+    for layout in (Layout.original(program), gap):
+        for line_bytes in LINE_SIZES:
+            # every window ends on a taken branch (end of trace or a
+            # jump), which leaves an empty trailing segment
+            _assert_orbit_matches_oracle(
+                BlockTrace([0, 1, 2, 0, 2]), program, layout, line_bytes, 3
+            )
+            # one-event windows
+            _assert_orbit_matches_oracle(
+                BlockTrace([0, 1, 2]), program, layout, line_bytes, 1
+            )
 
 
 @given(

@@ -4,7 +4,7 @@ import pytest
 from repro.cfg import BlockKind, Layout, ProgramBuilder
 from repro.profiling import BlockTrace
 from repro.simulators import simulate_fetch
-from repro.simulators.fetch import instruction_chunks
+from repro.simulators.fetch import expand_chunk, iter_chunk_contexts
 
 
 def straight_program(sizes, kinds):
@@ -121,10 +121,14 @@ def test_chunking_preserves_results():
 def test_instruction_chunks_addresses():
     p = straight_program([2, 3], [BlockKind.FALL_THROUGH, BlockKind.RETURN])
     layout = Layout.original(p)
-    chunks = list(instruction_chunks(BlockTrace([0, 1]), p, layout))
-    assert len(chunks) == 1
-    np.testing.assert_array_equal(chunks[0].addr, [0, 4, 8, 12, 16])
-    np.testing.assert_array_equal(chunks[0].is_taken, [0, 0, 0, 0, 1])
+    contexts = list(iter_chunk_contexts(BlockTrace([0, 1]), p))
+    assert len(contexts) == 1
+    chunk = expand_chunk(contexts[0], layout)
+    np.testing.assert_array_equal(chunk.addr, [0, 4, 8, 12, 16])
+    # only the final event ends in a taken branch; a fetch from either
+    # event may run to the window's last instruction
+    np.testing.assert_array_equal(chunk.taken_ev, [0, 1])
+    np.testing.assert_array_equal(chunk.stop, [4, 4])
 
 
 def test_ideal_ipc_and_run_length():

@@ -2,7 +2,8 @@
 
 One `run_fused` pass carrying many streams must be bit-identical to
 running each fetch / trace-cache simulation (and each i-cache
-configuration) on its own.
+configuration) on its own, and must build per-instruction arrays only
+for layouts that carry a trace-cache stream.
 """
 
 import numpy as np
@@ -13,14 +14,19 @@ from repro.experiments.harness import get_workload, layouts_for
 from repro.simulators import (
     CacheConfig,
     FetchStream,
+    TraceCacheConfig,
     TraceCacheStream,
     count_misses,
+    iter_chunk_contexts,
     miss_counter,
     run_fused,
     simulate_fetch,
     simulate_trace_cache,
 )
+from repro.simulators import fetch as fetch_mod
 from repro.tpcd.workload import WorkloadSettings
+from repro.validate.generators import random_layout, random_program, random_trace
+from repro.validate.oracles import oracle_fetch, oracle_trace_cache
 
 SETTINGS = WorkloadSettings(scale=0.0005)
 CACHE_KBS = (4, 8, 16)
@@ -99,3 +105,83 @@ def test_fused_collects_lines_identically(workload, layouts):
 
 def test_fused_empty_pairs_is_a_no_op(workload):
     run_fused(workload.test_trace, workload.program, [])
+
+
+# -- per-instruction arrays are built only for trace-cache layouts ---------
+
+SMALL_CHUNK = 64
+
+
+@pytest.fixture
+def small_case():
+    """A generated program with a permuted and an original layout and a
+    trace spanning eight 64-event windows."""
+    rng = np.random.default_rng(4)
+    program = random_program(rng)
+    layouts = [random_layout(rng, program, name=f"l{i}") for i in range(2)]
+    trace = random_trace(rng, program)
+    return program, layouts, trace
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """Counts calls of the lazy per-instruction builders."""
+    calls = {"addr": 0, "lengths": 0}
+    real_addr = fetch_mod._instruction_addr
+    real_lengths = fetch_mod._instruction_lengths
+
+    def addr(chunk):
+        calls["addr"] += 1
+        return real_addr(chunk)
+
+    def lengths(chunk, line_bytes):
+        calls["lengths"] += 1
+        return real_lengths(chunk, line_bytes)
+
+    monkeypatch.setattr(fetch_mod, "_instruction_addr", addr)
+    monkeypatch.setattr(fetch_mod, "_instruction_lengths", lengths)
+    return calls
+
+
+def _assert_fetch_matches_oracle(stream, trace, program, layout):
+    ora = oracle_fetch(
+        trace, program, layout, line_bytes=stream.line_bytes, chunk_events=SMALL_CHUNK
+    )
+    assert (stream.n_instructions, stream.n_fetches, stream.n_taken) == (
+        ora.n_instructions, ora.n_fetches, ora.n_taken
+    )
+    assert np.concatenate(stream.line_chunks).tolist() == ora.lines
+
+
+def test_fetch_only_pass_builds_no_instruction_arrays(small_case, builds):
+    program, layouts, trace = small_case
+    pairs = [
+        (layout, FetchStream(layout.name, line_bytes=line_bytes, collect_lines=True))
+        for layout in layouts
+        for line_bytes in (16, 32)
+    ]
+    run_fused(trace, program, pairs, chunk_events=SMALL_CHUNK)
+    assert builds == {"addr": 0, "lengths": 0}
+    for layout, stream in pairs:
+        _assert_fetch_matches_oracle(stream, trace, program, layout)
+
+
+def test_trace_cache_builds_instruction_arrays_once_per_layout_window(small_case, builds):
+    program, layouts, trace = small_case
+    with_tc, fetch_only = layouts
+    tc_configs = (TraceCacheConfig(n_entries=16), TraceCacheConfig(n_entries=64))
+    tcs = [TraceCacheStream(with_tc.name, c, collect_lines=True) for c in tc_configs]
+    fetches = [FetchStream(layout.name, collect_lines=True) for layout in layouts]
+    pairs = [(with_tc, fetches[0]), *[(with_tc, tc) for tc in tcs], (fetch_only, fetches[1])]
+    run_fused(trace, program, pairs, chunk_events=SMALL_CHUNK)
+    windows = sum(1 for _ in iter_chunk_contexts(trace, program, SMALL_CHUNK))
+    assert windows > 1
+    assert builds == {"addr": windows, "lengths": windows}
+    for layout, stream in zip(layouts, fetches):
+        _assert_fetch_matches_oracle(stream, trace, program, layout)
+    for config, stream in zip(tc_configs, tcs):
+        ora = oracle_trace_cache(trace, program, with_tc, config, chunk_events=SMALL_CHUNK)
+        assert (stream.n_instructions, stream.n_hits, stream.n_misses, stream.n_taken) == (
+            ora.n_instructions, ora.n_hits, ora.n_misses, ora.n_taken
+        )
+        assert np.concatenate(stream.miss_line_chunks).tolist() == ora.miss_lines

@@ -55,13 +55,13 @@ def test_injected_fetch_width_bug_is_caught(monkeypatch):
 def test_injected_orbit_bug_is_caught(monkeypatch):
     """Dropping the last fetch of every chunk must be seen by both the
     one-shot and the fused fetch paths."""
-    real = fetch_mod._orbit_starts
+    real = fetch_mod._fetch_starts
 
-    def lopsided(lengths, is_taken):
-        starts = real(lengths, is_taken)
+    def lopsided(chunk, line_bytes):
+        starts = real(chunk, line_bytes)
         return starts[:-1] if len(starts) else starts
 
-    monkeypatch.setattr(fetch_mod, "_orbit_starts", lopsided)
+    monkeypatch.setattr(fetch_mod, "_fetch_starts", lopsided)
     found = []
     for seed in _BUSY_SEEDS:
         if _total_events(seed) == 0:
