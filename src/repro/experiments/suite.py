@@ -14,13 +14,15 @@ over the trace (:func:`repro.simulators.run_fused`) feeding every task's
 incremental fetch/trace-cache streams and attached i-cache miss counters
 at once — the trace is decoded and expanded once per group instead of
 once per simulation, and peak memory stays one window regardless of group
-size. With ``jobs > 1`` the groups fan out over a fork-based
-:class:`~concurrent.futures.ProcessPoolExecutor` — the workload's trace
-handles are shared copy-on-write, each worker returns only scalar
-metrics, and assembly is deterministic, so parallel output is
-bit-identical to serial (and to the unfused reference
-:func:`_task_payload`). Platforms without ``fork`` (and ``jobs=1``) run
-the same groups in-parent.
+size. A task's payload does not depend on which tasks share its group,
+so checkpoints from any grouping mix.
+
+The groups run on the shared job scheduler
+(:func:`repro.util.scheduler.run_jobs`), in-parent or, with ``jobs > 1``,
+on a fork-based process pool: the workload's trace handles are shared
+copy-on-write, each worker returns only scalar metrics, and assembly is
+deterministic, so parallel output is bit-identical to serial. Platforms
+without ``fork`` (and ``jobs=1``) run the same groups in-parent.
 
 The engine is fault-tolerant and resumable:
 
@@ -28,8 +30,9 @@ The engine is fault-tolerant and resumable:
   cache (kind ``suite-task``, keyed by the workload settings and task),
   so a crashed, killed, or partially-failed run resumes by recomputing
   only the missing tasks — and produces bit-identical results;
-* transient worker failures (fork OOM, cache I/O) are retried with
-  exponential backoff, bounded by ``retries``;
+* failures that can succeed on retry (memory pressure, I/O hiccups; see
+  :func:`repro.util.scheduler.is_transient`) are retried with exponential
+  backoff, bounded by ``retries``;
 * a permanent task failure names the task (:class:`SuiteTaskError`),
   cancels pending work, and leaves every completed task checkpointed;
 * ``task_timeout`` bounds how long a parallel run may go with no task
@@ -43,11 +46,7 @@ The engine is fault-tolerant and resumable:
 
 from __future__ import annotations
 
-import multiprocessing
-import time
 import weakref
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -59,11 +58,8 @@ from repro.simulators import (
     CacheConfig,
     FetchStream,
     TraceCacheStream,
-    count_misses,
     miss_counter,
     run_fused,
-    simulate_fetch,
-    simulate_trace_cache,
 )
 from repro.simulators.fetch import MISS_PENALTY_CYCLES
 from repro.simulators.sharded import (
@@ -74,6 +70,7 @@ from repro.simulators.sharded import (
 )
 from repro.tpcd.workload import Workload, WorkloadSettings
 from repro.util.progress import Progress
+from repro.util.scheduler import run_jobs
 
 __all__ = [
     "CellMetrics",
@@ -122,24 +119,13 @@ class SuiteResults:
 
 
 def _cell(n: int, n_fetches: int, ideal_ipc: float, run_length: float, misses: int) -> CellMetrics:
-    """Shared metric arithmetic for the per-config and fused paths."""
+    """Cell metrics from one fetch stream's counters and its miss count."""
     cycles = n_fetches + MISS_PENALTY_CYCLES * misses
     return CellMetrics(
         miss_rate=100.0 * misses / n if n else 0.0,
         ipc=n / cycles if cycles else 0.0,
         ideal_ipc=ideal_ipc,
         run_length=run_length,
-    )
-
-
-def _metrics(fetch_result, cache_kb: int) -> CellMetrics:
-    misses = count_misses(fetch_result.line_chunks, CacheConfig(size_bytes=cache_kb * KB))
-    return _cell(
-        fetch_result.n_instructions,
-        fetch_result.n_fetches,
-        fetch_result.ideal_ipc,
-        fetch_result.instructions_between_taken,
-        misses,
     )
 
 
@@ -186,58 +172,9 @@ def _task_label(task: _Task) -> str:
         return "trace cache: orig layout"
     if kind == "row":
         return "fetch simulations: Torr/auto/ops {}/{}".format(*arg)
+    if kind == "shard":
+        return f"shard job {arg!r}"
     return "trace cache: ops layout {}/{}".format(*arg)
-
-
-def _task_payload(workload: Workload, task: _Task, grid, cache_sizes) -> dict:
-    kind, arg = task
-    trace = workload.test_trace
-    program = workload.program
-    if kind == "base":
-        layout = layouts_for(workload, grid[0][0], grid[0][1], names=(arg,))[arg]
-        fr = simulate_fetch(trace, program, layout)
-        payload = {
-            "n_instructions": fr.n_instructions,
-            "per_cache": {c: _metrics(fr, c) for c in cache_sizes},
-        }
-        if arg == "orig":
-            n = fr.n_instructions
-            assoc: dict[int, float] = {}
-            victim: dict[int, float] = {}
-            for c in cache_sizes:
-                a = count_misses(fr.line_chunks, CacheConfig(size_bytes=c * KB, associativity=2))
-                v = count_misses(fr.line_chunks, CacheConfig(size_bytes=c * KB, victim_lines=16))
-                assoc[c] = 100.0 * a / n
-                victim[c] = 100.0 * v / n
-            payload["assoc"] = assoc
-            payload["victim"] = victim
-        return payload
-    if kind == "tc":
-        layout = layouts_for(workload, grid[0][0], grid[0][1], names=("orig",))["orig"]
-        tc = simulate_trace_cache(trace, program, layout)
-        return {
-            "ideal": tc.bandwidth(None),
-            "hit_rate": tc.hit_rate,
-            "ipc": {c: tc.bandwidth(CacheConfig(size_bytes=c * KB)) for c in cache_sizes},
-        }
-    if kind == "row":
-        cache_kb, cfa_kb = arg
-        layouts = layouts_for(workload, cache_kb, cfa_kb, names=("Torr", "auto", "ops"))
-        cells: dict[str, CellMetrics] = {}
-        for name in ("Torr", "auto", "ops"):
-            fr = simulate_fetch(trace, program, layouts[name])
-            cells[name] = _metrics(fr, cache_kb)
-            del fr
-        return cells
-    if kind == "tc_ops":
-        cache_kb, cfa_kb = arg
-        layout = layouts_for(workload, cache_kb, cfa_kb, names=("ops",))["ops"]
-        tc = simulate_trace_cache(trace, program, layout)
-        return {
-            "ipc": tc.bandwidth(CacheConfig(size_bytes=cache_kb * KB)),
-            "ideal": tc.bandwidth(None),
-        }
-    raise ValueError(f"unknown suite task {task!r}")
 
 
 # -- fused execution -----------------------------------------------------
@@ -245,11 +182,9 @@ def _task_payload(workload: Workload, task: _Task, grid, cache_sizes) -> dict:
 # The engine does not run tasks one simulation at a time: tasks are
 # grouped and each group makes a *single* pass over the trace
 # (repro.simulators.run_fused), with every task contributing incremental
-# streams whose i-cache configurations are attached miss counters. The
-# per-task payloads are assembled from the stream counters with the same
-# arithmetic as _task_payload, so they are bit-identical to the
-# one-simulation-per-task path (which remains above as the reference
-# implementation, exercised by the equivalence tests).
+# streams whose i-cache configurations are attached miss counters. Every
+# stream starts cold and owns its counters, so a task's payload is the
+# same whichever tasks share its pass.
 
 #: Upper bound on tasks fused into one trace pass. Groups stay small so
 #: retry, stall detection and checkpointing keep useful granularity.
@@ -369,13 +304,14 @@ def _unit_for(workload: Workload, task: _Task, grid, cache_sizes, layout_memo=No
     raise ValueError(f"unknown suite task {task!r}")
 
 
-def _run_group(workload: Workload, group, grid, cache_sizes):
-    """One fused pass over the trace for a group of tasks.
+def _run_units(workload: Workload, group, grid, cache_sizes, drive):
+    """Build the group's units, ``drive(tasks, pairs)`` their streams in
+    one pass, and finalize the payloads.
 
     Returns ``(payloads, errors)`` keyed by task. A failure while
     building one task's unit (layout construction) is isolated to that
-    task; a failure during the shared trace pass fails every task whose
-    unit made it into the pass (none of their streams can be trusted).
+    task; a failure during the shared pass fails every task whose unit
+    made it into the pass (none of their streams can be trusted).
     """
     payloads: dict[_Task, dict] = {}
     errors: dict[_Task, BaseException] = {}
@@ -390,11 +326,7 @@ def _run_group(workload: Workload, group, grid, cache_sizes):
         units.append((task, pairs, finalize))
     if units:
         try:
-            run_fused(
-                workload.test_trace,
-                workload.program,
-                [pair for _, pairs, _ in units for pair in pairs],
-            )
+            drive([task for task, _, _ in units], [pair for _, pairs, _ in units for pair in pairs])
         except Exception as exc:
             for task, _, _ in units:
                 errors[task] = exc
@@ -407,17 +339,55 @@ def _run_group(workload: Workload, group, grid, cache_sizes):
     return payloads, errors
 
 
-def _split_groups(tasks, n_groups: int):
-    """Contiguous, near-even split of the canonical task order."""
-    n = len(tasks)
-    n_groups = max(1, min(n_groups, n))
-    base, rem = divmod(n, n_groups)
-    out, start = [], 0
-    for g in range(n_groups):
-        size = base + (1 if g < rem else 0)
-        out.append(list(tasks[start : start + size]))
-        start += size
-    return out
+def _run_group(workload: Workload, group, grid, cache_sizes):
+    """One fused pass over the trace for a group of tasks; returns
+    ``(payloads, errors)`` keyed by task (see :func:`_run_units`)."""
+    return _run_units(
+        workload, group, grid, cache_sizes,
+        lambda tasks, pairs: run_fused(workload.test_trace, workload.program, pairs),
+    )
+
+
+def _run_sharded_group(
+    workload: Workload, group, grid, cache_sizes, shards, jobs, retries, task_timeout,
+    runlog, cache,
+):
+    """The group's streams in one shard-parallel pass (:func:`run_sharded`).
+
+    The shard job, not the task, is the checkpoint/retry/resume unit of
+    the pass: an interrupted run recomputes only the missing shard jobs
+    and relay steps. Payloads are finalized from the stitched streams
+    with the same arithmetic as the fused path, so results are
+    bit-identical for any shard/worker combination.
+    """
+
+    def drive(tasks, pairs) -> None:
+        trace = workload.test_trace
+        plan = plan_shards(len(trace), shards=shards)
+        runlog.event(
+            "shard-plan",
+            shards=plan.n_shards,
+            chunk_events=plan.chunk_events,
+            bounds=list(plan.bounds),
+        )
+        checkpoint = None
+        if cache is not None:
+            # the prefix pins everything a shard payload depends on — workload
+            # settings, cache sizes, the exact task set (stream composition;
+            # suite streams always start cold) and the shard plan — so resumed
+            # runs only ever reuse payloads bit-identical to a fresh computation
+            prefix = (workload.settings, tuple(cache_sizes), tuple(tasks), plan.signature())
+            checkpoint = _CacheCheckpoint(cache, "suite-shard", lambda key: prefix + (key,))
+        report = run_sharded(
+            trace, workload.program, pairs,
+            shards=plan, jobs=jobs, retries=retries,
+            task_timeout=task_timeout, checkpoint=checkpoint,
+            on_job=lambda key, source: runlog.event("shard-job", job=list(key), source=source),
+        )
+        if report.degraded:
+            runlog.event("pool-broken", remaining=0)
+
+    return _run_units(workload, group, grid, cache_sizes, drive)
 
 
 def _assemble(grid, tc_rows, results: dict[_Task, dict]) -> SuiteResults:
@@ -475,21 +445,6 @@ class SuiteTimeoutError(RuntimeError):
         self.timeout = timeout
 
 
-#: Failure classes worth retrying: environmental pressure (fork OOM,
-#: cache/trace I/O hiccups) rather than deterministic bugs in a task.
-_TRANSIENT_EXCEPTIONS = (OSError, MemoryError, EOFError)
-
-_RETRY_BACKOFF_SECONDS = 0.05
-
-
-def _is_transient(exc: BaseException) -> bool:
-    return isinstance(exc, _TRANSIENT_EXCEPTIONS)
-
-
-def _backoff(attempt: int) -> float:
-    return _RETRY_BACKOFF_SECONDS * (2 ** (attempt - 1))
-
-
 def _task_key(settings: WorkloadSettings, cache_sizes, task: _Task) -> tuple:
     """Checkpoint address of one task's payload.
 
@@ -503,229 +458,20 @@ def _task_key(settings: WorkloadSettings, cache_sizes, task: _Task) -> tuple:
     return (settings, task)
 
 
-# Worker context for fork-based pools: set in the parent immediately before
-# the fork so children inherit the workload (and its trace arrays)
-# copy-on-write instead of receiving pickled copies.
-_WORKER_CTX: tuple | None = None
+class _CacheCheckpoint:
+    """The scheduler's ``load``/``store`` checkpoint protocol over one
+    artifact-cache kind; ``address`` maps a job key to its cache key."""
 
-
-def _worker_run_group(group):
-    workload, grid, cache_sizes = _WORKER_CTX
-    payloads, errors = _run_group(workload, group, grid, cache_sizes)
-    return payloads, list(errors.items())
-
-
-def _run_serial(workload, grid, cache_sizes, tasks, retries, on_done, runlog, prog) -> None:
-    """In-parent fused execution with bounded retry for transient failures.
-
-    Tasks run in groups of at most ``_FUSE_LIMIT``, each group one pass
-    over the trace. Tasks that fail transiently are re-run together as a
-    follow-up group; a permanent failure raises after the group's
-    successful tasks have been delivered (and checkpointed).
-    """
-    attempts = {task: 0 for task in tasks}
-    queue = [list(tasks[i : i + _FUSE_LIMIT]) for i in range(0, len(tasks), _FUSE_LIMIT)]
-    while queue:
-        group = queue.pop(0)
-        for task in group:
-            attempts[task] += 1
-        t0 = time.perf_counter()
-        payloads, errors = _run_group(workload, group, grid, cache_sizes)
-        share = (time.perf_counter() - t0) / max(1, len(group))
-        for task in group:
-            if task in payloads:
-                on_done(task, payloads[task], share, attempts[task])
-        retry_group = []
-        for task, exc in errors.items():
-            label = _task_label(task)
-            if attempts[task] <= retries and _is_transient(exc):
-                runlog.task_retry(label, exc, attempts[task])
-                prog.fail(f"{label}: {exc!r} (attempt {attempts[task]}, retrying)")
-                retry_group.append(task)
-            else:
-                runlog.task_failed(label, task[0], exc, attempts[task])
-                prog.fail(f"{label}: {exc!r}")
-                raise SuiteTaskError(task, label, exc) from exc
-        if retry_group:
-            time.sleep(_backoff(max(attempts[task] for task in retry_group)))
-            queue.insert(0, retry_group)
-
-
-def _run_parallel(
-    workload, grid, cache_sizes, tasks, n_workers, task_timeout, retries, on_done, runlog, prog
-) -> list[_Task]:
-    """Fan fused task groups over a fork pool; returns tasks left undone
-    by pool death.
-
-    The canonical task order is split contiguously into at least
-    ``n_workers`` groups (and enough that no group exceeds
-    ``_FUSE_LIMIT``); each worker runs its group as one fused pass.
-    A permanent task failure cancels everything pending and raises
-    :class:`SuiteTaskError`; transient failures are resubmitted with
-    backoff as single-task groups. ``task_timeout`` is a stall bound: if
-    *no* group completes for that long, the pending work is cancelled and
-    :class:`SuiteTimeoutError` names the still-running tasks. If the pool
-    itself breaks (a worker died hard), the unfinished tasks are returned
-    for in-parent serial execution instead of failing the run.
-    """
-    global _WORKER_CTX
-    _WORKER_CTX = (workload, grid, cache_sizes)
-    completed: set[_Task] = set()
-    ctx = multiprocessing.get_context("fork")
-    pool = ProcessPoolExecutor(max_workers=n_workers, mp_context=ctx)
-    try:
-        n_groups = max(n_workers, -(-len(tasks) // _FUSE_LIMIT))
-        group_of = {
-            pool.submit(_worker_run_group, group): group
-            for group in _split_groups(tasks, n_groups)
-        }
-        attempts = {task: 1 for task in tasks}
-        started = {task: time.perf_counter() for task in tasks}
-        pending = set(group_of)
-        while pending:
-            done, not_done = wait(pending, timeout=task_timeout, return_when=FIRST_COMPLETED)
-            if not done:  # stalled: nothing finished within the budget
-                labels = sorted(
-                    _task_label(task) for f in not_done for task in group_of[f]
-                )
-                for f in not_done:
-                    f.cancel()
-                runlog.event("stall", tasks=labels, timeout=task_timeout)
-                prog.fail(f"stalled {task_timeout:.1f}s waiting on: {', '.join(labels)}")
-                raise SuiteTimeoutError(labels, task_timeout)
-            for future in done:
-                pending.discard(future)
-                group = group_of.pop(future)
-                try:
-                    payloads, errors = future.result()
-                except Exception as exc:
-                    if isinstance(exc, BrokenProcessPool):
-                        raise  # pool is gone: degrade to serial below
-                    # the whole group failed in transit (e.g. the result
-                    # did not unpickle): treat every task as errored
-                    payloads, errors = {}, [(task, exc) for task in group]
-                for task in group:
-                    if task in payloads:
-                        completed.add(task)
-                        on_done(
-                            task,
-                            payloads[task],
-                            time.perf_counter() - started[task],
-                            attempts[task],
-                        )
-                for task, exc in errors:
-                    label = _task_label(task)
-                    if attempts[task] <= retries and _is_transient(exc):
-                        runlog.task_retry(label, exc, attempts[task])
-                        prog.fail(f"{label}: {exc!r} (attempt {attempts[task]}, retrying)")
-                        time.sleep(_backoff(attempts[task]))
-                        attempts[task] += 1
-                        started[task] = time.perf_counter()
-                        retry = pool.submit(_worker_run_group, [task])
-                        group_of[retry] = [task]
-                        pending.add(retry)
-                    else:
-                        for f in pending:
-                            f.cancel()
-                        runlog.task_failed(label, task[0], exc, attempts[task])
-                        prog.fail(f"{label}: {exc!r}")
-                        raise SuiteTaskError(task, label, exc) from exc
-        return []
-    except BrokenProcessPool as exc:
-        remaining = [t for t in tasks if t not in completed]
-        runlog.event("pool-broken", error=repr(exc), remaining=len(remaining))
-        prog.fail(f"worker pool died ({exc!r}); running {len(remaining)} tasks serially")
-        return remaining
-    finally:
-        pool.shutdown(wait=False, cancel_futures=True)
-        _WORKER_CTX = None
-
-
-class _ShardCheckpoint:
-    """Adapter scoping :func:`run_sharded` job checkpoints into the
-    artifact cache (kind ``suite-shard``).
-
-    The prefix pins everything a shard payload depends on — workload
-    settings, cache sizes, the exact task set (stream composition; suite
-    streams always start cold) and the shard plan — so resumed runs only
-    ever reuse payloads that are bit-identical to a fresh computation.
-    """
-
-    def __init__(self, cache, prefix: tuple) -> None:
+    def __init__(self, cache, kind: str, address) -> None:
         self._cache = cache
-        self._prefix = prefix
+        self._kind = kind
+        self._address = address
 
-    def load(self, key: tuple):
-        return self._cache.load("suite-shard", self._prefix + (key,))
+    def load(self, key):
+        return self._cache.load(self._kind, self._address(key))
 
-    def store(self, key: tuple, payload) -> None:
-        self._cache.store("suite-shard", self._prefix + (key,), payload)
-
-
-def _run_sharded_suite(
-    workload, grid, cache_sizes, tasks, settings, shards, jobs,
-    task_timeout, retries, on_done, runlog, prog, cache,
-):
-    """Run every missing task in one shard-parallel pass over the trace.
-
-    All tasks' fused streams join a single :func:`run_sharded` call, so
-    the checkpoint/retry/resume unit is the *shard job* rather than the
-    task: an interrupted run recomputes only the missing shard jobs and
-    relay steps. Payloads are finalized from the stitched streams with
-    the same arithmetic as the fused path, so results are bit-identical
-    for any shard/worker combination.
-    """
-    trace = workload.test_trace
-    memo: dict = {}
-    units = []
-    for task in tasks:
-        try:
-            pairs, finalize = _unit_for(workload, task, grid, cache_sizes, memo)
-        except Exception as exc:
-            label = _task_label(task)
-            runlog.task_failed(label, task[0], exc, 1)
-            prog.fail(f"{label}: {exc!r}")
-            raise SuiteTaskError(task, label, exc) from exc
-        units.append((task, pairs, finalize))
-    all_pairs = [pair for _, pairs, _ in units for pair in pairs]
-    plan = plan_shards(len(trace), shards=shards)
-    runlog.event(
-        "shard-plan",
-        shards=plan.n_shards,
-        chunk_events=plan.chunk_events,
-        bounds=list(plan.bounds),
-    )
-    checkpoint = None
-    if cache is not None:
-        prefix = (settings, tuple(cache_sizes), tuple(tasks), plan.signature())
-        checkpoint = _ShardCheckpoint(cache, prefix)
-
-    def on_job(key: tuple, source: str) -> None:
-        runlog.event("shard-job", job=list(key), source=source)
-
-    t0 = time.perf_counter()
-    try:
-        report = run_sharded(
-            trace, workload.program, all_pairs,
-            shards=plan, jobs=jobs, retries=retries,
-            task_timeout=task_timeout, checkpoint=checkpoint, on_job=on_job,
-        )
-    except ShardTimeoutError as exc:
-        labels = [repr(key) for key in exc.keys]
-        runlog.event("stall", tasks=labels, timeout=exc.timeout)
-        prog.fail(f"stalled {exc.timeout:.1f}s waiting on: {', '.join(labels)}")
-        raise SuiteTimeoutError(labels, exc.timeout) from exc
-    except ShardError as exc:
-        label = f"shard job {exc.key!r}"
-        runlog.task_failed(label, "shard", exc.cause, 1)
-        prog.fail(f"{label}: {exc.cause!r}")
-        raise SuiteTaskError(("shard", exc.key), label, exc.cause) from exc
-    if report.degraded:
-        runlog.event("pool-broken", remaining=0)
-    share = (time.perf_counter() - t0) / max(1, len(units))
-    for task, _, finalize in units:
-        on_done(task, finalize(), share, 1)
-    return report
+    def store(self, key, payload) -> None:
+        self._cache.store(self._kind, self._address(key), payload)
 
 
 def compute_suite(
@@ -776,54 +522,71 @@ def compute_suite(
         cache=cache,
     )
 
-    results: dict[_Task, dict] = {}
+    def on_done(task: _Task, payload: dict, seconds: float, attempts: int, source: str) -> None:
+        label = _task_label(task)
+        runlog.task_done(label, task[0], seconds=seconds, attempts=attempts, source=source)
+        prog.step(f"{label} [checkpoint]" if source == "checkpoint" else label)
+
+    def on_retry(task: _Task, exc: BaseException, attempt: int) -> None:
+        label = _task_label(task)
+        runlog.task_retry(label, exc, attempt)
+        prog.fail(f"{label}: {exc!r} (attempt {attempt}, retrying)")
+
+    def stalled(labels: list[str], timeout: float) -> SuiteTimeoutError:
+        runlog.event("stall", tasks=labels, timeout=timeout)
+        prog.fail(f"stalled {timeout:.1f}s waiting on: {', '.join(labels)}")
+        return SuiteTimeoutError(labels, timeout)
+
+    def on_failed(task: _Task, exc: BaseException, attempts: int) -> RuntimeError:
+        if isinstance(exc, ShardTimeoutError):
+            return stalled([repr(key) for key in exc.keys], exc.timeout)
+        if isinstance(exc, ShardError):  # a sharded pass names its shard job
+            task, exc = ("shard", exc.key), exc.cause
+        label = _task_label(task)
+        runlog.task_failed(label, task[0], exc, attempts)
+        prog.fail(f"{label}: {exc!r}")
+        return SuiteTaskError(task, label, exc)
+
+    def on_pool_broken(exc: BaseException, remaining: list[_Task]) -> None:
+        runlog.event("pool-broken", error=repr(exc), remaining=len(remaining))
+        prog.fail(f"worker pool died ({exc!r}); running {len(remaining)} tasks serially")
+
+    if shards is not None and shards > 1:
+        # every missing task joins one in-parent group; the pass itself
+        # fans its shard jobs over ``jobs`` workers
+        def run(group, inputs):
+            return _run_sharded_group(
+                workload, group, grid, cache_sizes, shards, jobs, retries,
+                task_timeout, runlog, cache if checkpointing else None,
+            )
+
+        limit, lanes = max(1, len(tasks)), 1
+    else:
+        def run(group, inputs):
+            return _run_group(workload, group, grid, cache_sizes)
+
+        limit, lanes = _FUSE_LIMIT, jobs
+    checkpoint = None
     if checkpointing:
-        for task in tasks:
-            payload = cache.load("suite-task", _task_key(settings, cache_sizes, task))
-            if payload is not None:
-                results[task] = payload
-                runlog.task_done(
-                    _task_label(task), task[0], seconds=0.0, attempts=0, source="checkpoint"
-                )
-                prog.step(f"{_task_label(task)} [checkpoint]")
-
-    def on_done(task: _Task, payload: dict, seconds: float, attempts: int) -> None:
-        results[task] = payload
-        if checkpointing:
-            cache.store("suite-task", _task_key(settings, cache_sizes, task), payload)
-        runlog.task_done(
-            _task_label(task), task[0], seconds=seconds, attempts=attempts, source="computed"
+        checkpoint = _CacheCheckpoint(
+            cache, "suite-task", lambda task: _task_key(settings, cache_sizes, task)
         )
-        prog.step(_task_label(task))
-
-    missing = [t for t in tasks if t not in results]
     try:
-        if missing:
+        if tasks:
             # profile once in the parent: workers inherit it copy-on-write
             training_profile(workload)
-            if shards is not None and shards > 1:
-                _run_sharded_suite(
-                    workload, grid, cache_sizes, missing, settings, shards, jobs,
-                    task_timeout, retries, on_done, runlog, prog,
-                    cache if checkpointing else None,
-                )
-            elif (
-                min(max(1, jobs), len(missing)) > 1
-                and "fork" in multiprocessing.get_all_start_methods()
-            ):
-                n_workers = min(max(1, jobs), len(missing))
-                remaining = _run_parallel(
-                    workload, grid, cache_sizes, missing, n_workers,
-                    task_timeout, retries, on_done, runlog, prog,
-                )
-                if remaining:  # pool died: finish in-parent
-                    _run_serial(
-                        workload, grid, cache_sizes, remaining, retries, on_done, runlog, prog
-                    )
-            else:
-                _run_serial(
-                    workload, grid, cache_sizes, missing, retries, on_done, runlog, prog
-                )
+        results = run_jobs(
+            tasks, run,
+            limit=limit, jobs=lanes, retries=retries, timeout=task_timeout,
+            checkpoint=checkpoint,
+            on_done=on_done,
+            on_retry=on_retry,
+            on_failed=on_failed,
+            on_stall=lambda running, timeout: stalled(
+                sorted(_task_label(task) for task in running), timeout
+            ),
+            on_pool_broken=on_pool_broken,
+        )
     except BaseException as exc:
         runlog.finish(status="failed", error=repr(exc))
         if manifest is not None:

@@ -8,7 +8,7 @@ consecutive cache lines per access, up to the first taken branch, three
 branches, or 16 instructions.
 """
 
-from repro.simulators.icache import CacheConfig, count_misses, miss_counter, simulate_victim_cache
+from repro.simulators.icache import CacheConfig, count_misses, miss_counter
 from repro.simulators.fetch import (
     FetchResult,
     FetchStream,
@@ -43,7 +43,6 @@ __all__ = [
     "CacheConfig",
     "count_misses",
     "miss_counter",
-    "simulate_victim_cache",
     "FetchResult",
     "FetchStream",
     "simulate_fetch",

@@ -24,9 +24,7 @@ Each model is an incremental counter object (:func:`miss_counter`) with a
 one chunk of lines through many configurations in a single pass over the
 trace. :func:`count_misses` is the one-shot wrapper over the same
 counters — chunked and whole-stream counts are identical by construction.
-
-:func:`simulate_victim_cache` keeps the original one-shot scalar loop as
-the reference implementation; :func:`count_misses` uses the batched path.
+The reference models are the oracles of :mod:`repro.validate.oracles`.
 """
 
 from __future__ import annotations
@@ -43,7 +41,6 @@ __all__ = [
     "counter_from_state",
     "counter_spec",
     "miss_counter",
-    "simulate_victim_cache",
 ]
 
 
@@ -415,43 +412,3 @@ def counter_from_state(state: dict) -> _MissCounter:
         raise ValueError(f"unknown counter state kind {kind!r}")
     counter.load_state(state)
     return counter
-
-
-def simulate_victim_cache(lines: np.ndarray, config: CacheConfig) -> int:
-    """Direct-mapped cache with a fully associative LRU victim buffer.
-
-    On a primary miss that hits the victim buffer, the lines swap (the
-    victim's line moves into the primary slot, the evicted primary line
-    into the buffer) and the access counts as a hit, as in Jouppi's design.
-
-    This is the reference scalar implementation; :func:`count_misses`
-    routes victim configurations through the batched equivalent.
-    """
-    from collections import OrderedDict
-
-    n_sets = config.n_sets
-    primary = np.full(n_sets, -1, dtype=np.int64)
-    victim: OrderedDict[int, None] = OrderedDict()
-    capacity = config.victim_lines
-    misses = 0
-    for line in lines.tolist():
-        s = line % n_sets
-        resident = primary[s]
-        if resident == line:
-            continue
-        if line in victim:
-            del victim[line]
-            if resident >= 0:
-                victim[resident] = None
-                while len(victim) > capacity:
-                    victim.popitem(last=False)
-            primary[s] = line
-            continue
-        misses += 1
-        if resident >= 0:
-            victim[resident] = None
-            victim.move_to_end(resident)
-            while len(victim) > capacity:
-                victim.popitem(last=False)
-        primary[s] = line
-    return misses

@@ -33,22 +33,19 @@ that reproduces that state exactly:
   fetch stream (the line stream it consumes is state-independent), so the
   parent stream's other counters still shard in parallel.
 
-Fault tolerance mirrors the suite engine: each shard job or relay step is
-a checkpoint/retry unit (``checkpoint.load/store`` hooks), transient
-failures retry with backoff, a parallel run that stalls raises
-:class:`ShardTimeoutError`, and a dead worker pool degrades to in-process
-execution of the remaining jobs. Results are bit-identical to
-:func:`run_fused` for any shard count, any worker count, and any
+Shard jobs and relay steps run on the shared job scheduler
+(:func:`repro.util.scheduler.run_jobs`): each is a checkpoint/retry unit
+(``checkpoint.load/store`` hooks), a relay step waits for its
+predecessor, transient failures retry with backoff, a parallel run that
+stalls raises :class:`ShardTimeoutError`, and a dead worker pool degrades
+to in-process execution of the remaining jobs. Results are bit-identical
+to :func:`run_fused` for any shard count, any worker count, and any
 interleaving of checkpoint resumes.
 """
 
 from __future__ import annotations
 
-import multiprocessing
-import time
 from collections.abc import Sequence
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -64,6 +61,7 @@ from repro.simulators.icache import (
     counter_spec,
 )
 from repro.simulators.tracecache import TraceCacheConfig, TraceCacheStream
+from repro.util.scheduler import run_jobs
 
 __all__ = [
     "ShardError",
@@ -165,20 +163,6 @@ class ShardReport:
     @property
     def n_jobs(self) -> int:
         return len(self.computed) + len(self.checkpointed)
-
-
-#: Failure classes worth retrying (environmental pressure, not bugs).
-_TRANSIENT_EXCEPTIONS = (OSError, MemoryError, EOFError)
-
-_RETRY_BACKOFF_SECONDS = 0.05
-
-
-def _is_transient(exc: BaseException) -> bool:
-    return isinstance(exc, _TRANSIENT_EXCEPTIONS)
-
-
-def _backoff(attempt: int) -> float:
-    return _RETRY_BACKOFF_SECONDS * (2 ** (attempt - 1))
 
 
 # -- stream classification -----------------------------------------------
@@ -291,12 +275,6 @@ def _classify(pairs):
 
 # -- shard workers -------------------------------------------------------
 
-# Worker context for fork-based pools: set in the parent immediately
-# before the fork so children inherit the trace handles, program and
-# layouts copy-on-write instead of receiving pickled copies.
-_SHARD_CTX: tuple | None = None
-
-
 def _family_shard(trace, program, layouts, chunk_events, plan, family_specs, shard_idx):
     """Cold fused pass of every family stream over one shard span."""
     start, stop = plan.span(shard_idx)
@@ -367,18 +345,6 @@ def _relay_shard(trace, program, layouts, chunk_events, plan, spec, shard_idx, s
     return payload
 
 
-def _worker_family(shard_idx):
-    trace, program, layouts, chunk_events, plan, family_specs, _ = _SHARD_CTX
-    return _family_shard(trace, program, layouts, chunk_events, plan, family_specs, shard_idx)
-
-
-def _worker_relay(chain_idx, shard_idx, state):
-    trace, program, layouts, chunk_events, plan, _, chain_specs = _SHARD_CTX
-    return _relay_shard(
-        trace, program, layouts, chunk_events, plan, chain_specs[chain_idx], shard_idx, state
-    )
-
-
 # -- journal reconciliation ----------------------------------------------
 
 
@@ -446,13 +412,13 @@ def _stitch(counter, journal) -> None:
         raise ValueError(f"unknown journal kind {journal['kind']!r}")
 
 
-def _reconcile(family, family_payloads, chains, chain_payloads) -> None:
+def _reconcile(family, chains, n_shards: int, payloads: dict) -> None:
     """Write shard results back into the caller's live streams, in shard
     order, exactly as one full fused pass would have left them."""
     for idx, entry in enumerate(family):
         stream = entry.stream
-        for payload in family_payloads or []:
-            p = payload[idx]
+        for s in range(n_shards):
+            p = payloads[("family", s)][idx]
             stream.n_instructions += int(p["n_instructions"])
             stream.n_fetches += int(p["n_fetches"])
             stream.n_taken += int(p["n_taken"])
@@ -461,9 +427,7 @@ def _reconcile(family, family_payloads, chains, chain_payloads) -> None:
             for counter, journal in zip(entry.consumers, p["journals"]):
                 _stitch(counter, journal)
     for ci, chain in enumerate(chains):
-        steps = chain_payloads[ci]
-        if not steps:
-            continue
+        steps = [payloads[("relay", ci, s)] for s in range(n_shards)]
         final = steps[-1]["state"]
         for counter, cstate in zip(chain.counters, final["counters"]):
             counter.load_state(cstate)
@@ -472,6 +436,13 @@ def _reconcile(family, family_payloads, chains, chain_payloads) -> None:
             if chain.stream.miss_line_chunks is not None:
                 for step in steps:
                     chain.stream.miss_line_chunks.extend(step["miss_line_chunks"])
+
+
+def _predecessor(key: tuple) -> tuple | None:
+    """A relay step runs seeded with the previous step's end state."""
+    if key[0] == "relay" and key[2] > 0:
+        return ("relay", key[1], key[2] - 1)
+    return None
 
 
 # -- driver --------------------------------------------------------------
@@ -506,13 +477,12 @@ def run_sharded(
     stream state, and shard plan (``ShardPlan.signature()``); the suite
     engine scopes by workload settings, task keys and plan. ``on_job``
     receives ``(key, source)`` for every job satisfied, with ``source``
-    ``"checkpoint"`` or ``"computed"``. Transient failures (``OSError``,
-    ``MemoryError``, ``EOFError``) retry up to ``retries`` times with
-    backoff; ``task_timeout`` bounds how long a parallel run may go with
-    no job completing; a dead worker pool degrades to in-process
-    execution of the remaining jobs.
+    ``"checkpoint"`` or ``"computed"``. Failures that can succeed on retry
+    (:func:`repro.util.scheduler.is_transient`) retry up to ``retries``
+    times with backoff; ``task_timeout`` bounds how long a parallel run
+    may go with no job completing; a dead worker pool degrades to
+    in-process execution of the remaining jobs.
     """
-    global _SHARD_CTX
     n_events = len(trace)
     if isinstance(shards, ShardPlan):
         plan = shards
@@ -528,137 +498,39 @@ def run_sharded(
     family_specs = tuple(e.spec() for e in family)
     chain_specs = tuple(c.spec() for c in chains)
     seeds = [c.seed_state() for c in chains]
-    notify = on_job if on_job is not None else (lambda key, source: None)
 
-    family_payloads: list | None = [None] * n_shards if family else None
-    chain_payloads: list[list] = [[None] * n_shards for _ in chains]
-
-    if checkpoint is not None:
-        if family_payloads is not None:
-            for s in range(n_shards):
-                payload = checkpoint.load(("family", s))
-                if payload is not None:
-                    family_payloads[s] = payload
-                    report.checkpointed.append(("family", s))
-                    notify(("family", s), "checkpoint")
-        for ci in range(len(chains)):
-            for s in range(n_shards):
-                payload = checkpoint.load(("relay", ci, s))
-                if payload is not None:
-                    chain_payloads[ci][s] = payload
-                    report.checkpointed.append(("relay", ci, s))
-                    notify(("relay", ci, s), "checkpoint")
-
-    def missing_jobs() -> list[tuple]:
-        out: list[tuple] = []
-        if family_payloads is not None:
-            out.extend(("family", s) for s in range(n_shards) if family_payloads[s] is None)
-        for ci, steps in enumerate(chain_payloads):
-            out.extend(("relay", ci, s) for s in range(n_shards) if steps[s] is None)
-        return out
-
-    def relay_input(ci: int, s: int):
-        return seeds[ci] if s == 0 else chain_payloads[ci][s - 1]["state"]
-
-    def run_local(key: tuple):
+    def run_job(batch: list, inputs: dict):
+        (key,) = batch
         if key[0] == "family":
-            return _family_shard(
+            payload = _family_shard(
                 trace, program, layouts, chunk_events, plan, family_specs, key[1]
             )
-        _, ci, s = key
-        return _relay_shard(
-            trace, program, layouts, chunk_events, plan,
-            chain_specs[ci], s, relay_input(ci, s),
-        )
-
-    def complete(key: tuple, payload) -> None:
-        if key[0] == "family":
-            family_payloads[key[1]] = payload
         else:
-            chain_payloads[key[1]][key[2]] = payload
-        if checkpoint is not None:
-            checkpoint.store(key, payload)
-        report.computed.append(key)
-        notify(key, "computed")
-
-    def run_serial(keys: list[tuple]) -> None:
-        for key in sorted(keys):  # "family" sorts first; relay steps ascend
-            attempt = 0
-            while True:
-                attempt += 1
-                try:
-                    payload = run_local(key)
-                    break
-                except Exception as exc:
-                    if attempt <= retries and _is_transient(exc):
-                        time.sleep(_backoff(attempt))
-                        continue
-                    raise ShardError(key, exc) from exc
-            complete(key, payload)
-
-    todo = missing_jobs()
-    if todo:
-        n_workers = min(max(1, jobs), len(todo))
-        if n_workers > 1 and "fork" in multiprocessing.get_all_start_methods():
-            _SHARD_CTX = (
-                trace, program, layouts, chunk_events, plan, family_specs, chain_specs,
+            _, ci, s = key
+            state = inputs[key]["state"] if s else seeds[ci]
+            payload = _relay_shard(
+                trace, program, layouts, chunk_events, plan, chain_specs[ci], s, state
             )
-            ctx = multiprocessing.get_context("fork")
-            pool = ProcessPoolExecutor(max_workers=n_workers, mp_context=ctx)
-            try:
-                attempts: dict[tuple, int] = {}
-                in_flight: dict = {}
-                submitted: set[tuple] = set()
+        return {key: payload}, {}
 
-                def try_submit() -> None:
-                    for key in missing_jobs():
-                        if key in submitted:
-                            continue
-                        if key[0] == "relay":
-                            _, ci, s = key
-                            if s > 0 and chain_payloads[ci][s - 1] is None:
-                                continue  # predecessor still running
-                            future = pool.submit(_worker_relay, ci, s, relay_input(ci, s))
-                        else:
-                            future = pool.submit(_worker_family, key[1])
-                        attempts[key] = attempts.get(key, 0) + 1
-                        in_flight[future] = key
-                        submitted.add(key)
+    def done(key: tuple, payload, seconds: float, attempts: int, source: str) -> None:
+        (report.checkpointed if source == "checkpoint" else report.computed).append(key)
+        if on_job is not None:
+            on_job(key, source)
 
-                try_submit()
-                while in_flight:
-                    done, not_done = wait(
-                        set(in_flight), timeout=task_timeout, return_when=FIRST_COMPLETED
-                    )
-                    if not done:  # stalled: nothing finished within the budget
-                        for future in not_done:
-                            future.cancel()
-                        raise ShardTimeoutError(sorted(in_flight.values()), task_timeout)
-                    for future in done:
-                        key = in_flight.pop(future)
-                        try:
-                            payload = future.result()
-                        except BrokenProcessPool:
-                            raise
-                        except Exception as exc:
-                            if attempts[key] <= retries and _is_transient(exc):
-                                submitted.discard(key)  # resubmit below
-                                time.sleep(_backoff(attempts[key]))
-                            else:
-                                for pending in in_flight:
-                                    pending.cancel()
-                                raise ShardError(key, exc) from exc
-                        else:
-                            complete(key, payload)
-                    try_submit()
-            except BrokenProcessPool:
-                report.degraded = True
-                run_serial(missing_jobs())
-            finally:
-                pool.shutdown(wait=False, cancel_futures=True)
-                _SHARD_CTX = None
-        else:
-            run_serial(todo)
+    def pool_broken(exc: BaseException, remaining: list) -> None:
+        report.degraded = True
 
-    _reconcile(family, family_payloads, chains, chain_payloads)
+    keys = [("family", s) for s in range(n_shards)] if family else []
+    keys += [("relay", ci, s) for ci in range(len(chains)) for s in range(n_shards)]
+    payloads = run_jobs(
+        keys, run_job,
+        jobs=jobs, retries=retries, timeout=task_timeout,
+        after=_predecessor, checkpoint=checkpoint,
+        on_done=done,
+        on_failed=lambda key, exc, attempts: ShardError(key, exc),
+        on_stall=lambda running, timeout: ShardTimeoutError(sorted(running), timeout),
+        on_pool_broken=pool_broken,
+    )
+    _reconcile(family, chains, n_shards, payloads)
     return report

@@ -1,5 +1,6 @@
 """Small shared utilities: deterministic RNG streams, table formatting,
-progress reporting."""
+progress reporting, and the fault-tolerant job scheduler
+(:mod:`repro.util.scheduler`)."""
 
 from repro.util.fmt import format_table
 from repro.util.progress import Progress

@@ -11,7 +11,7 @@ with a shard count derived from the case seed so coverage spans 1..n
 window partitions) — and the oracles of :mod:`repro.validate.oracles`,
 then compares every counter exactly: instruction/fetch/taken counts, the
 full line-access stream, and the miss count of each cache organization
-(batched, one-shot scalar, and oracle). Any mismatch becomes a
+(fused, sharded and batched, against the oracle). Any mismatch becomes a
 :class:`Divergence` carrying the case's reproduction seed.
 """
 
@@ -23,7 +23,7 @@ import numpy as np
 
 from repro.simulators.fetch import FetchStream, simulate_fetch
 from repro.simulators.fused import run_fused
-from repro.simulators.icache import CacheConfig, count_misses, miss_counter, simulate_victim_cache
+from repro.simulators.icache import CacheConfig, count_misses, miss_counter
 from repro.simulators.sharded import run_sharded
 from repro.simulators.tracecache import TraceCacheStream, simulate_trace_cache
 from repro.validate.generators import GeneratedCase, random_case
@@ -135,9 +135,6 @@ def diff_fetch_case(case: GeneratedCase) -> list[Divergence]:
         check(f"icache.fused.{label}", counter.misses, expected)
         check(f"icache.sharded.{label}", sharded.misses, expected)
         check(f"icache.batched.{label}", count_misses(one_shot.line_chunks, config), expected)
-        if config.victim_lines:
-            all_lines = np.asarray(ora.lines, dtype=np.int64)
-            check(f"icache.scalar.{label}", simulate_victim_cache(all_lines, config), expected)
     return out
 
 

@@ -10,6 +10,7 @@ per-task failure while the rest of the group proceeds.
 """
 
 import dataclasses
+import errno
 import io
 import json
 import os
@@ -26,9 +27,11 @@ from repro.experiments.suite import (
     SuiteTimeoutError,
     compute_suite,
 )
+from repro.simulators import FetchStream, ShardError, miss_counter, run_sharded
 from repro.simulators import sharded as sharded_mod
 from repro.tpcd.workload import WorkloadSettings
 from repro.util.progress import Progress
+from repro.validate.generators import random_case
 
 SETTINGS = WorkloadSettings(scale=0.0005)
 GRID = PRIMARY_ROWS[:2]
@@ -355,6 +358,66 @@ def test_sharded_dead_worker_pool_degrades_and_stays_identical(
     data = json.loads(manifest.read_text())
     assert data["status"] == "completed"
     assert any(e["type"] == "pool-broken" for e in data["events"])
+
+
+# -- failure classification: only what can succeed on retry retries -----
+
+FAILURE_KINDS = [
+    pytest.param(PermissionError("injected"), False, id="PermissionError"),
+    pytest.param(FileNotFoundError("injected"), False, id="FileNotFoundError"),
+    pytest.param(IsADirectoryError("injected"), False, id="IsADirectoryError"),
+    pytest.param(NotADirectoryError("injected"), False, id="NotADirectoryError"),
+    pytest.param(OSError(errno.ENOSPC, "injected"), False, id="ENOSPC"),
+    pytest.param(OSError(errno.EDQUOT, "injected"), False, id="EDQUOT"),
+    pytest.param(OSError(errno.EROFS, "injected"), False, id="EROFS"),
+    pytest.param(OSError("injected, no errno"), True, id="OSError"),
+    pytest.param(MemoryError("injected"), True, id="MemoryError"),
+    pytest.param(EOFError("injected"), True, id="EOFError"),
+]
+
+
+@pytest.mark.parametrize("engine", ["compute_suite", "run_sharded"])
+@pytest.mark.parametrize("exc, transient", FAILURE_KINDS)
+def test_only_failures_that_can_succeed_are_retried(
+    workload, monkeypatch, engine, exc, transient
+):
+    """Every job fails with ``exc``: a permanent kind is attempted exactly
+    once, a transient kind once plus ``retries`` times."""
+    retries = 2
+    attempts = []
+    if engine == "compute_suite":
+
+        def failing(wl, task, grid, cache_sizes, layout_memo=None):
+            attempts.append(task == FAIL_TASK)
+            raise exc
+
+        monkeypatch.setattr(suite_mod, "_unit_for", failing)
+        with pytest.raises(SuiteTaskError) as excinfo:
+            compute_suite(workload, GRID, jobs=1, retries=retries)
+    else:
+        case = random_case(2)
+        pairs = [
+            (
+                case.layout,
+                FetchStream(
+                    case.layout.name,
+                    line_bytes=case.cache_configs[0].line_bytes,
+                    consumers=[miss_counter(c) for c in case.cache_configs],
+                ),
+            )
+        ]
+
+        def failing(trace, program, layouts, chunk_events, plan, specs, shard_idx):
+            attempts.append(shard_idx == 0)
+            raise exc
+
+        monkeypatch.setattr(sharded_mod, "_family_shard", failing)
+        with pytest.raises(ShardError) as excinfo:
+            run_sharded(
+                case.trace, case.program, pairs, chunk_events=64, shards=2, retries=retries
+            )
+    assert excinfo.value.cause is exc
+    assert attempts.count(True) == (1 + retries if transient else 1)
 
 
 # -- progress accounting under retries -----------------------------------

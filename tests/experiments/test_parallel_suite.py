@@ -7,6 +7,7 @@ build itself).
 
 import dataclasses
 import gc
+import threading
 
 import pytest
 
@@ -14,6 +15,7 @@ from repro.experiments import harness, suite
 from repro.experiments.config import PRIMARY_ROWS
 from repro.experiments.harness import get_workload, training_profile
 from repro.experiments.suite import compute_suite, get_suite, suite_for
+from repro.serve.codec import result_digest, serialize_suite
 from repro.tpcd.workload import WorkloadSettings
 
 SETTINGS = WorkloadSettings(scale=0.0005)
@@ -44,6 +46,37 @@ def test_parallel_is_bit_identical_to_serial(workload):
     serial = compute_suite(workload, GRID, jobs=1, resume=False)
     parallel = compute_suite(workload, GRID, jobs=3, resume=False)
     assert _flatten(serial) == _flatten(parallel)
+
+
+def test_concurrent_parallel_suites_keep_their_own_workload():
+    """Two threads run the fork task pool at the same moment, as
+    ``repro.serve --workers 2 --engine-jobs 2`` does: each call's workers
+    must simulate that call's workload, never the other thread's."""
+    workloads = [get_workload(WorkloadSettings(scale=0.0002, seed=seed)) for seed in (7, 8)]
+
+    def digest(workload, jobs):
+        suite = compute_suite(workload, GRID, jobs=jobs, resume=False)
+        return result_digest(serialize_suite(suite))
+
+    serial = [digest(w, 1) for w in workloads]
+    assert serial[0] != serial[1]
+    barrier = threading.Barrier(len(workloads))
+    concurrent: list = [None] * len(workloads)
+
+    def caller(i: int) -> None:
+        barrier.wait(timeout=60)
+        try:
+            concurrent[i] = digest(workloads[i], 2)
+        except BaseException as exc:
+            concurrent[i] = exc
+
+    threads = [threading.Thread(target=caller, args=(i,)) for i in range(len(workloads))]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=600)
+    assert not any(thread.is_alive() for thread in threads)
+    assert concurrent == serial
 
 
 def test_get_suite_warm_disk_hit_skips_recompute(workload, monkeypatch):

@@ -3,7 +3,8 @@
 Each vectorized implementation must match a reference exactly: the
 lockstep SEQ.3 orbit against the loop-literal oracle
 (:func:`repro.validate.oracles.oracle_fetch`), and the batched/chunked
-cache models against the stateful scalar models.
+cache models against the stateful scalar models (the victim cache against
+:func:`repro.validate.oracles.oracle_victim`).
 """
 
 import numpy as np
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 
 from repro.cfg import BlockKind, Layout, ProgramBuilder
 from repro.profiling import BlockTrace
-from repro.simulators import CacheConfig, count_misses, simulate_victim_cache
+from repro.simulators import CacheConfig, count_misses
 from repro.simulators.fetch import (
     _ORBIT_SCALAR_CUTOFF_ROUNDS,
     _fetch_starts,
@@ -20,7 +21,7 @@ from repro.simulators.fetch import (
     iter_chunk_contexts,
 )
 from repro.validate.generators import random_case
-from repro.validate.oracles import oracle_fetch
+from repro.validate.oracles import oracle_fetch, oracle_victim
 
 LINE_SIZES = (16, 32, 64)
 
@@ -116,6 +117,5 @@ def test_chunked_streams_match_whole_stream(lines, n_sets_log, seed):
 @given(st.lists(st.integers(0, 31), min_size=1, max_size=250), st.integers(1, 8))
 @settings(max_examples=60, deadline=None)
 def test_batched_victim_matches_scalar_reference(lines, victim_lines):
-    lines = np.asarray(lines, dtype=np.int64)
     config = CacheConfig(size_bytes=8 * 32, victim_lines=victim_lines)
-    assert count_misses(lines, config) == simulate_victim_cache(lines, config)
+    assert count_misses(np.asarray(lines, dtype=np.int64), config) == oracle_victim(lines, config)

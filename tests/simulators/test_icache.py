@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.simulators import CacheConfig, count_misses, simulate_victim_cache
+from repro.simulators import CacheConfig, count_misses
 
 
 def reference_misses(lines, n_sets, assoc, victim_lines=0):
@@ -116,7 +116,7 @@ def test_two_way_lru_matches_reference(lines, n_sets_log):
 def test_victim_cache_matches_reference(lines, victim):
     config = CacheConfig(size_bytes=4 * 32, victim_lines=victim)
     arr = np.asarray(lines, dtype=np.int64)
-    assert simulate_victim_cache(arr, config) == reference_misses(lines, 4, 1, victim)
+    assert count_misses(arr, config) == reference_misses(lines, 4, 1, victim)
 
 
 def test_victim_never_worse_than_plain():

@@ -17,6 +17,9 @@ Three layers of evidence that ``run_sharded`` is bit-identical to
   degrades to in-process execution — all without perturbing results.
 """
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -546,3 +549,54 @@ def test_on_job_reports_every_job_once():
     assert sorted(k for k, _ in seen) == sorted(report.computed)
     assert {s for _, s in seen} == {"computed"}
     assert report.n_jobs == len(seen)
+
+
+# -- concurrent callers: each pool forks with its own context ------------
+
+
+def test_concurrent_parallel_calls_keep_their_own_context():
+    """Two threads fan shard jobs over their own fork pools at the same
+    moment, as ``repro.serve`` engine threads do: every call's workers
+    must simulate that call's trace and streams, never the other's."""
+    rounds = 10
+    cases = [random_case(RESUME_SEED), random_case(RESUME_SEED + 1)]
+    expected = []
+    for case in cases:
+        pairs = _case_pairs(case)
+        run_fused(case.trace, case.program, pairs, chunk_events=RESUME_CHUNK)
+        expected.append(_snapshot(pairs))
+    assert not _eq(expected[0], expected[1])
+    barrier = threading.Barrier(len(cases))
+    snapshots: list[list] = [[] for _ in cases]
+    errors = []
+
+    def caller(i: int) -> None:
+        case = cases[i]
+        try:
+            for _ in range(rounds):
+                pairs = _case_pairs(case)
+                barrier.wait(timeout=60)
+                run_sharded(
+                    case.trace, case.program, pairs,
+                    chunk_events=RESUME_CHUNK, shards=4, jobs=2,
+                )
+                snapshots[i].append(_snapshot(pairs))
+        except BaseException as exc:
+            errors.append(exc)
+            barrier.abort()
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=caller, args=(i,)) for i in range(len(cases))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=300)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert not errors, errors
+    for want, got in zip(expected, snapshots):
+        assert len(got) == rounds
+        assert all(_eq(want, snap) for snap in got)
