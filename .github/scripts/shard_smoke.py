@@ -48,7 +48,6 @@ def build_pairs(case):
                 case.layout.name,
                 line_bytes=line_bytes,
                 consumers=[miss_counter(c) for c in case.cache_configs],
-                collect_lines=True,
             ),
         ),
         (
@@ -58,7 +57,6 @@ def build_pairs(case):
                 case.tc_config,
                 line_bytes=line_bytes,
                 consumers=[miss_counter(c) for c in case.cache_configs],
-                collect_lines=True,
             ),
         ),
     ]
@@ -74,10 +72,8 @@ def snapshot_bytes(pairs) -> bytes:
                 stream.n_instructions, stream.n_hits, stream.n_misses, stream.n_taken
             )
             entry["state"] = stream.state_dict()
-            entry["lines"] = [a.tolist() for a in stream.miss_line_chunks]
         else:
             entry["sig"] = (stream.n_instructions, stream.n_fetches, stream.n_taken)
-            entry["lines"] = [a.tolist() for a in stream.line_chunks]
         out.append(entry)
     return pickle.dumps(out, protocol=4)
 

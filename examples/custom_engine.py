@@ -17,7 +17,7 @@ from repro.baselines import original_layout
 from repro.core import CacheGeometry, STCParams, stc_layout
 from repro.kernel import ColdCodeConfig, KernelModel, Registry, decide
 from repro.profiling import profile_trace
-from repro.simulators import CacheConfig, count_misses, simulate_fetch
+from repro.simulators import CacheConfig, FetchStream, miss_counter, run_fused
 from repro.util import format_table
 
 registry = Registry()
@@ -63,6 +63,15 @@ class KVStore:
         return decide(key in segment)
 
 
+def evaluate(trace, program, layout, cache_kb: int) -> tuple[float, float]:
+    """Miss rate (%) and ideal IPC of ``layout``: one pass of a fetch
+    stream with a direct-mapped miss counter attached."""
+    counter = miss_counter(CacheConfig(size_bytes=cache_kb * 1024))
+    stream = FetchStream(layout.name, consumers=[counter])
+    run_fused(trace, program, [(layout, stream)])
+    return stream.miss_rate(counter.misses), stream.ideal_ipc
+
+
 def main() -> None:
     model = KernelModel(registry, seed=23, cold=ColdCodeConfig(n_procedures=120))
     program = model.program
@@ -81,17 +90,11 @@ def main() -> None:
     print(f"traced {trace.n_events} block executions over {program.n_blocks} static blocks")
 
     cache_kb = 8
-    rows = []
-    orig = original_layout(program)
-    fr = simulate_fetch(trace, program, orig)
-    base_misses = count_misses(fr.line_chunks, CacheConfig(size_bytes=cache_kb * 1024))
-    rows.append(["orig", None, 100.0 * base_misses / fr.n_instructions, fr.ideal_ipc])
+    rows = [["orig", None, *evaluate(trace, program, original_layout(program), cache_kb)]]
     for cfa_kb in (0, 1, 2, 4, 6, 7):
         geometry = CacheGeometry(cache_bytes=cache_kb * 1024, cfa_bytes=cfa_kb * 1024)
         layout = stc_layout(program, cfg, geometry, STCParams(seed_mode="auto"))
-        fr = simulate_fetch(trace, program, layout)
-        misses = count_misses(fr.line_chunks, CacheConfig(size_bytes=cache_kb * 1024))
-        rows.append(["auto", cfa_kb, 100.0 * misses / fr.n_instructions, fr.ideal_ipc])
+        rows.append(["auto", cfa_kb, *evaluate(trace, program, layout, cache_kb)])
     print(
         format_table(
             ["layout", "CFA KB", "miss %", "ideal IPC"],

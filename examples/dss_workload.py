@@ -11,7 +11,7 @@ import sys
 
 from repro.experiments import figure2, table1, table2
 from repro.experiments.harness import WorkloadSettings, get_workload, layouts_for
-from repro.simulators import CacheConfig, count_misses, simulate_fetch
+from repro.simulators import CacheConfig, FetchStream, miss_counter, run_fused
 from repro.util import format_table
 
 
@@ -33,14 +33,15 @@ def main() -> None:
     print(f"evaluating layouts at {cache_kb} KB cache / {cfa_kb} KB CFA ...")
     rows = []
     for name, layout in layouts_for(workload, cache_kb, cfa_kb).items():
-        fr = simulate_fetch(workload.test_trace, program, layout)
-        misses = count_misses(fr.line_chunks, CacheConfig(size_bytes=cache_kb * 1024))
+        counter = miss_counter(CacheConfig(size_bytes=cache_kb * 1024))
+        stream = FetchStream(layout.name, consumers=[counter])
+        run_fused(workload.test_trace, program, [(layout, stream)])
         rows.append(
             [
                 name,
-                100.0 * misses / fr.n_instructions,
-                fr.n_instructions / (fr.n_fetches + 5 * misses),
-                fr.instructions_between_taken,
+                stream.miss_rate(counter.misses),
+                stream.ipc(counter.misses),
+                stream.instructions_between_taken,
             ]
         )
     print(format_table(["layout", "miss %", "IPC", "instr/taken-branch"], rows))

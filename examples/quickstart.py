@@ -11,7 +11,7 @@ Run:  python examples/quickstart.py
 from repro.core import CacheGeometry, STCParams, stc_layout
 from repro.kernel import ColdCodeConfig, KernelModel, Registry, decide
 from repro.profiling import profile_trace
-from repro.simulators import CacheConfig, count_misses, simulate_fetch
+from repro.simulators import CacheConfig, FetchStream, miss_counter, run_fused
 
 # 1. An instrumented "kernel": each routine declares how many call-site
 #    segments (`sites`) and data-dependent branches (`decides`) it has.
@@ -58,17 +58,18 @@ def main() -> None:
     geometry = CacheGeometry(cache_bytes=8 * 1024, cfa_bytes=2 * 1024)
     layout = stc_layout(program, cfg, geometry, STCParams(seed_mode="auto"))
 
-    # 4. Simulate the SEQ.3 fetch unit under both layouts.
+    # 4. Simulate the SEQ.3 fetch unit under both layouts; the miss counter
+    #    attached to each fetch stream models an 8 KB direct-mapped i-cache.
     from repro.baselines import original_layout
 
     for lay in (original_layout(program), layout):
-        fr = simulate_fetch(trace, program, lay)
-        misses = count_misses(fr.line_chunks, CacheConfig(size_bytes=8 * 1024))
-        miss_rate = 100.0 * misses / fr.n_instructions
+        counter = miss_counter(CacheConfig(size_bytes=8 * 1024))
+        stream = FetchStream(lay.name, consumers=[counter])
+        run_fused(trace, program, [(lay, stream)])
         print(
-            f"{lay.name:>6}: miss rate {miss_rate:5.2f}%   "
-            f"ideal IPC {fr.ideal_ipc:5.2f}   "
-            f"instr between taken branches {fr.instructions_between_taken:5.1f}"
+            f"{lay.name:>6}: miss rate {stream.miss_rate(counter.misses):5.2f}%   "
+            f"ideal IPC {stream.ideal_ipc:5.2f}   "
+            f"instr between taken branches {stream.instructions_between_taken:5.1f}"
         )
 
 

@@ -14,9 +14,10 @@ import sys
 from repro.experiments.harness import WorkloadSettings, get_workload, layouts_for
 from repro.simulators import (
     CacheConfig,
-    count_misses,
-    simulate_fetch,
-    simulate_trace_cache,
+    FetchStream,
+    TraceCacheStream,
+    miss_counter,
+    run_fused,
 )
 from repro.util import format_table
 
@@ -31,11 +32,14 @@ def main() -> None:
     layouts = layouts_for(workload, 64, 8, names=("orig", "ops"))
     rows = []
     for name, layout in layouts.items():
-        seq = simulate_fetch(trace, program, layout)
-        misses = count_misses(seq.line_chunks, cache)
-        seq_ipc = seq.n_instructions / (seq.n_fetches + 5 * misses)
-        tc = simulate_trace_cache(trace, program, layout)
-        rows.append([name, seq_ipc, tc.bandwidth(cache), 100 * tc.hit_rate])
+        # both fetch paths over one layout share a single pass over the trace
+        seq_misses, tc_misses = miss_counter(cache), miss_counter(cache)
+        seq = FetchStream(layout.name, consumers=[seq_misses])
+        tc = TraceCacheStream(layout.name, consumers=[tc_misses])
+        run_fused(trace, program, [(layout, seq), (layout, tc)])
+        rows.append(
+            [name, seq.ipc(seq_misses.misses), tc.ipc(tc_misses.misses), 100 * tc.hit_rate]
+        )
     print(
         format_table(
             ["layout", "SEQ.3 IPC", "SEQ.3 + trace cache IPC", "TC hit rate %"],

@@ -27,8 +27,7 @@ from repro.experiments.harness import (
     standard_parser,
     training_profile,
 )
-from repro.simulators import CacheConfig, count_misses, simulate_fetch
-from repro.simulators.fetch import MISS_PENALTY_CYCLES
+from repro.simulators import CacheConfig, FetchStream, miss_counter, run_fused
 from repro.tpcd.workload import Workload
 from repro.util.fmt import format_table
 
@@ -44,11 +43,11 @@ class AblationPoint:
 
 
 def _evaluate(workload: Workload, layout, cache_kb: int) -> tuple[float, float, float]:
-    fr = simulate_fetch(workload.test_trace, workload.program, layout)
-    misses = count_misses(fr.line_chunks, CacheConfig(size_bytes=cache_kb * KB))
-    n = fr.n_instructions
-    ipc = n / (fr.n_fetches + MISS_PENALTY_CYCLES * misses)
-    return 100.0 * misses / n, ipc, fr.instructions_between_taken
+    counter = miss_counter(CacheConfig(size_bytes=cache_kb * KB))
+    stream = FetchStream(layout.name, consumers=[counter])
+    run_fused(workload.test_trace, workload.program, [(layout, stream)])
+    misses = counter.misses
+    return stream.miss_rate(misses), stream.ipc(misses), stream.instructions_between_taken
 
 
 def cfa_sweep(

@@ -25,8 +25,7 @@ from repro.experiments.harness import (
 )
 from repro.kernel.inline import plan_inlining
 from repro.profiling import profile_trace
-from repro.simulators import CacheConfig, count_misses, simulate_fetch
-from repro.simulators.fetch import MISS_PENALTY_CYCLES
+from repro.simulators import CacheConfig, FetchStream, miss_counter, run_fused
 from repro.tpcd.workload import TEST_QUERIES, TRAINING_QUERIES, Workload, capture_trace
 from repro.util.fmt import format_table
 
@@ -46,15 +45,16 @@ def compute(
 
     def evaluate(program, profile, trace, label):
         layout = stc_layout(program, profile, geometry, STCParams(seed_mode="ops"))
-        fr = simulate_fetch(trace, program, layout)
-        misses = count_misses(fr.line_chunks, cache)
+        counter = miss_counter(cache)
+        stream = FetchStream(layout.name, consumers=[counter])
+        run_fused(trace, program, [(layout, stream)])
         return [
             label,
             program.image_bytes / KB,
-            100.0 * misses / fr.n_instructions,
-            fr.n_instructions / (fr.n_fetches + MISS_PENALTY_CYCLES * misses),
-            fr.ideal_ipc,
-            fr.instructions_between_taken,
+            stream.miss_rate(counter.misses),
+            stream.ipc(counter.misses),
+            stream.ideal_ipc,
+            stream.instructions_between_taken,
         ]
 
     base_profile = training_profile(workload)

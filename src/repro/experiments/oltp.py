@@ -21,8 +21,7 @@ from repro.core import CacheGeometry, STCParams, stc_layout
 from repro.experiments.config import KB
 from repro.oltp.workload import OLTPWorkload
 from repro.profiling import profile_trace
-from repro.simulators import CacheConfig, count_misses, simulate_fetch
-from repro.simulators.fetch import MISS_PENALTY_CYCLES
+from repro.simulators import CacheConfig, FetchStream, miss_counter, run_fused
 from repro.util.fmt import format_table
 
 __all__ = ["compute", "render", "main"]
@@ -46,14 +45,15 @@ def compute(
     }
     rows = []
     for name, layout in layouts.items():
-        fr = simulate_fetch(workload.oltp_trace, program, layout)
-        misses = count_misses(fr.line_chunks, CacheConfig(size_bytes=cache_kb * KB))
+        counter = miss_counter(CacheConfig(size_bytes=cache_kb * KB))
+        stream = FetchStream(layout.name, consumers=[counter])
+        run_fused(workload.oltp_trace, program, [(layout, stream)])
         rows.append(
             [
                 name,
-                100.0 * misses / fr.n_instructions,
-                fr.n_instructions / (fr.n_fetches + MISS_PENALTY_CYCLES * misses),
-                fr.instructions_between_taken,
+                stream.miss_rate(counter.misses),
+                stream.ipc(counter.misses),
+                stream.instructions_between_taken,
             ]
         )
     return rows

@@ -61,7 +61,6 @@ from repro.simulators import (
     miss_counter,
     run_fused,
 )
-from repro.simulators.fetch import MISS_PENALTY_CYCLES
 from repro.simulators.sharded import (
     ShardError,
     ShardTimeoutError,
@@ -114,24 +113,15 @@ class SuiteResults:
         values = [m[layout].ideal_ipc for m in self.cells.values() if layout in m]
         return (min(values), max(values)) if values else (0.0, 0.0)
 
-    def run_length_of(self, layout: str, row: tuple[int, int] = (64, 16)) -> float:
-        return self.cells[row][layout].run_length
 
-
-def _cell(n: int, n_fetches: int, ideal_ipc: float, run_length: float, misses: int) -> CellMetrics:
-    """Cell metrics from one fetch stream's counters and its miss count."""
-    cycles = n_fetches + MISS_PENALTY_CYCLES * misses
+def _cell(stream: FetchStream, misses: int) -> CellMetrics:
+    """Cell metrics from one fetch stream and one counter's miss count."""
     return CellMetrics(
-        miss_rate=100.0 * misses / n if n else 0.0,
-        ipc=n / cycles if cycles else 0.0,
-        ideal_ipc=ideal_ipc,
-        run_length=run_length,
+        miss_rate=stream.miss_rate(misses),
+        ipc=stream.ipc(misses),
+        ideal_ipc=stream.ideal_ipc,
+        run_length=stream.instructions_between_taken,
     )
-
-
-def _tc_bandwidth(n_instructions: int, n_cycles_base: int, misses: int = 0) -> float:
-    cycles = n_cycles_base + MISS_PENALTY_CYCLES * misses
-    return n_instructions / cycles if cycles else 0.0
 
 
 # -- task decomposition --------------------------------------------------
@@ -226,20 +216,13 @@ def _unit_for(workload: Workload, task: _Task, grid, cache_sizes, layout_memo=No
         stream = FetchStream(layout.name, consumers=consumers)
 
         def finalize() -> dict:
-            n = stream.n_instructions
-            fetches = stream.n_fetches
-            ideal = n / fetches if fetches else 0.0
-            run_length = n / stream.n_taken if stream.n_taken else float("inf")
             payload = {
-                "n_instructions": n,
-                "per_cache": {
-                    c: _cell(n, fetches, ideal, run_length, counters[c].misses)
-                    for c in cache_sizes
-                },
+                "n_instructions": stream.n_instructions,
+                "per_cache": {c: _cell(stream, counters[c].misses) for c in cache_sizes},
             }
             if arg == "orig":
-                payload["assoc"] = {c: 100.0 * assoc[c].misses / n for c in cache_sizes}
-                payload["victim"] = {c: 100.0 * victim[c].misses / n for c in cache_sizes}
+                payload["assoc"] = {c: stream.miss_rate(assoc[c].misses) for c in cache_sizes}
+                payload["victim"] = {c: stream.miss_rate(victim[c].misses) for c in cache_sizes}
             return payload
 
         return [(layout, stream)], finalize
@@ -250,15 +233,10 @@ def _unit_for(workload: Workload, task: _Task, grid, cache_sizes, layout_memo=No
         stream = TraceCacheStream(layout.name, consumers=list(counters.values()))
 
         def finalize() -> dict:
-            n = stream.n_instructions
-            attempts = stream.n_hits + stream.n_misses
             return {
-                "ideal": _tc_bandwidth(n, stream.n_cycles_base),
-                "hit_rate": stream.n_hits / attempts if attempts else 0.0,
-                "ipc": {
-                    c: _tc_bandwidth(n, stream.n_cycles_base, counters[c].misses)
-                    for c in cache_sizes
-                },
+                "ideal": stream.ipc(),
+                "hit_rate": stream.hit_rate,
+                "ipc": {c: stream.ipc(counters[c].misses) for c in cache_sizes},
             }
 
         return [(layout, stream)], finalize
@@ -275,14 +253,10 @@ def _unit_for(workload: Workload, task: _Task, grid, cache_sizes, layout_memo=No
             pairs.append((layout, stream))
 
         def finalize() -> dict:
-            cells: dict[str, CellMetrics] = {}
-            for name, (stream, counter) in streams.items():
-                n = stream.n_instructions
-                fetches = stream.n_fetches
-                ideal = n / fetches if fetches else 0.0
-                run_length = n / stream.n_taken if stream.n_taken else float("inf")
-                cells[name] = _cell(n, fetches, ideal, run_length, counter.misses)
-            return cells
+            return {
+                name: _cell(stream, counter.misses)
+                for name, (stream, counter) in streams.items()
+            }
 
         return pairs, finalize
 
@@ -293,11 +267,7 @@ def _unit_for(workload: Workload, task: _Task, grid, cache_sizes, layout_memo=No
         stream = TraceCacheStream(layout.name, consumers=[counter])
 
         def finalize() -> dict:
-            n = stream.n_instructions
-            return {
-                "ipc": _tc_bandwidth(n, stream.n_cycles_base, counter.misses),
-                "ideal": _tc_bandwidth(n, stream.n_cycles_base),
-            }
+            return {"ipc": stream.ipc(counter.misses), "ideal": stream.ipc()}
 
         return [(layout, stream)], finalize
 

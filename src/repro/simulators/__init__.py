@@ -10,12 +10,10 @@ branches, or 16 instructions.
 
 from repro.simulators.icache import CacheConfig, count_misses, miss_counter
 from repro.simulators.fetch import (
-    FetchResult,
     FetchStream,
     MISS_PENALTY_CYCLES,
     expand_chunk,
     iter_chunk_contexts,
-    simulate_fetch,
 )
 from repro.simulators.fused import run_fused
 from repro.simulators.sharded import (
@@ -26,26 +24,13 @@ from repro.simulators.sharded import (
     plan_shards,
     run_sharded,
 )
-from repro.simulators.tracecache import (
-    TraceCacheConfig,
-    TraceCacheResult,
-    TraceCacheStream,
-    simulate_trace_cache,
-)
-from repro.simulators.metrics import (
-    miss_rate_percent,
-    fetch_bandwidth,
-    ideal_fetch_bandwidth,
-    instructions_between_taken_branches,
-)
+from repro.simulators.tracecache import TraceCacheConfig, TraceCacheStream
 
 __all__ = [
     "CacheConfig",
     "count_misses",
     "miss_counter",
-    "FetchResult",
     "FetchStream",
-    "simulate_fetch",
     "MISS_PENALTY_CYCLES",
     "expand_chunk",
     "iter_chunk_contexts",
@@ -57,11 +42,5 @@ __all__ = [
     "plan_shards",
     "run_sharded",
     "TraceCacheConfig",
-    "simulate_trace_cache",
-    "TraceCacheResult",
     "TraceCacheStream",
-    "miss_rate_percent",
-    "fetch_bandwidth",
-    "ideal_fetch_bandwidth",
-    "instructions_between_taken_branches",
 ]

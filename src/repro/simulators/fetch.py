@@ -6,10 +6,13 @@ of any kind (conditional, unconditional, calls, returns — Section 7.3), up
 to 16 instructions, or up to the end of the two lines, whichever comes
 first. Branch prediction is perfect.
 
-The simulation is layout-dependent but cache-independent: it produces the
-fetch count and the line-access stream once per layout; cache organizations
-are then evaluated vectorized over that stream
-(:func:`repro.simulators.icache.count_misses`).
+The simulation is layout-dependent but cache-independent: a
+:class:`FetchStream` counts instructions, fetches and taken branches per
+layout and hands each window's line accesses to its attached i-cache miss
+counters (:func:`repro.simulators.icache.miss_counter`), so one pass
+evaluates every cache organization. The stream owns the Table 3/4
+formulas: miss rate, IPC with the fixed miss penalty, ideal IPC and run
+length between taken branches.
 
 Implementation: the trace is processed in bounded windows of events
 (memory stays flat for arbitrarily long traces). A branch can only be the
@@ -41,12 +44,10 @@ from repro.profiling.trace import SEPARATOR, BlockTrace
 __all__ = [
     "ChunkContext",
     "FetchLengths",
-    "FetchResult",
     "FetchStream",
     "MISS_PENALTY_CYCLES",
     "expand_chunk",
     "iter_chunk_contexts",
-    "simulate_fetch",
 ]
 
 #: Fixed i-cache miss penalty (paper Table 4).
@@ -60,27 +61,6 @@ _DEFAULT_CHUNK_EVENTS = 2_000_000
 
 #: ``addr >> _INSTR_SHIFT`` is the instruction-granular address.
 _INSTR_SHIFT = INSTR_BYTES.bit_length() - 1
-
-
-@dataclass
-class FetchResult:
-    """Per-layout fetch simulation output (cache-independent)."""
-
-    layout_name: str
-    n_instructions: int
-    n_fetches: int
-    n_taken: int
-    #: cache-line numbers accessed, 2 per fetch, chunked
-    line_chunks: list[np.ndarray]
-
-    @property
-    def ideal_ipc(self) -> float:
-        """Fetch bandwidth with a perfect i-cache."""
-        return self.n_instructions / self.n_fetches if self.n_fetches else 0.0
-
-    @property
-    def instructions_between_taken(self) -> float:
-        return self.n_instructions / self.n_taken if self.n_taken else float("inf")
 
 
 @dataclass
@@ -370,10 +350,9 @@ class FetchStream:
     The stream accumulates the cache-independent counters and routes each
     chunk's line accesses to any number of attached i-cache miss counters
     (``consumers``, objects with ``feed(lines)``), so one pass over the
-    trace evaluates every cache configuration at once. With
-    ``collect_lines=True`` the per-chunk line arrays are also kept, which
-    is what :func:`simulate_fetch` uses to build a full
-    :class:`FetchResult`.
+    trace evaluates every cache configuration at once. After the pass,
+    :meth:`miss_rate` and :meth:`ipc` turn a counter's miss count into the
+    Table 3 and Table 4 cells.
     """
 
     def __init__(
@@ -382,7 +361,6 @@ class FetchStream:
         *,
         line_bytes: int = 32,
         consumers: Sequence | None = None,
-        collect_lines: bool = False,
     ) -> None:
         self.layout_name = layout_name
         self.line_bytes = line_bytes
@@ -390,7 +368,6 @@ class FetchStream:
         self.n_instructions = 0
         self.n_fetches = 0
         self.n_taken = 0
-        self.line_chunks: list[np.ndarray] | None = [] if collect_lines else None
 
     def feed(self, chunk: _Chunk, lengths: FetchLengths) -> None:
         """Consume one expanded chunk; ``lengths`` for this ``line_bytes``."""
@@ -409,30 +386,23 @@ class FetchStream:
         lines[1::2] = first_line + 1
         for consumer in self.consumers:
             consumer.feed(lines)
-        if self.line_chunks is not None:
-            self.line_chunks.append(lines)
 
-    def result(self) -> FetchResult:
-        return FetchResult(
-            layout_name=self.layout_name,
-            n_instructions=self.n_instructions,
-            n_fetches=self.n_fetches,
-            n_taken=self.n_taken,
-            line_chunks=self.line_chunks if self.line_chunks is not None else [],
-        )
+    def miss_rate(self, misses: int) -> float:
+        """I-cache misses per instruction executed, in percent (Table 3)."""
+        n = self.n_instructions
+        return 100.0 * misses / n if n else 0.0
 
+    def ipc(self, misses: int) -> float:
+        """Fetch bandwidth with the fixed miss penalty (Table 4)."""
+        cycles = self.n_fetches + MISS_PENALTY_CYCLES * misses
+        return self.n_instructions / cycles if cycles else 0.0
 
-def simulate_fetch(
-    trace: BlockTrace,
-    program: Program,
-    layout: Layout,
-    *,
-    line_bytes: int = 32,
-    chunk_events: int = _DEFAULT_CHUNK_EVENTS,
-) -> FetchResult:
-    """Run the SEQ.3 fetch unit over a trace under a layout."""
-    from repro.simulators.fused import run_fused  # fused builds on this module
+    @property
+    def ideal_ipc(self) -> float:
+        """Fetch bandwidth with a perfect i-cache (Table 4's Ideal row)."""
+        return self.n_instructions / self.n_fetches if self.n_fetches else 0.0
 
-    stream = FetchStream(layout.name, line_bytes=line_bytes, collect_lines=True)
-    run_fused(trace, program, [(layout, stream)], chunk_events=chunk_events)
-    return stream.result()
+    @property
+    def instructions_between_taken(self) -> float:
+        """Average run length between taken branches (Section 8)."""
+        return self.n_instructions / self.n_taken if self.n_taken else float("inf")

@@ -12,9 +12,8 @@ once and fed to every stream of that layout, together with one
 :class:`~repro.simulators.fetch.FetchLengths` handle per line size. Fetch
 streams evaluate SEQ.3 only at their fetch starts; per-instruction arrays
 are built only when a trace-cache stream of the layout asks for them.
-The one-shot :func:`~repro.simulators.fetch.simulate_fetch` and
-:func:`~repro.simulators.tracecache.simulate_trace_cache` are single-stream
-passes of this driver.
+Evaluating a single layout is a pass with one stream; its attached
+counters and metric methods give the Table 3/4 cells.
 
 Peak memory is one window's expansion regardless of how many streams are
 fused: layouts are processed sequentially per window and the expansion is
@@ -52,7 +51,7 @@ def run_fused(
 
     ``trace`` is a :class:`~repro.profiling.trace.BlockTrace` or an
     on-disk :class:`~repro.profiling.tracestore.TraceStore`. Streams are
-    mutated in place; read their counters or ``result()`` afterwards.
+    mutated in place; read their counters and metrics afterwards.
     A stream is anything with a ``line_bytes`` attribute and a
     ``feed(chunk, lengths)`` method. Streams sharing the same layout
     *object* share the per-window expansion, and among those, streams

@@ -1,9 +1,9 @@
 """Instruction cache models (paper Table 3's cache column variants).
 
-Input is a stream of cache-line numbers (from the fetch unit), supplied as
-one array or a list of chunk arrays. Chunks are processed one at a time
-with per-set state carried across chunk boundaries, so the stream is never
-concatenated (peak memory stays one chunk). Three organizations:
+Input is a stream of cache-line numbers (from the fetch unit), fed one
+chunk at a time with per-set state carried across chunk boundaries, so the
+stream is never concatenated (peak memory stays one chunk). Three
+organizations:
 
 * direct-mapped — fully vectorized (stable argsort groups accesses by set;
   a miss is a tag change within the group, or against the carried tag at
@@ -20,11 +20,13 @@ concatenated (peak memory stays one chunk). Three organizations:
   small fraction — run through the explicit swap loop.
 
 Each model is an incremental counter object (:func:`miss_counter`) with a
-``feed(lines)`` method, so the fused multi-configuration driver can push
-one chunk of lines through many configurations in a single pass over the
-trace. :func:`count_misses` is the one-shot wrapper over the same
-counters — chunked and whole-stream counts are identical by construction.
-The reference models are the oracles of :mod:`repro.validate.oracles`.
+``feed(lines)`` method. Attached to a fetch or trace-cache stream, it
+receives each window's line accesses as the fused driver simulates it, so
+one pass over the trace evaluates many configurations.
+:func:`count_misses` feeds one counter a given line stream (one array or a
+list of chunks) — chunked and whole-stream counts are identical by
+construction. The reference models are the oracles of
+:mod:`repro.validate.oracles`.
 """
 
 from __future__ import annotations
@@ -38,7 +40,6 @@ __all__ = [
     "CacheConfig",
     "count_misses",
     "counter_from_spec",
-    "counter_from_state",
     "counter_spec",
     "miss_counter",
 ]
@@ -397,18 +398,3 @@ def counter_from_spec(spec: tuple, *, record_journal: bool = False) -> _MissCoun
             raise ValueError("victim counters have no shard journal; relay them")
         return _VictimCounter(spec[1], spec[2])
     raise ValueError(f"unknown counter spec {spec!r}")
-
-
-def counter_from_state(state: dict) -> _MissCounter:
-    """Reconstruct a counter, state and all, from a ``state_dict()``."""
-    kind = state["kind"]
-    if kind == "dm":
-        counter = _DirectMappedCounter(len(state["tags"]))
-    elif kind == "lru2":
-        counter = _TwoWayLRUCounter(len(state["w0"]))
-    elif kind == "victim":
-        counter = _VictimCounter(len(state["last"]), int(state["capacity"]))
-    else:
-        raise ValueError(f"unknown counter state kind {kind!r}")
-    counter.load_state(state)
-    return counter

@@ -180,7 +180,6 @@ class _FamilyEntry:
         return (
             self.layout_index,
             self.stream.line_bytes,
-            self.stream.line_chunks is not None,
             tuple(counter_spec(c) for c in self.consumers),
         )
 
@@ -195,7 +194,6 @@ class _Chain:
     tc_config: tuple | None
     counters: list  # the caller's counter objects
     stream: TraceCacheStream | None
-    collect: bool  # tc: caller collects miss-line chunks
 
     def spec(self) -> tuple:
         return (
@@ -204,7 +202,6 @@ class _Chain:
             self.line_bytes,
             self.tc_config,
             tuple(counter_spec(c) for c in self.counters),
-            self.collect,
         )
 
     def seed_state(self) -> dict:
@@ -242,9 +239,7 @@ def _classify(pairs):
                     )
             family.append(_FamilyEntry(li, stream, journaled))
             if victims:
-                chains.append(
-                    _Chain("victim", li, stream.line_bytes, None, victims, None, False)
-                )
+                chains.append(_Chain("victim", li, stream.line_bytes, None, victims, None))
         elif isinstance(stream, TraceCacheStream):
             for consumer in stream.consumers:
                 if not isinstance(
@@ -263,7 +258,6 @@ def _classify(pairs):
                     (cfg.n_entries, cfg.trace_instructions, cfg.branch_limit),
                     list(stream.consumers),
                     stream,
-                    stream.miss_line_chunks is not None,
                 )
             )
         else:
@@ -280,38 +274,30 @@ def _family_shard(trace, program, layouts, chunk_events, plan, family_specs, sha
     start, stop = plan.span(shard_idx)
     streams = []
     pairs = []
-    for li, line_bytes, collect, cspecs in family_specs:
+    for li, line_bytes, cspecs in family_specs:
         consumers = [counter_from_spec(cs, record_journal=True) for cs in cspecs]
-        stream = FetchStream(
-            layouts[li].name,
-            line_bytes=line_bytes,
-            consumers=consumers,
-            collect_lines=collect,
-        )
+        stream = FetchStream(layouts[li].name, line_bytes=line_bytes, consumers=consumers)
         streams.append(stream)
         pairs.append((layouts[li], stream))
     run_fused(
         trace, program, pairs,
         chunk_events=chunk_events, start_event=start, stop_event=stop,
     )
-    out = []
-    for stream in streams:
-        entry = {
+    return [
+        {
             "n_instructions": stream.n_instructions,
             "n_fetches": stream.n_fetches,
             "n_taken": stream.n_taken,
             "journals": [c.shard_journal() for c in stream.consumers],
         }
-        if stream.line_chunks is not None:
-            entry["line_chunks"] = stream.line_chunks
-        out.append(entry)
-    return out
+        for stream in streams
+    ]
 
 
 def _relay_shard(trace, program, layouts, chunk_events, plan, spec, shard_idx, state):
     """One relay step: simulate a shard seeded with the previous shard's
-    end state; returns the new end state (plus any collected lines)."""
-    kind, li, line_bytes, tc_config, cspecs, collect = spec
+    end state; returns the new end state."""
+    kind, li, line_bytes, tc_config, cspecs = spec
     start, stop = plan.span(shard_idx)
     counters = [counter_from_spec(cs) for cs in cspecs]
     for counter, cstate in zip(counters, state["counters"]):
@@ -322,7 +308,6 @@ def _relay_shard(trace, program, layouts, chunk_events, plan, spec, shard_idx, s
             TraceCacheConfig(*tc_config),
             line_bytes=line_bytes,
             consumers=counters,
-            collect_lines=collect,
         )
         stream.load_state(state["stream"])
     else:
@@ -334,15 +319,12 @@ def _relay_shard(trace, program, layouts, chunk_events, plan, spec, shard_idx, s
         trace, program, [(layouts[li], stream)],
         chunk_events=chunk_events, start_event=start, stop_event=stop,
     )
-    out_state = {"counters": [c.state_dict() for c in counters]}
-    payload = {"state": out_state}
-    if kind == "tc":
-        out_state["stream"] = stream.state_dict()
-        if collect:
-            payload["miss_line_chunks"] = stream.miss_line_chunks
-    else:
-        out_state["stream"] = None
-    return payload
+    return {
+        "state": {
+            "counters": [c.state_dict() for c in counters],
+            "stream": stream.state_dict() if kind == "tc" else None,
+        }
+    }
 
 
 # -- journal reconciliation ----------------------------------------------
@@ -422,20 +404,14 @@ def _reconcile(family, chains, n_shards: int, payloads: dict) -> None:
             stream.n_instructions += int(p["n_instructions"])
             stream.n_fetches += int(p["n_fetches"])
             stream.n_taken += int(p["n_taken"])
-            if stream.line_chunks is not None:
-                stream.line_chunks.extend(p["line_chunks"])
             for counter, journal in zip(entry.consumers, p["journals"]):
                 _stitch(counter, journal)
     for ci, chain in enumerate(chains):
-        steps = [payloads[("relay", ci, s)] for s in range(n_shards)]
-        final = steps[-1]["state"]
+        final = payloads[("relay", ci, n_shards - 1)]["state"]
         for counter, cstate in zip(chain.counters, final["counters"]):
             counter.load_state(cstate)
         if chain.stream is not None:
             chain.stream.load_state(final["stream"])
-            if chain.stream.miss_line_chunks is not None:
-                for step in steps:
-                    chain.stream.miss_line_chunks.extend(step["miss_line_chunks"])
 
 
 def _predecessor(key: tuple) -> tuple | None:

@@ -9,10 +9,11 @@ up to 3 branches, *crossing taken branches*) is supplied in one cycle with
 no i-cache access; on a miss the SEQ.3 unit fetches from the i-cache and
 the fill unit stores the newly observed trace.
 
-Output separates the cache-independent cycle count from the miss-path line
-stream, so one stateful simulation serves every i-cache configuration —
-and the same run reports both the trace-cache-alone and combined
-STC+trace-cache numbers of Table 4.
+The stream separates the cache-independent cycle count from the miss-path
+line accesses, which it hands to attached i-cache miss counters, so one
+stateful simulation serves every i-cache configuration — and the same run
+reports both the trace-cache-alone and combined STC+trace-cache numbers of
+Table 4 (:meth:`TraceCacheStream.ipc`).
 
 Implementation: the outcome bitmask and third-branch distance the
 sequential walk needs are functions of the *next-branch index* of a
@@ -35,26 +36,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.cfg.layout import Layout
-from repro.cfg.program import Program
-from repro.profiling.trace import BlockTrace
 from repro.simulators.fetch import (
-    _DEFAULT_CHUNK_EVENTS,
     BRANCH_LIMIT,
     FETCH_WIDTH,
     MISS_PENALTY_CYCLES,
     FetchLengths,
     _Chunk,
 )
-from repro.simulators.fused import run_fused
-from repro.simulators.icache import CacheConfig, count_misses
 
-__all__ = [
-    "TraceCacheConfig",
-    "TraceCacheResult",
-    "TraceCacheStream",
-    "simulate_trace_cache",
-]
+__all__ = ["TraceCacheConfig", "TraceCacheStream"]
 
 
 @dataclass(frozen=True)
@@ -66,36 +56,13 @@ class TraceCacheConfig:
     branch_limit: int = BRANCH_LIMIT
 
 
-@dataclass
-class TraceCacheResult:
-    layout_name: str
-    n_instructions: int
-    n_cycles_base: int  # one cycle per fetch attempt (hit or miss path)
-    n_hits: int
-    n_misses: int
-    n_taken: int
-    miss_line_chunks: list[np.ndarray]
-
-    @property
-    def hit_rate(self) -> float:
-        total = self.n_hits + self.n_misses
-        return self.n_hits / total if total else 0.0
-
-    def bandwidth(self, config: CacheConfig | None) -> float:
-        """IPC; ``config=None`` models a perfect backing i-cache."""
-        cycles = self.n_cycles_base
-        if config is not None:
-            cycles += MISS_PENALTY_CYCLES * count_misses(self.miss_line_chunks, config)
-        return self.n_instructions / cycles if cycles else 0.0
-
-
 class TraceCacheStream:
     """Incremental trace-cache simulation fed one expanded chunk at a time.
 
     Entry state persists across chunks. Each chunk's miss-path line
     accesses are routed to the attached i-cache miss counters
-    (``consumers``) and/or collected for the one-shot
-    :class:`TraceCacheResult` path.
+    (``consumers``); :meth:`ipc` turns a counter's miss count into the
+    Table 4 cell.
 
     The hot loop's lookup tables are indexed *by branch*, not by
     instruction: both the outcome bitmask and the third-branch distance
@@ -113,7 +80,6 @@ class TraceCacheStream:
         *,
         line_bytes: int = 32,
         consumers=None,
-        collect_lines: bool = False,
     ) -> None:
         self.layout_name = layout_name
         self.config = config
@@ -123,7 +89,6 @@ class TraceCacheStream:
         self.n_hits = 0
         self.n_misses = 0
         self.n_taken = 0
-        self.miss_line_chunks: list[np.ndarray] | None = [] if collect_lines else None
         # entry: index -> (start address, outcome bitmask, n_branches, n_instr)
         self._entries: list[tuple[int, int, int, int] | None] = [None] * config.n_entries
         self._low_bits = [(1 << k) - 1 for k in range(config.branch_limit + 1)]
@@ -217,19 +182,29 @@ class TraceCacheStream:
         lines_arr = np.asarray(miss_lines, dtype=np.int64)
         for consumer in self.consumers:
             consumer.feed(lines_arr)
-        if self.miss_line_chunks is not None:
-            self.miss_line_chunks.append(lines_arr)
 
     @property
     def n_cycles_base(self) -> int:
+        """One cycle per fetch attempt (hit or miss path)."""
         return self.n_hits + self.n_misses
+
+    @property
+    def hit_rate(self) -> float:
+        """Share of fetch attempts the trace cache supplied."""
+        attempts = self.n_hits + self.n_misses
+        return self.n_hits / attempts if attempts else 0.0
+
+    def ipc(self, misses: int = 0) -> float:
+        """Fetch bandwidth with the fixed miss penalty on the i-cache
+        misses of the miss path; ``misses=0`` models a perfect i-cache."""
+        cycles = self.n_cycles_base + MISS_PENALTY_CYCLES * misses
+        return self.n_instructions / cycles if cycles else 0.0
 
     def state_dict(self) -> dict:
         """Complete carried state (counters + entry array), picklable.
 
-        Consumers and collected miss-line chunks are intentionally
-        excluded: the sharded relay carries consumer states separately
-        and accumulates line chunks per shard.
+        Consumers are intentionally excluded: the sharded relay carries
+        their states separately.
         """
         return {
             "n_instructions": self.n_instructions,
@@ -250,31 +225,3 @@ class TraceCacheStream:
         self.n_misses = int(state["n_misses"])
         self.n_taken = int(state["n_taken"])
         self._entries = entries
-
-    def result(self) -> TraceCacheResult:
-        return TraceCacheResult(
-            layout_name=self.layout_name,
-            n_instructions=self.n_instructions,
-            n_cycles_base=self.n_cycles_base,
-            n_hits=self.n_hits,
-            n_misses=self.n_misses,
-            n_taken=self.n_taken,
-            miss_line_chunks=(
-                self.miss_line_chunks if self.miss_line_chunks is not None else []
-            ),
-        )
-
-
-def simulate_trace_cache(
-    trace: BlockTrace,
-    program: Program,
-    layout: Layout,
-    config: TraceCacheConfig = TraceCacheConfig(),
-    *,
-    line_bytes: int = 32,
-    chunk_events: int = _DEFAULT_CHUNK_EVENTS,
-) -> TraceCacheResult:
-    """Stateful trace-cache + SEQ.3 simulation over one trace."""
-    stream = TraceCacheStream(layout.name, config, line_bytes=line_bytes, collect_lines=True)
-    run_fused(trace, program, [(layout, stream)], chunk_events=chunk_events)
-    return stream.result()

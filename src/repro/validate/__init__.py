@@ -18,6 +18,7 @@ Three layers keep the aggressively optimized production simulators honest:
 
 from repro.validate.differential import (
     Divergence,
+    LineLog,
     diff_fetch_case,
     diff_trace_cache_case,
     run_differential,
@@ -35,6 +36,7 @@ from repro.validate.oracles import (
 
 __all__ = [
     "Divergence",
+    "LineLog",
     "OracleFetchResult",
     "OracleTraceCacheResult",
     "diff_fetch_case",

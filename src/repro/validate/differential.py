@@ -1,18 +1,18 @@
 """Differential harness: production simulators vs. loop-literal oracles.
 
-For every generated case the harness runs the production code through
-*all three* of its entry points — the one-shot simulators
-(:func:`~repro.simulators.fetch.simulate_fetch`,
-:func:`~repro.simulators.tracecache.simulate_trace_cache`), the fused
-streaming driver (:func:`~repro.simulators.fused.run_fused` feeding
-incremental streams with attached i-cache miss counters), and the
-shard-parallel driver (:func:`~repro.simulators.sharded.run_sharded`,
-with a shard count derived from the case seed so coverage spans 1..n
-window partitions) — and the oracles of :mod:`repro.validate.oracles`,
-then compares every counter exactly: instruction/fetch/taken counts, the
-full line-access stream, and the miss count of each cache organization
-(fused, sharded and batched, against the oracle). Any mismatch becomes a
-:class:`Divergence` carrying the case's reproduction seed.
+For every generated case the harness runs the production streams
+(:class:`~repro.simulators.fetch.FetchStream`,
+:class:`~repro.simulators.tracecache.TraceCacheStream`, with attached
+i-cache miss counters) through both drivers — the fused streaming driver
+(:func:`~repro.simulators.fused.run_fused`) and the shard-parallel driver
+(:func:`~repro.simulators.sharded.run_sharded`, with a shard count derived
+from the case seed so coverage spans 1..n window partitions) — and the
+oracles of :mod:`repro.validate.oracles`, then compares every counter
+exactly: instruction/fetch/taken counts, the miss count of each cache
+organization (fused and sharded, against the oracle), and the full
+line-access stream of the fused pass, recorded by a :class:`LineLog`
+consumer. Any mismatch becomes a :class:`Divergence` carrying the case's
+reproduction seed.
 """
 
 from __future__ import annotations
@@ -21,11 +21,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.simulators.fetch import FetchStream, simulate_fetch
+from repro.simulators.fetch import FetchStream
 from repro.simulators.fused import run_fused
-from repro.simulators.icache import CacheConfig, count_misses, miss_counter
+from repro.simulators.icache import CacheConfig, miss_counter
 from repro.simulators.sharded import run_sharded
-from repro.simulators.tracecache import TraceCacheStream, simulate_trace_cache
+from repro.simulators.tracecache import TraceCacheStream
 from repro.validate.generators import GeneratedCase, random_case
 from repro.validate.oracles import (
     oracle_direct_mapped,
@@ -35,7 +35,32 @@ from repro.validate.oracles import (
     oracle_victim,
 )
 
-__all__ = ["Divergence", "diff_fetch_case", "diff_trace_cache_case", "run_differential"]
+__all__ = [
+    "Divergence",
+    "LineLog",
+    "diff_fetch_case",
+    "diff_trace_cache_case",
+    "run_differential",
+]
+
+
+class LineLog:
+    """A stream consumer that records the line accesses it is fed.
+
+    Attached to a fetch or trace-cache stream like any miss counter, it
+    keeps every chunk, so a check can compare the whole line stream with
+    an oracle's.
+    """
+
+    def __init__(self) -> None:
+        self.chunks: list[np.ndarray] = []
+
+    def feed(self, lines: np.ndarray) -> None:
+        self.chunks.append(lines)
+
+    def lines(self) -> list[int]:
+        """The recorded stream as one list."""
+        return np.concatenate(self.chunks).tolist() if self.chunks else []
 
 
 @dataclass
@@ -71,12 +96,6 @@ def _oracle_misses(lines, config: CacheConfig) -> int:
     return oracle_direct_mapped(lines, config)
 
 
-def _concat(chunks) -> list:
-    if not chunks:
-        return []
-    return np.concatenate(chunks).tolist() if len(chunks) > 1 else chunks[0].tolist()
-
-
 def _case_shards(case: GeneratedCase) -> int:
     """Deterministic per-case shard count in 2..4 (the plan clamps to the
     window count, so degenerate single-window cases are covered too)."""
@@ -89,10 +108,10 @@ def diff_fetch_case(case: GeneratedCase) -> list[Divergence]:
     kwargs = dict(line_bytes=line_bytes, chunk_events=case.chunk_events)
     ora = oracle_fetch(case.trace, case.program, case.layout, **kwargs)
 
-    one_shot = simulate_fetch(case.trace, case.program, case.layout, **kwargs)
     counters = [miss_counter(config) for config in case.cache_configs]
+    log = LineLog()
     fused_stream = FetchStream(
-        case.layout.name, line_bytes=line_bytes, consumers=counters, collect_lines=True
+        case.layout.name, line_bytes=line_bytes, consumers=[*counters, log]
     )
     run_fused(
         case.trace,
@@ -102,7 +121,7 @@ def diff_fetch_case(case: GeneratedCase) -> list[Divergence]:
     )
     sharded_counters = [miss_counter(config) for config in case.cache_configs]
     sharded_stream = FetchStream(
-        case.layout.name, line_bytes=line_bytes, consumers=sharded_counters, collect_lines=True
+        case.layout.name, line_bytes=line_bytes, consumers=sharded_counters
     )
     run_sharded(
         case.trace,
@@ -119,22 +138,17 @@ def diff_fetch_case(case: GeneratedCase) -> list[Divergence]:
         if production != oracle:
             out.append(Divergence(case=info, counter=counter, production=production, oracle=oracle))
 
-    for path, result in (
-        ("one_shot", one_shot), ("fused", fused_stream), ("sharded", sharded_stream)
-    ):
+    for path, result in (("fused", fused_stream), ("sharded", sharded_stream)):
         check(f"fetch.{path}.n_instructions", result.n_instructions, ora.n_instructions)
         check(f"fetch.{path}.n_fetches", result.n_fetches, ora.n_fetches)
         check(f"fetch.{path}.n_taken", result.n_taken, ora.n_taken)
-    check("fetch.one_shot.lines", _concat(one_shot.line_chunks), ora.lines)
-    check("fetch.fused.lines", _concat(fused_stream.line_chunks), ora.lines)
-    check("fetch.sharded.lines", _concat(sharded_stream.line_chunks), ora.lines)
+    check("fetch.fused.lines", log.lines(), ora.lines)
 
     for config, counter, sharded in zip(case.cache_configs, counters, sharded_counters):
         label = _config_label(config)
         expected = _oracle_misses(ora.lines, config)
         check(f"icache.fused.{label}", counter.misses, expected)
         check(f"icache.sharded.{label}", sharded.misses, expected)
-        check(f"icache.batched.{label}", count_misses(one_shot.line_chunks, config), expected)
     return out
 
 
@@ -144,16 +158,13 @@ def diff_trace_cache_case(case: GeneratedCase) -> list[Divergence]:
     kwargs = dict(line_bytes=line_bytes, chunk_events=case.chunk_events)
     ora = oracle_trace_cache(case.trace, case.program, case.layout, case.tc_config, **kwargs)
 
-    one_shot = simulate_trace_cache(
-        case.trace, case.program, case.layout, case.tc_config, **kwargs
-    )
     counters = [miss_counter(config) for config in case.cache_configs]
+    log = LineLog()
     fused_stream = TraceCacheStream(
         case.layout.name,
         case.tc_config,
         line_bytes=line_bytes,
-        consumers=counters,
-        collect_lines=True,
+        consumers=[*counters, log],
     )
     run_fused(
         case.trace,
@@ -167,7 +178,6 @@ def diff_trace_cache_case(case: GeneratedCase) -> list[Divergence]:
         case.tc_config,
         line_bytes=line_bytes,
         consumers=sharded_counters,
-        collect_lines=True,
     )
     run_sharded(
         case.trace,
@@ -184,27 +194,18 @@ def diff_trace_cache_case(case: GeneratedCase) -> list[Divergence]:
         if production != oracle:
             out.append(Divergence(case=info, counter=counter, production=production, oracle=oracle))
 
-    for path, result in (
-        ("one_shot", one_shot), ("fused", fused_stream), ("sharded", sharded_stream)
-    ):
+    for path, result in (("fused", fused_stream), ("sharded", sharded_stream)):
         check(f"tc.{path}.n_instructions", result.n_instructions, ora.n_instructions)
         check(f"tc.{path}.n_hits", result.n_hits, ora.n_hits)
         check(f"tc.{path}.n_misses", result.n_misses, ora.n_misses)
         check(f"tc.{path}.n_taken", result.n_taken, ora.n_taken)
-    check("tc.one_shot.miss_lines", _concat(one_shot.miss_line_chunks), ora.miss_lines)
-    check("tc.fused.miss_lines", _concat(fused_stream.miss_line_chunks), ora.miss_lines)
-    check("tc.sharded.miss_lines", _concat(sharded_stream.miss_line_chunks), ora.miss_lines)
+    check("tc.fused.miss_lines", log.lines(), ora.miss_lines)
 
     for config, counter, sharded in zip(case.cache_configs, counters, sharded_counters):
         label = _config_label(config)
         expected = _oracle_misses(ora.miss_lines, config)
         check(f"tc.icache.fused.{label}", counter.misses, expected)
         check(f"tc.icache.sharded.{label}", sharded.misses, expected)
-        check(
-            f"tc.icache.batched.{label}",
-            count_misses(one_shot.miss_line_chunks, config),
-            expected,
-        )
     return out
 
 

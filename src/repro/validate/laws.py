@@ -17,8 +17,8 @@ production to the oracles, so the laws get bit-exact semantics for free):
   protected cache line misses exactly once (cold miss), regardless of
   how much other sequence code the trace interleaves;
 * **fused group split** — :func:`~repro.simulators.fused.run_fused` over
-  any partition of the (layout, stream) pairs equals the one-shot
-  simulators, stream for stream;
+  any partition of the (layout, stream) pairs equals a solo pass of each
+  stream, stream for stream;
 * **shard split** — :func:`~repro.simulators.sharded.run_sharded` over
   any window-aligned partition of the *trace* (any shard count from the
   degenerate single shard up to one shard per window, serial or with
@@ -42,11 +42,12 @@ from repro.cfg.layout import Layout
 from repro.core.mapping import CacheGeometry, map_sequences
 from repro.profiling.trace import BlockTrace
 from repro.profiling.tracestore import TraceWriter
-from repro.simulators.fetch import FetchStream, simulate_fetch
+from repro.simulators.fetch import FetchStream
 from repro.simulators.fused import run_fused
-from repro.simulators.icache import CacheConfig, count_misses, miss_counter
+from repro.simulators.icache import CacheConfig, miss_counter
 from repro.simulators.sharded import run_sharded
-from repro.simulators.tracecache import TraceCacheStream, simulate_trace_cache
+from repro.simulators.tracecache import TraceCacheStream
+from repro.validate.differential import LineLog
 from repro.validate.generators import (
     random_cache_configs,
     random_layout,
@@ -72,31 +73,25 @@ LAW_CHUNK_EVENTS = (7, 1_000_000)
 
 
 def _counters(trace, program, layout, configs, tc_config, *, line_bytes, chunk_events) -> dict:
-    """Every observable counter of the one-shot production simulators."""
-    fetch = simulate_fetch(
-        trace, program, layout, line_bytes=line_bytes, chunk_events=chunk_events
-    )
-    lines = (
-        np.concatenate(fetch.line_chunks).tolist() if fetch.line_chunks else []
-    )
+    """Every observable counter of a fetch and a trace-cache stream over
+    ``layout``, fed in one fused pass."""
+    counters = [miss_counter(config) for config in configs]
+    fetch_log, tc_log = LineLog(), LineLog()
+    fetch = FetchStream(layout.name, line_bytes=line_bytes, consumers=[*counters, fetch_log])
+    tc = TraceCacheStream(layout.name, tc_config, line_bytes=line_bytes, consumers=[tc_log])
+    run_fused(trace, program, [(layout, fetch), (layout, tc)], chunk_events=chunk_events)
     out = {
         "fetch.n_instructions": fetch.n_instructions,
         "fetch.n_fetches": fetch.n_fetches,
         "fetch.n_taken": fetch.n_taken,
-        "fetch.lines": tuple(lines),
+        "fetch.lines": tuple(fetch_log.lines()),
     }
-    for config in configs:
+    for config, counter in zip(configs, counters):
         key = f"miss/{config.size_bytes}/{config.associativity}/{config.victim_lines}"
-        out[key] = count_misses(fetch.line_chunks, config)
-    tc = simulate_trace_cache(
-        trace, program, layout, tc_config, line_bytes=line_bytes, chunk_events=chunk_events
-    )
-    miss_lines = (
-        np.concatenate(tc.miss_line_chunks).tolist() if tc.miss_line_chunks else []
-    )
+        out[key] = counter.misses
     out["tc.n_hits"] = tc.n_hits
     out["tc.n_misses"] = tc.n_misses
-    out["tc.miss_lines"] = tuple(miss_lines)
+    out["tc.miss_lines"] = tuple(tc_log.lines())
     return out
 
 
@@ -269,12 +264,11 @@ def law_cfa_conflict_free(rng: np.random.Generator, chunk_events: int) -> list[s
     events = [int(rng.choice(hot)) for _ in range(int(rng.integers(1, 400)))]
     trace = BlockTrace(np.asarray(events, dtype=np.int32))
 
-    fetch = simulate_fetch(
-        trace, program, layout, line_bytes=line_bytes, chunk_events=chunk_events
-    )
-    lines = np.concatenate(fetch.line_chunks).tolist() if fetch.line_chunks else []
+    log = LineLog()
+    stream = FetchStream(layout.name, line_bytes=line_bytes, consumers=[log])
+    run_fused(trace, program, [(layout, stream)], chunk_events=chunk_events)
     config = CacheConfig(size_bytes=cache_bytes, line_bytes=line_bytes)
-    _, per_line = oracle_direct_mapped(lines, config, per_line=True)
+    _, per_line = oracle_direct_mapped(log.lines(), config, per_line=True)
     for line, miss_count in per_line.items():
         if line < protected_lines and miss_count != 1:
             violations.append(

@@ -11,12 +11,15 @@ import pytest
 from repro.experiments.harness import WorkloadSettings, get_workload, layouts_for, training_profile
 from repro.simulators import (
     CacheConfig,
-    count_misses,
-    simulate_fetch,
-    simulate_trace_cache,
+    FetchStream,
+    TraceCacheStream,
+    miss_counter,
+    run_fused,
 )
 
 SCALE = 0.0005
+#: direct-mapped cache sizes each fetch stream counts misses for
+CACHE_KBS = (8, 16, 32, 64)
 
 
 @pytest.fixture(scope="module")
@@ -31,10 +34,25 @@ def layouts(workload):
 
 @pytest.fixture(scope="module")
 def fetch_results(workload, layouts):
-    return {
-        name: simulate_fetch(workload.test_trace, workload.program, layout)
+    """One fetch stream per layout, fed in one pass, with a direct-mapped
+    miss counter per size in ``CACHE_KBS`` (in that order)."""
+    streams = {
+        name: FetchStream(
+            layout.name,
+            consumers=[miss_counter(CacheConfig(size_bytes=kb * 1024)) for kb in CACHE_KBS],
+        )
         for name, layout in layouts.items()
     }
+    run_fused(
+        workload.test_trace,
+        workload.program,
+        [(layouts[name], stream) for name, stream in streams.items()],
+    )
+    return streams
+
+
+def _misses(stream, kb: int) -> int:
+    return stream.consumers[CACHE_KBS.index(kb)].misses
 
 
 def test_all_layouts_complete(workload, layouts):
@@ -70,10 +88,9 @@ def test_reordered_layouts_reduce_taken_branches(workload, fetch_results):
 
 
 def test_reordered_layouts_reduce_misses(workload, fetch_results):
-    config = CacheConfig(size_bytes=8 * 1024)
-    orig = count_misses(fetch_results["orig"].line_chunks, config)
+    orig = _misses(fetch_results["orig"], 8)
     for name in ("P&H", "Torr", "auto"):
-        assert count_misses(fetch_results[name].line_chunks, config) < orig
+        assert _misses(fetch_results[name], 8) < orig
 
 
 def test_bigger_cache_never_increases_dm_misses(fetch_results):
@@ -82,18 +99,23 @@ def test_bigger_cache_never_increases_dm_misses(fetch_results):
     for result in fetch_results.values():
         previous = None
         for kb in (8, 16, 32, 64):
-            misses = count_misses(result.line_chunks, CacheConfig(size_bytes=kb * 1024))
+            misses = _misses(result, kb)
             if previous is not None:
                 assert misses <= previous
             previous = misses
 
 
 def test_trace_cache_combination(workload, layouts):
-    tc_orig = simulate_trace_cache(workload.test_trace, workload.program, layouts["orig"])
-    tc_ops = simulate_trace_cache(workload.test_trace, workload.program, layouts["ops"])
+    counter = miss_counter(CacheConfig(size_bytes=64 * 1024))
+    tc_orig = TraceCacheStream(layouts["orig"].name)
+    tc_ops = TraceCacheStream(layouts["ops"].name, consumers=[counter])
+    run_fused(
+        workload.test_trace,
+        workload.program,
+        [(layouts["orig"], tc_orig), (layouts["ops"], tc_ops)],
+    )
     assert 0.0 < tc_orig.hit_rate < 1.0
-    config = CacheConfig(size_bytes=64 * 1024)
-    assert tc_ops.bandwidth(config) > 0
+    assert tc_ops.ipc(counter.misses) > 0
     # hits + misses = fetch attempts = base cycles
     assert tc_orig.n_hits + tc_orig.n_misses == tc_orig.n_cycles_base
 

@@ -3,8 +3,9 @@ import pytest
 
 from repro.cfg import BlockKind, Layout, ProgramBuilder
 from repro.profiling import BlockTrace
-from repro.simulators import simulate_fetch
+from repro.simulators import FetchStream, run_fused
 from repro.simulators.fetch import expand_chunk, iter_chunk_contexts
+from repro.validate import LineLog
 
 
 def straight_program(sizes, kinds):
@@ -13,10 +14,17 @@ def straight_program(sizes, kinds):
     return b.build()
 
 
+def simulate(trace, program, layout, **kwargs) -> FetchStream:
+    """One fused pass of a fetch stream whose only consumer logs its lines."""
+    stream = FetchStream(layout.name, consumers=[LineLog()])
+    run_fused(trace, program, [(layout, stream)], **kwargs)
+    return stream
+
+
 def test_single_block_one_fetch():
     p = straight_program([8], [BlockKind.RETURN])
     layout = Layout.original(p)
-    r = simulate_fetch(BlockTrace([0]), p, layout)
+    r = simulate(BlockTrace([0]), p, layout)
     # 8 instructions, line-aligned: one 16-wide fetch would cover them, but
     # the return is a taken branch ending the (only) fetch
     assert r.n_instructions == 8
@@ -28,7 +36,7 @@ def test_sequential_blocks_fetch_together():
     # two fall-through blocks of 4 = 8 sequential instructions -> 1 fetch
     p = straight_program([4, 4], [BlockKind.FALL_THROUGH, BlockKind.RETURN])
     layout = Layout.original(p)
-    r = simulate_fetch(BlockTrace([0, 1]), p, layout)
+    r = simulate(BlockTrace([0, 1]), p, layout)
     assert r.n_fetches == 1
     assert r.n_taken == 1  # only the final return
 
@@ -37,7 +45,7 @@ def test_taken_branch_splits_fetches():
     # block 1 placed away from block 0 -> the transition is taken
     p = straight_program([4, 4], [BlockKind.BRANCH, BlockKind.RETURN])
     layout = Layout.from_placements(p, {0: 0, 1: 256}, name="gap")
-    r = simulate_fetch(BlockTrace([0, 1]), p, layout)
+    r = simulate(BlockTrace([0, 1]), p, layout)
     assert r.n_fetches == 2
     assert r.n_taken == 2
 
@@ -45,7 +53,7 @@ def test_taken_branch_splits_fetches():
 def test_fall_through_moved_away_counts_as_taken():
     p = straight_program([4, 4], [BlockKind.FALL_THROUGH, BlockKind.RETURN])
     layout = Layout.from_placements(p, {0: 0, 1: 256}, name="gap")
-    r = simulate_fetch(BlockTrace([0, 1]), p, layout)
+    r = simulate(BlockTrace([0, 1]), p, layout)
     # the layout broke the fall-through: an implicit jump is taken
     assert r.n_taken == 2
     assert r.n_fetches == 2
@@ -56,7 +64,7 @@ def test_width_limit():
     # unit needs 2 fetches
     p = straight_program([20], [BlockKind.RETURN])
     layout = Layout.original(p)
-    r = simulate_fetch(BlockTrace([0]), p, layout)
+    r = simulate(BlockTrace([0]), p, layout)
     assert r.n_fetches == 2
 
 
@@ -66,7 +74,7 @@ def test_three_branch_limit():
     kinds = [BlockKind.BRANCH] * 4 + [BlockKind.RETURN]
     p = straight_program([2, 2, 2, 2, 4], kinds)
     layout = Layout.original(p)
-    r = simulate_fetch(BlockTrace([0, 1, 2, 3, 4]), p, layout)
+    r = simulate(BlockTrace([0, 1, 2, 3, 4]), p, layout)
     # fetch 1: blocks 0,1,2 (3 branches); fetch 2: block 3 + return
     assert r.n_fetches == 2
 
@@ -77,7 +85,7 @@ def test_line_pair_limit():
     p = straight_program([4, 14], [BlockKind.BRANCH, BlockKind.RETURN])
     layout = Layout.from_placements(p, {0: 256, 1: 16}, name="midline")
     # trace: block 1 alone, starting at byte 16 = instruction 4 of line 0
-    r = simulate_fetch(BlockTrace([1]), p, layout)
+    r = simulate(BlockTrace([1]), p, layout)
     # 14 instructions from a mid-line start: 12 then 2
     assert r.n_fetches == 2
 
@@ -85,8 +93,8 @@ def test_line_pair_limit():
 def test_line_accesses_two_per_fetch():
     p = straight_program([8], [BlockKind.RETURN])
     layout = Layout.original(p)
-    r = simulate_fetch(BlockTrace([0]), p, layout)
-    lines = np.concatenate(r.line_chunks)
+    r = simulate(BlockTrace([0]), p, layout)
+    lines = np.concatenate(r.consumers[0].chunks)
     np.testing.assert_array_equal(lines, [0, 1])
 
 
@@ -94,7 +102,7 @@ def test_separator_breaks_sequence():
     p = straight_program([4, 4], [BlockKind.FALL_THROUGH, BlockKind.RETURN])
     layout = Layout.original(p)
     trace = BlockTrace.concatenate([BlockTrace([0]), BlockTrace([1])])
-    r = simulate_fetch(trace, p, layout)
+    r = simulate(trace, p, layout)
     # without the separator this would be one fetch
     assert r.n_fetches == 2
     assert r.n_taken == 2
@@ -109,8 +117,8 @@ def test_chunking_preserves_results():
     layout = Layout.original(p)
     events = rng.integers(0, 64, size=5000).astype(np.int32)
     trace = BlockTrace(events)
-    whole = simulate_fetch(trace, p, layout, chunk_events=10**9)
-    chunked = simulate_fetch(trace, p, layout, chunk_events=333)
+    whole = simulate(trace, p, layout, chunk_events=10**9)
+    chunked = simulate(trace, p, layout, chunk_events=333)
     assert whole.n_instructions == chunked.n_instructions
     assert whole.n_taken == chunked.n_taken
     # chunk boundaries may split at most one fetch each
@@ -134,6 +142,6 @@ def test_instruction_chunks_addresses():
 def test_ideal_ipc_and_run_length():
     p = straight_program([8, 8], [BlockKind.FALL_THROUGH, BlockKind.RETURN])
     layout = Layout.original(p)
-    r = simulate_fetch(BlockTrace([0, 1]), p, layout)
+    r = simulate(BlockTrace([0, 1]), p, layout)
     assert r.ideal_ipc == pytest.approx(16.0)
     assert r.instructions_between_taken == pytest.approx(16.0)

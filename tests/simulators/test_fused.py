@@ -1,9 +1,10 @@
-"""Fused multi-configuration driver vs the one-shot simulators.
+"""Fused multi-configuration driver vs one stream at a time.
 
 One `run_fused` pass carrying many streams must be bit-identical to
 running each fetch / trace-cache simulation (and each i-cache
-configuration) on its own, and must build per-instruction arrays only
-for layouts that carry a trace-cache stream.
+configuration) on its own — a solo single-stream pass, the "one-shot"
+reference below — and must build per-instruction arrays only for layouts
+that carry a trace-cache stream.
 """
 
 import numpy as np
@@ -16,15 +17,13 @@ from repro.simulators import (
     FetchStream,
     TraceCacheConfig,
     TraceCacheStream,
-    count_misses,
     iter_chunk_contexts,
     miss_counter,
     run_fused,
-    simulate_fetch,
-    simulate_trace_cache,
 )
 from repro.simulators import fetch as fetch_mod
 from repro.tpcd.workload import WorkloadSettings
+from repro.validate import LineLog
 from repro.validate.generators import random_layout, random_program, random_trace
 from repro.validate.oracles import oracle_fetch, oracle_trace_cache
 
@@ -60,14 +59,15 @@ def test_fused_fetch_matches_one_shot_per_layout_and_config(workload, layouts):
         [(layout, streams[name]) for name, layout in layouts.items()],
     )
     for name, layout in layouts.items():
-        ref = simulate_fetch(workload.test_trace, workload.program, layout)
+        ref_counters = [miss_counter(CacheConfig(size_bytes=kb * KB)) for kb in CACHE_KBS]
+        ref = FetchStream(layout.name, consumers=ref_counters)
+        run_fused(workload.test_trace, workload.program, [(layout, ref)])
         stream = streams[name]
         assert stream.n_instructions == ref.n_instructions
         assert stream.n_fetches == ref.n_fetches
         assert stream.n_taken == ref.n_taken
-        for kb in CACHE_KBS:
-            expected = count_misses(ref.line_chunks, CacheConfig(size_bytes=kb * KB))
-            assert counters[(name, kb)].misses == expected
+        for kb, expected in zip(CACHE_KBS, ref_counters):
+            assert counters[(name, kb)].misses == expected.misses
 
 
 def test_fused_trace_cache_matches_one_shot(workload, layouts):
@@ -82,25 +82,17 @@ def test_fused_trace_cache_matches_one_shot(workload, layouts):
         workload.program,
         [(layout, tc_stream), (layout, fetch_stream)],
     )
-    ref = simulate_trace_cache(workload.test_trace, workload.program, layout)
+    expected = miss_counter(CacheConfig(size_bytes=8 * KB))
+    ref = TraceCacheStream(layout.name, consumers=[expected])
+    run_fused(workload.test_trace, workload.program, [(layout, ref)])
     assert tc_stream.n_instructions == ref.n_instructions
     assert tc_stream.n_hits == ref.n_hits
     assert tc_stream.n_misses == ref.n_misses
     assert tc_stream.n_cycles_base == ref.n_cycles_base
-    expected = count_misses(ref.miss_line_chunks, CacheConfig(size_bytes=8 * KB))
-    assert counter.misses == expected
-    fetch_ref = simulate_fetch(workload.test_trace, workload.program, layout)
+    assert counter.misses == expected.misses
+    fetch_ref = FetchStream(layout.name)
+    run_fused(workload.test_trace, workload.program, [(layout, fetch_ref)])
     assert fetch_stream.n_fetches == fetch_ref.n_fetches
-
-
-def test_fused_collects_lines_identically(workload, layouts):
-    layout = layouts["P&H"]
-    stream = FetchStream(layout.name, collect_lines=True)
-    run_fused(workload.test_trace, workload.program, [(layout, stream)])
-    ref = simulate_fetch(workload.test_trace, workload.program, layout)
-    np.testing.assert_array_equal(
-        np.concatenate(stream.line_chunks), np.concatenate(ref.line_chunks)
-    )
 
 
 def test_fused_empty_pairs_is_a_no_op(workload):
@@ -144,19 +136,20 @@ def builds(monkeypatch):
 
 
 def _assert_fetch_matches_oracle(stream, trace, program, layout):
+    """``stream``'s only consumer is a :class:`LineLog`."""
     ora = oracle_fetch(
         trace, program, layout, line_bytes=stream.line_bytes, chunk_events=SMALL_CHUNK
     )
     assert (stream.n_instructions, stream.n_fetches, stream.n_taken) == (
         ora.n_instructions, ora.n_fetches, ora.n_taken
     )
-    assert np.concatenate(stream.line_chunks).tolist() == ora.lines
+    assert stream.consumers[0].lines() == ora.lines
 
 
 def test_fetch_only_pass_builds_no_instruction_arrays(small_case, builds):
     program, layouts, trace = small_case
     pairs = [
-        (layout, FetchStream(layout.name, line_bytes=line_bytes, collect_lines=True))
+        (layout, FetchStream(layout.name, line_bytes=line_bytes, consumers=[LineLog()]))
         for layout in layouts
         for line_bytes in (16, 32)
     ]
@@ -170,8 +163,8 @@ def test_trace_cache_builds_instruction_arrays_once_per_layout_window(small_case
     program, layouts, trace = small_case
     with_tc, fetch_only = layouts
     tc_configs = (TraceCacheConfig(n_entries=16), TraceCacheConfig(n_entries=64))
-    tcs = [TraceCacheStream(with_tc.name, c, collect_lines=True) for c in tc_configs]
-    fetches = [FetchStream(layout.name, collect_lines=True) for layout in layouts]
+    tcs = [TraceCacheStream(with_tc.name, c, consumers=[LineLog()]) for c in tc_configs]
+    fetches = [FetchStream(layout.name, consumers=[LineLog()]) for layout in layouts]
     pairs = [(with_tc, fetches[0]), *[(with_tc, tc) for tc in tcs], (fetch_only, fetches[1])]
     run_fused(trace, program, pairs, chunk_events=SMALL_CHUNK)
     windows = sum(1 for _ in iter_chunk_contexts(trace, program, SMALL_CHUNK))
@@ -184,4 +177,4 @@ def test_trace_cache_builds_instruction_arrays_once_per_layout_window(small_case
         assert (stream.n_instructions, stream.n_hits, stream.n_misses, stream.n_taken) == (
             ora.n_instructions, ora.n_hits, ora.n_misses, ora.n_taken
         )
-        assert np.concatenate(stream.miss_line_chunks).tolist() == ora.miss_lines
+        assert stream.consumers[0].lines() == ora.miss_lines

@@ -62,23 +62,11 @@ def _snapshot(pairs):
         entry = {"counters": [c.state_dict() for c in stream.consumers]}
         if isinstance(stream, FetchStream):
             entry["sig"] = (stream.n_instructions, stream.n_fetches, stream.n_taken)
-            if stream.line_chunks is not None:
-                entry["lines"] = (
-                    np.concatenate(stream.line_chunks)
-                    if stream.line_chunks
-                    else np.empty(0, dtype=np.int64)
-                )
         else:
             entry["sig"] = (
                 stream.n_instructions, stream.n_hits, stream.n_misses, stream.n_taken
             )
             entry["state"] = stream.state_dict()
-            if stream.miss_line_chunks is not None:
-                entry["lines"] = (
-                    np.concatenate(stream.miss_line_chunks)
-                    if stream.miss_line_chunks
-                    else np.empty(0, dtype=np.int64)
-                )
         out.append(entry)
     return out
 
@@ -235,9 +223,7 @@ def test_fetch_group_at_boundary_truncates_identically():
 
     def make_pairs():
         dm = miss_counter(CacheConfig(size_bytes=128, line_bytes=32))
-        return [
-            (layout, FetchStream(layout.name, consumers=[dm], collect_lines=True))
-        ]
+        return [(layout, FetchStream(layout.name, consumers=[dm]))]
 
     ref, got, _, _ = _run_both(
         trace, program, make_pairs, chunk_events=CHUNK, shards=2
@@ -262,7 +248,6 @@ def test_sharded_equals_fused_for_any_partition(seed, shards):
                     case.layout.name,
                     line_bytes=line_bytes,
                     consumers=[miss_counter(c) for c in case.cache_configs],
-                    collect_lines=True,
                 ),
             ),
             (
@@ -272,7 +257,6 @@ def test_sharded_equals_fused_for_any_partition(seed, shards):
                     case.tc_config,
                     line_bytes=line_bytes,
                     consumers=[miss_counter(c) for c in case.cache_configs],
-                    collect_lines=True,
                 ),
             ),
         ]

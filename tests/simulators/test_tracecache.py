@@ -5,10 +5,13 @@ from repro.cfg import BlockKind, Layout, ProgramBuilder
 from repro.profiling import BlockTrace
 from repro.simulators import (
     CacheConfig,
+    FetchStream,
     TraceCacheConfig,
-    simulate_fetch,
-    simulate_trace_cache,
+    TraceCacheStream,
+    miss_counter,
+    run_fused,
 )
+from repro.validate import LineLog
 
 
 def loop_program():
@@ -22,10 +25,17 @@ def loop_program():
     return p, layout
 
 
+def simulate(trace, program, layout, consumers=(), **kwargs) -> TraceCacheStream:
+    """One fused pass of a trace-cache stream."""
+    stream = TraceCacheStream(layout.name, consumers=consumers)
+    run_fused(trace, program, [(layout, stream)], **kwargs)
+    return stream
+
+
 def test_repeated_trace_hits():
     p, layout = loop_program()
     trace = BlockTrace([0, 1] * 50)
-    r = simulate_trace_cache(trace, p, layout)
+    r = simulate(trace, p, layout)
     # first iteration misses fill the cache; later iterations hit
     assert r.n_hits > 0
     assert r.hit_rate > 0.5
@@ -35,11 +45,12 @@ def test_repeated_trace_hits():
 def test_trace_cache_beats_sequential_on_taken_branches():
     p, layout = loop_program()
     trace = BlockTrace([0, 1] * 200)
-    seq = simulate_fetch(trace, p, layout)
-    tc = simulate_trace_cache(trace, p, layout)
+    seq = FetchStream(layout.name)
+    run_fused(trace, p, [(layout, seq)])
+    tc = simulate(trace, p, layout)
     # SEQ.3 stops at each taken branch: 4 instructions per fetch. The trace
     # cache crosses them: 8+ per hit.
-    assert tc.bandwidth(None) > seq.ideal_ipc
+    assert tc.ipc() > seq.ideal_ipc
 
 
 def test_outcome_mismatch_forces_miss():
@@ -55,33 +66,34 @@ def test_outcome_mismatch_forces_miss():
     layout = Layout.from_placements(p, {0: 0, 1: 512, 2: 16}, name="alt")
     # alternating paths: the stored outcome mask keeps mismatching
     trace = BlockTrace([0, 1, 0, 2, 0, 1, 0, 2] * 20)
-    r = simulate_trace_cache(trace, p, layout)
+    r = simulate(trace, p, layout)
     assert r.hit_rate < 0.9  # alternation defeats a single direct-mapped entry
 
 
 def test_miss_path_lines_feed_icache():
     p, layout = loop_program()
     trace = BlockTrace([0, 1] * 10)
-    r = simulate_trace_cache(trace, p, layout)
-    lines = np.concatenate(r.miss_line_chunks)
+    log = LineLog()
+    small = miss_counter(CacheConfig(size_bytes=1024))
+    r = simulate(trace, p, layout, consumers=[log, small])
+    lines = np.concatenate(log.chunks)
     assert lines.size == 2 * r.n_misses
-    small = CacheConfig(size_bytes=1024)
-    assert r.bandwidth(small) <= r.bandwidth(None)
+    assert r.ipc(small.misses) <= r.ipc()
 
 
 def test_deterministic():
     p, layout = loop_program()
     trace = BlockTrace([0, 1] * 30)
-    a = simulate_trace_cache(trace, p, layout)
-    b = simulate_trace_cache(trace, p, layout)
+    a = simulate(trace, p, layout)
+    b = simulate(trace, p, layout)
     assert a.n_hits == b.n_hits and a.n_cycles_base == b.n_cycles_base
 
 
 def test_chunking_preserves_counts():
     p, layout = loop_program()
     trace = BlockTrace([0, 1] * 500)
-    whole = simulate_trace_cache(trace, p, layout, chunk_events=10**9)
-    chunked = simulate_trace_cache(trace, p, layout, chunk_events=97)
+    whole = simulate(trace, p, layout, chunk_events=10**9)
+    chunked = simulate(trace, p, layout, chunk_events=97)
     assert whole.n_instructions == chunked.n_instructions
     assert chunked.hit_rate == pytest.approx(whole.hit_rate, abs=0.05)
 

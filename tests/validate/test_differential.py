@@ -53,8 +53,8 @@ def test_injected_fetch_width_bug_is_caught(monkeypatch):
 
 
 def test_injected_orbit_bug_is_caught(monkeypatch):
-    """Dropping the last fetch of every chunk must be seen by both the
-    one-shot and the fused fetch paths."""
+    """Dropping the last fetch of every chunk must be seen by the fetch
+    diff."""
     real = fetch_mod._fetch_starts
 
     def lopsided(chunk, line_bytes):

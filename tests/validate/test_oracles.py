@@ -14,9 +14,11 @@ from repro.cfg.blocks import BlockKind
 from repro.cfg.layout import Layout
 from repro.cfg.program import ProgramBuilder
 from repro.profiling.trace import SEPARATOR, BlockTrace
-from repro.simulators.fetch import simulate_fetch
+from repro.simulators.fetch import FetchStream
+from repro.simulators.fused import run_fused
 from repro.simulators.icache import CacheConfig, count_misses
-from repro.simulators.tracecache import TraceCacheConfig, simulate_trace_cache
+from repro.simulators.tracecache import TraceCacheConfig, TraceCacheStream
+from repro.validate import LineLog
 from repro.validate.generators import random_case
 from repro.validate.oracles import (
     oracle_direct_mapped,
@@ -31,6 +33,21 @@ seeds = st.integers(min_value=0, max_value=2**32 - 1)
 windows = st.sampled_from([1, 2, 3, 7, 64, 1_000_000])
 
 
+def run_fetch(trace, program, layout, *, line_bytes=32, chunk_events):
+    """One fused pass of a fetch stream whose only consumer logs its lines."""
+    stream = FetchStream(layout.name, line_bytes=line_bytes, consumers=[LineLog()])
+    run_fused(trace, program, [(layout, stream)], chunk_events=chunk_events)
+    return stream
+
+
+def run_trace_cache(trace, program, layout, config, *, line_bytes=32, chunk_events):
+    """One fused pass of a trace-cache stream whose only consumer logs its
+    miss-path lines."""
+    stream = TraceCacheStream(layout.name, config, line_bytes=line_bytes, consumers=[LineLog()])
+    run_fused(trace, program, [(layout, stream)], chunk_events=chunk_events)
+    return stream
+
+
 @given(seed=seeds, chunk_events=windows)
 def test_fetch_matches_oracle(seed, chunk_events):
     case = random_case(seed)
@@ -39,15 +56,14 @@ def test_fetch_matches_oracle(seed, chunk_events):
         case.trace, case.program, case.layout,
         line_bytes=line_bytes, chunk_events=chunk_events,
     )
-    prod = simulate_fetch(
+    prod = run_fetch(
         case.trace, case.program, case.layout,
         line_bytes=line_bytes, chunk_events=chunk_events,
     )
     assert prod.n_instructions == ora.n_instructions
     assert prod.n_fetches == ora.n_fetches
     assert prod.n_taken == ora.n_taken
-    lines = np.concatenate(prod.line_chunks).tolist() if prod.line_chunks else []
-    assert lines == ora.lines
+    assert prod.consumers[0].lines() == ora.lines
 
 
 @given(seed=seeds, chunk_events=windows)
@@ -58,16 +74,13 @@ def test_trace_cache_matches_oracle(seed, chunk_events):
         case.trace, case.program, case.layout, case.tc_config,
         line_bytes=line_bytes, chunk_events=chunk_events,
     )
-    prod = simulate_trace_cache(
+    prod = run_trace_cache(
         case.trace, case.program, case.layout, case.tc_config,
         line_bytes=line_bytes, chunk_events=chunk_events,
     )
     assert (prod.n_hits, prod.n_misses) == (ora.n_hits, ora.n_misses)
     assert prod.n_instructions == ora.n_instructions
-    miss_lines = (
-        np.concatenate(prod.miss_line_chunks).tolist() if prod.miss_line_chunks else []
-    )
-    assert miss_lines == ora.miss_lines
+    assert prod.consumers[0].lines() == ora.miss_lines
 
 
 @given(seed=seeds)
@@ -104,7 +117,7 @@ def test_window_of_one_restarts_every_fetch():
     # Whole-trace: the 12 sequential instructions need a single SEQ.3 probe
     # fewer than the boundary-truncated run (fetch width 16 > 12).
     assert whole.n_fetches < split.n_fetches == 3
-    prod = simulate_fetch(trace, program, layout, chunk_events=1)
+    prod = run_fetch(trace, program, layout, chunk_events=1)
     assert (prod.n_fetches, prod.n_instructions) == (split.n_fetches, 12)
 
 
@@ -117,7 +130,7 @@ def test_separator_only_window_is_skipped():
     trace = BlockTrace(np.asarray(events, dtype=np.int32))
     for chunk_events in (2, 3, 6, 1_000_000):
         ora = oracle_fetch(trace, program, layout, chunk_events=chunk_events)
-        prod = simulate_fetch(trace, program, layout, chunk_events=chunk_events)
+        prod = run_fetch(trace, program, layout, chunk_events=chunk_events)
         assert prod.n_instructions == ora.n_instructions == 16
         assert prod.n_fetches == ora.n_fetches
         assert prod.n_taken == ora.n_taken
@@ -131,7 +144,7 @@ def test_trace_cache_entries_survive_window_boundaries():
     trace = BlockTrace(np.zeros(50, dtype=np.int32))
     config = TraceCacheConfig(n_entries=4, trace_instructions=16, branch_limit=3)
     split = oracle_trace_cache(trace, program, layout, config, chunk_events=1)
-    prod = simulate_trace_cache(trace, program, layout, config, chunk_events=1)
+    prod = run_trace_cache(trace, program, layout, config, chunk_events=1)
     assert (prod.n_hits, prod.n_misses) == (split.n_hits, split.n_misses)
     assert split.n_hits > 0  # the repeated block hits after its first fill
 
