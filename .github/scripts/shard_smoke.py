@@ -7,7 +7,9 @@ paths CI cares about: a four-shard run with an injected permanent failure
 checkpointed), a resume that recomputes only the missing jobs, and a
 two-worker pool run. Every sharded variant is gated on **byte identity**
 with the fused pass: counters and carried stream state are pickled and
-compared as raw bytes.
+compared as raw bytes. The resumed run must also cover exactly the
+expected job mix: one family job per shard for the journal-stitched
+stream, and one relay step per shard for each stream relayed whole.
 
 Run: ``PYTHONPATH=src python .github/scripts/shard_smoke.py``
 """
@@ -37,11 +39,23 @@ CHUNK = 64
 SHARDS = 4
 FAIL_SHARD = 2
 REAL_FAMILY = sharded_mod._family_shard
+#: streams of ``build_pairs`` that relay whole: the fetch stream with every
+#: cache configuration and the trace-cache stream
+RELAYED_STREAMS = 2
 
 
 def build_pairs(case):
     line_bytes = case.cache_configs[0].line_bytes
     return [
+        # only the direct-mapped counter: journal-stitched in the family jobs
+        (
+            case.layout,
+            FetchStream(
+                case.layout.name,
+                line_bytes=line_bytes,
+                consumers=[miss_counter(case.cache_configs[0])],
+            ),
+        ),
         (
             case.layout,
             FetchStream(
@@ -135,6 +149,15 @@ def main() -> None:
         sys.exit("FAIL: resume did not reuse every surviving checkpoint")
     if any(key in survived for key in report.computed):
         sys.exit("FAIL: resume recomputed an already-checkpointed shard job")
+    expected = [("family", s) for s in range(SHARDS)] + [
+        ("relay", chain, s) for chain in range(RELAYED_STREAMS) for s in range(SHARDS)
+    ]
+    covered = sorted(report.computed + report.checkpointed)
+    if covered != sorted(expected):
+        sys.exit(
+            f"FAIL: resumed run covered jobs {covered}, expected {SHARDS} family "
+            f"jobs and {SHARDS} relay jobs per relayed stream"
+        )
     if snapshot_bytes(pairs) != reference:
         sys.exit("FAIL: resumed sharded result is not byte-identical to fused")
 

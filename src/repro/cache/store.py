@@ -53,7 +53,9 @@ ARTIFACT_VERSIONS: dict[str, int] = {
     "profile": 1,
     "suite": 1,
     "suite-task": 1,  # per-task suite checkpoints (crash/interrupt resume)
-    "suite-shard": 1,  # shard-job checkpoints of a sharded suite run (--shards)
+    # shard-job checkpoints of a sharded suite run (--shards); v2: family
+    # payloads cover only fetch streams whose counters are all direct-mapped
+    "suite-shard": 2,
     "trace": 1,  # chunked trace files (repro.profiling.tracestore format v1)
     "serve-result": 1,  # repro.serve job results for uploaded-trace jobs
 }
@@ -113,6 +115,7 @@ class CacheStats:
     misses: int = 0
     stores: int = 0
     errors: int = 0  #: load errors surfaced as misses without unlinking
+    store_errors: int = 0  #: stores dropped by an ``OSError`` (full or read-only disk)
     corrupt_dropped: int = 0  #: truncated/unparseable entries unlinked
     tmp_swept: int = 0  #: orphaned ``*.tmp`` files reclaimed
     evictions: int = 0  #: entries removed by the size-cap LRU sweep
@@ -225,7 +228,9 @@ class ArtifactCache:
                 os.unlink(tmp)
                 raise
         except OSError:
-            return None  # read-only or full disk: caching is best-effort
+            # read-only or full disk: caching is best-effort, but counted
+            self.stats.store_errors += 1
+            return None
         self.stats.stores += 1
         self._sweep_tmp(path.parent)
         self._enforce_cap(protect=path)

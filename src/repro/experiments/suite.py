@@ -585,16 +585,33 @@ def suite_cache_key(settings: WorkloadSettings, grid, tc_rows=None) -> tuple:
     return (settings, tuple(grid), tuple(grid if tc_rows is None else tc_rows))
 
 
-def _suite_key(settings: WorkloadSettings, grid, tc_rows) -> tuple:
-    return suite_cache_key(settings, grid, tc_rows)
-
-
 def _write_cached_manifest(manifest: Path | str, settings, source: str) -> None:
     """A full-suite cache hit still documents the run when asked to."""
     runlog = RunLog("suite", settings=settings, n_tasks=0, cache=default_cache())
     runlog.event("suite-cache-hit", source=source)
     runlog.finish(status="cached")
     runlog.write(manifest)
+
+
+def _cached_suite(
+    settings: WorkloadSettings, grid, tc_rows, manifest, compute
+) -> SuiteResults:
+    """The suite for ``settings``: from memory, else from disk, else from
+    ``compute()``, whose result is stored in both. Each layer is read
+    once, so a computed suite counts exactly one ``suite`` cache miss."""
+    key = suite_cache_key(settings, grid, tc_rows)
+    if key not in _SUITES:
+        cache = default_cache()
+        suite = cache.load("suite", key)
+        if not isinstance(suite, SuiteResults):
+            suite = compute()
+            cache.store("suite", key, suite)
+        elif manifest is not None:
+            _write_cached_manifest(manifest, settings, "disk")
+        _SUITES[key] = suite
+    elif manifest is not None:
+        _write_cached_manifest(manifest, settings, "memory")
+    return _SUITES[key]
 
 
 def get_suite(
@@ -633,22 +650,13 @@ def get_suite(
             )
         return per_workload[key]
 
-    key = _suite_key(settings, grid, tc_rows)
-    if key not in _SUITES:
-        cache = default_cache()
-        suite = cache.load("suite", key)
-        if not isinstance(suite, SuiteResults):
-            suite = compute_suite(
-                workload, grid, tc_rows=tc_rows, progress=progress, jobs=jobs,
-                manifest=manifest, **fault_kwargs,
-            )
-            cache.store("suite", key, suite)
-        elif manifest is not None:
-            _write_cached_manifest(manifest, settings, "disk")
-        _SUITES[key] = suite
-    elif manifest is not None:
-        _write_cached_manifest(manifest, settings, "memory")
-    return _SUITES[key]
+    return _cached_suite(
+        settings, grid, tc_rows, manifest,
+        lambda: compute_suite(
+            workload, grid, tc_rows=tc_rows, progress=progress, jobs=jobs,
+            manifest=manifest, **fault_kwargs,
+        ),
+    )
 
 
 def suite_for(
@@ -666,21 +674,12 @@ def suite_for(
 ) -> SuiteResults:
     """Disk-first suite lookup: a warm artifact-cache hit returns without
     building the workload at all."""
-    tc_rows_n = grid if tc_rows is None else tc_rows
-    key = _suite_key(settings, grid, tc_rows_n)
-    if key in _SUITES:
-        if manifest is not None:
-            _write_cached_manifest(manifest, settings, "memory")
-        return _SUITES[key]
-    suite = default_cache().load("suite", key)
-    if isinstance(suite, SuiteResults):
-        _SUITES[key] = suite
-        if manifest is not None:
-            _write_cached_manifest(manifest, settings, "disk")
-        return suite
-    workload = get_workload(settings)
-    return get_suite(
-        workload, grid, tc_rows=tc_rows, progress=progress, jobs=jobs,
-        shards=shards, resume=resume, task_timeout=task_timeout,
-        retries=retries, manifest=manifest,
+    tc_rows = grid if tc_rows is None else tc_rows
+    return _cached_suite(
+        settings, grid, tc_rows, manifest,
+        lambda: compute_suite(
+            get_workload(settings), grid, tc_rows=tc_rows, progress=progress,
+            jobs=jobs, shards=shards, resume=resume, task_timeout=task_timeout,
+            retries=retries, manifest=manifest,
+        ),
     )

@@ -406,3 +406,20 @@ class FetchStream:
     def instructions_between_taken(self) -> float:
         """Average run length between taken branches (Section 8)."""
         return self.n_instructions / self.n_taken if self.n_taken else float("inf")
+
+    def state_dict(self) -> dict:
+        """Complete carried state (the three counts), picklable.
+
+        Consumers are excluded: the sharded relay carries their states
+        next to this one.
+        """
+        return {
+            "n_instructions": self.n_instructions,
+            "n_fetches": self.n_fetches,
+            "n_taken": self.n_taken,
+        }
+
+    def load_state(self, state: dict) -> None:
+        self.n_instructions = int(state["n_instructions"])
+        self.n_fetches = int(state["n_fetches"])
+        self.n_taken = int(state["n_taken"])

@@ -125,11 +125,11 @@ class _MissCounter:
     Every concrete counter implements the sharding state protocol:
     ``state_dict()``/``load_state()`` capture and restore the *complete*
     carried state (including ``misses``), so a relay worker can resume a
-    counter mid-stream bit-identically. Counters built with
-    ``record_journal=True`` additionally capture the per-set boundary
-    facts (:meth:`shard_journal`) that let the sharded reconciliation
-    pass stitch an independently cold-started shard onto arbitrary
-    incoming state without replaying it.
+    counter mid-stream bit-identically. A direct-mapped counter built
+    with ``record_journal=True`` additionally captures the per-set
+    boundary facts (:meth:`_DirectMappedCounter.shard_journal`) that let
+    the sharded reconciliation pass stitch an independently cold-started
+    shard onto arbitrary incoming state without replaying it.
     """
 
     __slots__ = ("misses",)
@@ -199,16 +199,14 @@ class _TwoWayLRUCounter(_MissCounter):
     # carried per-set state: the last two entries of the set's run-compressed
     # access stream (w0 most recent); distinct negative sentinels keep the
     # cold-start "first two distinct accesses miss" behaviour
-    __slots__ = ("_w0", "_w1", "_c1", "_c2")
+    __slots__ = ("_w0", "_w1")
 
     kind = "lru2"
 
-    def __init__(self, n_sets: int, *, record_journal: bool = False) -> None:
+    def __init__(self, n_sets: int) -> None:
         super().__init__()
         self._w0 = np.full(n_sets, -1, dtype=np.int64)
         self._w1 = np.full(n_sets, -2, dtype=np.int64)
-        self._c1 = np.full(n_sets, -1, dtype=np.int64) if record_journal else None
-        self._c2 = np.full(n_sets, -1, dtype=np.int64) if record_journal else None
 
     def _feed(self, lines: np.ndarray) -> None:
         w0, w1 = self._w0, self._w1
@@ -241,21 +239,6 @@ class _TwoWayLRUCounter(_MissCounter):
         second = second[second < n]
         second = second[~g_first[second]]
         miss[second] = c_lines[second] != w0[c_sets[second]]
-        if self._c1 is not None:
-            # record each set's first two compressed entries of the whole
-            # run — the only accesses whose outcome depends on pre-run
-            # state. Pre-chunk w0 == -1 means no compressed entry yet;
-            # w1 == -1 means exactly one (the cold sentinels are -1/-2 and
-            # a rolled-forward w1 only ever takes value -1 from w0).
-            gs = c_sets[g_start]
-            first_ever = w0[gs] == -1
-            self._c1[gs[first_ever]] = c_lines[g_start[first_ever]]
-            second_ever = ~first_ever & (w1[gs] == -1)
-            self._c2[gs[second_ever]] = c_lines[g_start[second_ever]]
-            if second.size:
-                ss = c_sets[second]
-                both_here = w0[ss] == -1
-                self._c2[ss[both_here]] = c_lines[second[both_here]]
         self.misses += int(miss.sum())
         # roll the carried state forward to each set's last two entries
         g_last = np.concatenate((g_start[1:] - 1, [n - 1]))
@@ -277,23 +260,6 @@ class _TwoWayLRUCounter(_MissCounter):
         self._w0[:] = state["w0"]
         self._w1[:] = state["w1"]
         self.misses = int(state["misses"])
-
-    def shard_journal(self) -> dict:
-        """Boundary facts of a cold-started run: per touched set, the
-        first two compressed entries (``c2`` is -1 when only one exists)
-        and the final compressed pair (``w1`` is -1 in the same case)."""
-        if self._c1 is None:
-            raise RuntimeError("counter was not built with record_journal=True")
-        touched = np.flatnonzero(self._w0 != -1)
-        return {
-            "kind": self.kind,
-            "sets": touched,
-            "c1": self._c1[touched],
-            "c2": self._c2[touched],
-            "w0": self._w0[touched],
-            "w1": self._w1[touched],
-            "misses": self.misses,
-        }
 
 
 class _VictimCounter(_MissCounter):
@@ -386,15 +352,13 @@ def counter_spec(counter: _MissCounter) -> tuple:
     raise TypeError(f"not a miss counter: {type(counter).__name__}")
 
 
-def counter_from_spec(spec: tuple, *, record_journal: bool = False) -> _MissCounter:
+def counter_from_spec(spec: tuple) -> _MissCounter:
     """Build a cold counter from a :func:`counter_spec` recipe."""
     kind = spec[0]
     if kind == "dm":
-        return _DirectMappedCounter(spec[1], record_journal=record_journal)
+        return _DirectMappedCounter(spec[1])
     if kind == "lru2":
-        return _TwoWayLRUCounter(spec[1], record_journal=record_journal)
+        return _TwoWayLRUCounter(spec[1])
     if kind == "victim":
-        if record_journal:
-            raise ValueError("victim counters have no shard journal; relay them")
         return _VictimCounter(spec[1], spec[2])
     raise ValueError(f"unknown counter spec {spec!r}")

@@ -8,30 +8,27 @@ the fused pass per shard in parallel workers. Because window boundaries
 fall at the same absolute event offsets whether the trace is walked in one
 pass or shard by shard (``iter_events(start_event=, stop_event=)``), the
 only coupling between shards is the Python-level carried state of the
-streams themselves. Each stream kind is handled by the cheapest mechanism
-that reproduces that state exactly:
+streams themselves. One rule decides how a stream reproduces that state
+exactly: direct-mapped counters stitch, everything else relays whole.
 
-* **fetch counters** (:class:`~repro.simulators.fetch.FetchStream`) carry
-  no cross-window state at all — the SEQ.3 fetch orbit restarts at every
-  window — so per-shard counters simply add up;
-* **direct-mapped and 2-way LRU miss counters** run cold per shard while
-  recording a *journal*: per touched set, the few boundary accesses whose
-  hit/miss outcome depends on pre-shard state (the first access for
-  direct-mapped; the first two compressed accesses for 2-way LRU, via the
-  run-compression identity). The sequential reconciliation pass folds each
-  shard's journal onto the carried state in O(touched sets) — it corrects
-  the cold miss count and advances the per-set state without replaying a
-  single access;
-* **victim-cache counters and trace-cache streams** have global,
-  trajectory-dependent state (a shared LRU victim buffer; cache entries
-  whose walk advances differently on hit and miss), for which no compact
-  journal exists. They run as sequential *relay chains*: shard ``k`` is
-  simulated seeded with shard ``k-1``'s pickled end state, so the chain is
-  trivially exact. Distinct chains still run concurrently with each other
-  and with the cold shard jobs. A victim counter attached to a
-  :class:`FetchStream` is split off into its own chain with a private
-  fetch stream (the line stream it consumes is state-independent), so the
-  parent stream's other counters still shard in parallel.
+* **Stitched:** a :class:`~repro.simulators.fetch.FetchStream` whose
+  consumers are all direct-mapped miss counters runs cold per shard in
+  the parallel *family* jobs. Its fetch counts carry no cross-window
+  state (the SEQ.3 fetch orbit restarts at every window), so per-shard
+  counts add up. Each counter records a *journal*: per touched set, the
+  first access, the only one whose hit/miss outcome depends on pre-shard
+  state, and the end tag. The sequential reconciliation pass folds each
+  shard's journal onto the carried tags in O(touched sets): it corrects
+  the cold miss count and advances the per-set state without replaying
+  a single access.
+* **Relayed whole:** every other stream, that is a fetch stream with any
+  2-way or victim counter and every
+  :class:`~repro.simulators.tracecache.TraceCacheStream`, runs as its
+  own sequential *relay chain*: shard ``k`` is simulated seeded with
+  shard ``k-1``'s pickled end state (the stream's counts and carried
+  state, and its counters' states), so the chain is exact by
+  construction. Distinct chains still run concurrently with each other
+  and with the family jobs.
 
 Shard jobs and relay steps run on the shared job scheduler
 (:func:`repro.util.scheduler.run_jobs`): each is a checkpoint/retry unit
@@ -47,8 +44,6 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from repro.cfg.program import Program
 from repro.simulators.fetch import _DEFAULT_CHUNK_EVENTS, FetchStream
@@ -168,114 +163,81 @@ class ShardReport:
 # -- stream classification -----------------------------------------------
 
 
-@dataclass
-class _FamilyEntry:
-    """One caller FetchStream that shards in parallel (journal stitching)."""
-
-    layout_index: int
-    stream: FetchStream
-    consumers: list  # the caller's journal-stitchable miss counters
-
-    def spec(self) -> tuple:
-        return (
-            self.layout_index,
-            self.stream.line_bytes,
-            tuple(counter_spec(c) for c in self.consumers),
-        )
+def _spec(layout_index: int, stream) -> tuple:
+    """A picklable recipe for a cold twin of a caller stream."""
+    tc_config = None
+    if isinstance(stream, TraceCacheStream):
+        cfg = stream.config
+        tc_config = (cfg.n_entries, cfg.trace_instructions, cfg.branch_limit)
+    return (
+        layout_index,
+        stream.line_bytes,
+        tc_config,
+        tuple(counter_spec(c) for c in stream.consumers),
+    )
 
 
-@dataclass
-class _Chain:
-    """One sequential relay chain (victim counters or a trace cache)."""
+def _state(stream) -> dict:
+    """A relayed stream's complete carried state, counters included."""
+    return {
+        "counters": [c.state_dict() for c in stream.consumers],
+        "stream": stream.state_dict(),
+    }
 
-    kind: str  # "victim" | "tc"
-    layout_index: int
-    line_bytes: int
-    tc_config: tuple | None
-    counters: list  # the caller's counter objects
-    stream: TraceCacheStream | None
 
-    def spec(self) -> tuple:
-        return (
-            self.kind,
-            self.layout_index,
-            self.line_bytes,
-            self.tc_config,
-            tuple(counter_spec(c) for c in self.counters),
-        )
-
-    def seed_state(self) -> dict:
-        return {
-            "counters": [c.state_dict() for c in self.counters],
-            "stream": self.stream.state_dict() if self.stream is not None else None,
-        }
+def _load_state(stream, state: dict) -> None:
+    """Restore a relayed stream from a :func:`_state` snapshot."""
+    for counter, cstate in zip(stream.consumers, state["counters"]):
+        counter.load_state(cstate)
+    stream.load_state(state["stream"])
 
 
 def _classify(pairs):
-    """Split ``(layout, stream)`` pairs into parallel family entries and
-    sequential relay chains; unknown stream/consumer types are rejected
-    rather than silently simulated wrong."""
+    """Split ``(layout, stream)`` pairs into the distinct layouts, the
+    ``(layout index, stream)`` entries of the parallel family jobs and
+    those of the sequential relay chains; unknown stream/consumer types
+    are rejected rather than silently simulated wrong."""
     layouts: list = []
     index: dict[int, int] = {}
-    family: list[_FamilyEntry] = []
-    chains: list[_Chain] = []
+    family: list[tuple] = []
+    chains: list[tuple] = []
     for layout, stream in pairs:
         li = index.get(id(layout))
         if li is None:
             li = index[id(layout)] = len(layouts)
             layouts.append(layout)
-        if isinstance(stream, FetchStream):
-            journaled: list = []
-            victims: list = []
-            for consumer in stream.consumers:
-                if isinstance(consumer, (_DirectMappedCounter, _TwoWayLRUCounter)):
-                    journaled.append(consumer)
-                elif isinstance(consumer, _VictimCounter):
-                    victims.append(consumer)
-                else:
-                    raise TypeError(
-                        f"run_sharded cannot shard consumer type "
-                        f"{type(consumer).__name__}"
-                    )
-            family.append(_FamilyEntry(li, stream, journaled))
-            if victims:
-                chains.append(_Chain("victim", li, stream.line_bytes, None, victims, None))
-        elif isinstance(stream, TraceCacheStream):
-            for consumer in stream.consumers:
-                if not isinstance(
-                    consumer, (_DirectMappedCounter, _TwoWayLRUCounter, _VictimCounter)
-                ):
-                    raise TypeError(
-                        f"run_sharded cannot shard consumer type "
-                        f"{type(consumer).__name__}"
-                    )
-            cfg = stream.config
-            chains.append(
-                _Chain(
-                    "tc",
-                    li,
-                    stream.line_bytes,
-                    (cfg.n_entries, cfg.trace_instructions, cfg.branch_limit),
-                    list(stream.consumers),
-                    stream,
-                )
-            )
-        else:
+        if not isinstance(stream, (FetchStream, TraceCacheStream)):
             raise TypeError(
                 f"run_sharded cannot shard stream type {type(stream).__name__}"
             )
+        for consumer in stream.consumers:
+            if not isinstance(
+                consumer, (_DirectMappedCounter, _TwoWayLRUCounter, _VictimCounter)
+            ):
+                raise TypeError(
+                    f"run_sharded cannot shard consumer type {type(consumer).__name__}"
+                )
+        if isinstance(stream, FetchStream) and all(
+            isinstance(c, _DirectMappedCounter) for c in stream.consumers
+        ):
+            family.append((li, stream))
+        else:
+            chains.append((li, stream))
     return layouts, family, chains
 
 
 # -- shard workers -------------------------------------------------------
 
 def _family_shard(trace, program, layouts, chunk_events, plan, family_specs, shard_idx):
-    """Cold fused pass of every family stream over one shard span."""
+    """Cold fused pass of every family stream over one shard span, its
+    direct-mapped counters recording their journals."""
     start, stop = plan.span(shard_idx)
     streams = []
     pairs = []
-    for li, line_bytes, cspecs in family_specs:
-        consumers = [counter_from_spec(cs, record_journal=True) for cs in cspecs]
+    for li, line_bytes, _, cspecs in family_specs:
+        consumers = [
+            _DirectMappedCounter(n_sets, record_journal=True) for _, n_sets in cspecs
+        ]
         stream = FetchStream(layouts[li].name, line_bytes=line_bytes, consumers=consumers)
         streams.append(stream)
         pairs.append((layouts[li], stream))
@@ -297,34 +259,24 @@ def _family_shard(trace, program, layouts, chunk_events, plan, family_specs, sha
 def _relay_shard(trace, program, layouts, chunk_events, plan, spec, shard_idx, state):
     """One relay step: simulate a shard seeded with the previous shard's
     end state; returns the new end state."""
-    kind, li, line_bytes, tc_config, cspecs = spec
+    li, line_bytes, tc_config, cspecs = spec
     start, stop = plan.span(shard_idx)
     counters = [counter_from_spec(cs) for cs in cspecs]
-    for counter, cstate in zip(counters, state["counters"]):
-        counter.load_state(cstate)
-    if kind == "tc":
+    if tc_config is None:
+        stream = FetchStream(layouts[li].name, line_bytes=line_bytes, consumers=counters)
+    else:
         stream = TraceCacheStream(
             layouts[li].name,
             TraceCacheConfig(*tc_config),
             line_bytes=line_bytes,
             consumers=counters,
         )
-        stream.load_state(state["stream"])
-    else:
-        # this private fetch stream only regenerates the (state-independent)
-        # line stream for the victim counters; its own counters are
-        # discarded — the caller's fetch counters come from the family jobs
-        stream = FetchStream(layouts[li].name, line_bytes=line_bytes, consumers=counters)
+    _load_state(stream, state)
     run_fused(
         trace, program, [(layouts[li], stream)],
         chunk_events=chunk_events, start_event=start, stop_event=stop,
     )
-    return {
-        "state": {
-            "counters": [c.state_dict() for c in counters],
-            "stream": stream.state_dict() if kind == "tc" else None,
-        }
-    }
+    return {"state": _state(stream)}
 
 
 # -- journal reconciliation ----------------------------------------------
@@ -347,71 +299,19 @@ def _stitch_dm(counter, journal) -> None:
     tags[sets] = journal["end"]
 
 
-def _stitch_lru2(counter, journal) -> None:
-    """Fold a cold 2-way LRU shard onto carried state.
-
-    By the run-compression identity, the warm compressed stream per set is
-    the cold one, minus its first entry ``c1`` exactly when ``c1`` equals
-    the incoming MRU way ``W0`` (a repeat of the most recent access is
-    dropped by compression and always hits). Only the first two surviving
-    entries compare against pre-shard state; entry 3 onward compares
-    against in-shard entries identically in both runs. The cold run
-    counted ``c1`` and ``c2`` as misses unconditionally (cold sentinels
-    are -1/-2), so the corrections are pure subtractions:
-
-    * ``c1`` dropped: +1 hit for ``c1``; ``c2`` (if any) hits iff it
-      equals the incoming LRU way ``W1``;
-    * ``c1`` kept: ``c1`` hits iff it equals ``W1``; ``c2`` (if any) hits
-      iff it equals ``W0``.
-
-    End state: two or more cold entries make the cold end pair already
-    correct; a single entry rolls the incoming pair forward (or leaves it
-    untouched when that entry was dropped).
-    """
-    w0a, w1a = counter._w0, counter._w1
-    sets = journal["sets"]
-    c1 = journal["c1"]
-    c2 = journal["c2"]
-    W0 = w0a[sets]
-    W1 = w1a[sets]
-    has2 = c2 >= 0
-    dropped = c1 == W0
-    hits = dropped.astype(np.int64)
-    hits += dropped & has2 & (c2 == W1)
-    hits += ~dropped & (c1 == W1)
-    hits += ~dropped & has2 & (c2 == W0)
-    counter.misses += int(journal["misses"]) - int(hits.sum())
-    w0a[sets] = np.where(has2, journal["w0"], np.where(dropped, W0, c1))
-    w1a[sets] = np.where(has2, journal["w1"], np.where(dropped, W1, W0))
-
-
-def _stitch(counter, journal) -> None:
-    if journal["kind"] == "dm":
-        _stitch_dm(counter, journal)
-    elif journal["kind"] == "lru2":
-        _stitch_lru2(counter, journal)
-    else:  # pragma: no cover - journals only come from the two kinds above
-        raise ValueError(f"unknown journal kind {journal['kind']!r}")
-
-
 def _reconcile(family, chains, n_shards: int, payloads: dict) -> None:
     """Write shard results back into the caller's live streams, in shard
     order, exactly as one full fused pass would have left them."""
-    for idx, entry in enumerate(family):
-        stream = entry.stream
+    for idx, (_, stream) in enumerate(family):
         for s in range(n_shards):
             p = payloads[("family", s)][idx]
             stream.n_instructions += int(p["n_instructions"])
             stream.n_fetches += int(p["n_fetches"])
             stream.n_taken += int(p["n_taken"])
-            for counter, journal in zip(entry.consumers, p["journals"]):
-                _stitch(counter, journal)
-    for ci, chain in enumerate(chains):
-        final = payloads[("relay", ci, n_shards - 1)]["state"]
-        for counter, cstate in zip(chain.counters, final["counters"]):
-            counter.load_state(cstate)
-        if chain.stream is not None:
-            chain.stream.load_state(final["stream"])
+            for counter, journal in zip(stream.consumers, p["journals"]):
+                _stitch_dm(counter, journal)
+    for ci, (_, stream) in enumerate(chains):
+        _load_state(stream, payloads[("relay", ci, n_shards - 1)]["state"])
 
 
 def _predecessor(key: tuple) -> tuple | None:
@@ -471,9 +371,9 @@ def run_sharded(
         return report
     layouts, family, chains = _classify(pairs)
     n_shards = plan.n_shards
-    family_specs = tuple(e.spec() for e in family)
-    chain_specs = tuple(c.spec() for c in chains)
-    seeds = [c.seed_state() for c in chains]
+    family_specs = tuple(_spec(li, stream) for li, stream in family)
+    chain_specs = tuple(_spec(li, stream) for li, stream in chains)
+    seeds = [_state(stream) for _, stream in chains]
 
     def run_job(batch: list, inputs: dict):
         (key,) = batch

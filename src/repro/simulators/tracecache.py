@@ -203,8 +203,9 @@ class TraceCacheStream:
     def state_dict(self) -> dict:
         """Complete carried state (counters + entry array), picklable.
 
-        Consumers are intentionally excluded: the sharded relay carries
-        their states separately.
+        Consumers are excluded: the sharded relay carries their states
+        next to this one, as it does for a relayed
+        :class:`~repro.simulators.fetch.FetchStream`.
         """
         return {
             "n_instructions": self.n_instructions,

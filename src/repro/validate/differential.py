@@ -6,8 +6,10 @@ For every generated case the harness runs the production streams
 i-cache miss counters) through both drivers — the fused streaming driver
 (:func:`~repro.simulators.fused.run_fused`) and the shard-parallel driver
 (:func:`~repro.simulators.sharded.run_sharded`, with a shard count derived
-from the case seed so coverage spans 1..n window partitions) — and the
-oracles of :mod:`repro.validate.oracles`, then compares every counter
+from the case seed so coverage spans 1..n window partitions, and the
+direct-mapped counters on a stream of their own so both its stitched and
+its relayed path run) — and the oracles of
+:mod:`repro.validate.oracles`, then compares every counter
 exactly: instruction/fetch/taken counts, the miss count of each cache
 organization (fused and sharded, against the oracle), and the full
 line-access stream of the fused pass, recorded by a :class:`LineLog`
@@ -119,14 +121,19 @@ def diff_fetch_case(case: GeneratedCase) -> list[Divergence]:
         [(case.layout, fused_stream)],
         chunk_events=case.chunk_events,
     )
+    # the sharded leg takes both paths of run_sharded: the stream with only
+    # the direct-mapped counters is journal-stitched, the other relays whole
     sharded_counters = [miss_counter(config) for config in case.cache_configs]
-    sharded_stream = FetchStream(
-        case.layout.name, line_bytes=line_bytes, consumers=sharded_counters
-    )
-    run_sharded(
+    stitched = [c for c in sharded_counters if c.kind == "dm"]
+    relayed = [c for c in sharded_counters if c.kind != "dm"]
+    sharded_streams = [
+        FetchStream(case.layout.name, line_bytes=line_bytes, consumers=group)
+        for group in (stitched, relayed)
+    ]
+    report = run_sharded(
         case.trace,
         case.program,
-        [(case.layout, sharded_stream)],
+        [(case.layout, stream) for stream in sharded_streams],
         chunk_events=case.chunk_events,
         shards=_case_shards(case),
     )
@@ -138,7 +145,13 @@ def diff_fetch_case(case: GeneratedCase) -> list[Divergence]:
         if production != oracle:
             out.append(Divergence(case=info, counter=counter, production=production, oracle=oracle))
 
-    for path, result in (("fused", fused_stream), ("sharded", sharded_stream)):
+    check(
+        "fetch.sharded.family_job_ran",
+        any(key[0] == "family" for key in report.computed),
+        True,
+    )
+    paths = [("fused", fused_stream)] + [("sharded", stream) for stream in sharded_streams]
+    for path, result in paths:
         check(f"fetch.{path}.n_instructions", result.n_instructions, ora.n_instructions)
         check(f"fetch.{path}.n_fetches", result.n_fetches, ora.n_fetches)
         check(f"fetch.{path}.n_taken", result.n_taken, ora.n_taken)

@@ -23,7 +23,7 @@ production to the oracles, so the laws get bit-exact semantics for free):
   any window-aligned partition of the *trace* (any shard count from the
   degenerate single shard up to one shard per window, serial or with
   worker processes) equals one fused pass, counters and carried state
-  alike.
+  alike, on both the journal-stitched and the relayed path.
 
 Every law is exercised both at a tiny simulation window (so fetch and
 fill windows truncate at chunk boundaries many times per trace) and at a
@@ -415,15 +415,19 @@ def law_shard_split(rng: np.random.Generator, chunk_events: int) -> list[str]:
     def build_units():
         units = []
         for layout in layouts:
+            # a stream with only the direct-mapped counter (configs[0]) is
+            # journal-stitched; the one with every configuration relays whole
+            dm_counters = [miss_counter(configs[0])]
             fetch_counters = [miss_counter(config) for config in configs]
-            units.append(
-                (
-                    layout,
-                    FetchStream(layout.name, line_bytes=line_bytes, consumers=fetch_counters),
-                    fetch_counters,
-                    "fetch",
+            for counters in (dm_counters, fetch_counters):
+                units.append(
+                    (
+                        layout,
+                        FetchStream(layout.name, line_bytes=line_bytes, consumers=counters),
+                        counters,
+                        "fetch",
+                    )
                 )
-            )
             tc_counters = [miss_counter(config) for config in configs]
             units.append(
                 (
@@ -466,7 +470,7 @@ def law_shard_split(rng: np.random.Generator, chunk_events: int) -> list[str]:
     for shards in shard_counts:
         jobs = int(rng.integers(1, 3))
         sharded = build_units()
-        run_sharded(
+        report = run_sharded(
             trace,
             program,
             [(layout, stream) for layout, stream, _, _ in sharded],
@@ -474,6 +478,11 @@ def law_shard_split(rng: np.random.Generator, chunk_events: int) -> list[str]:
             shards=shards,
             jobs=jobs,
         )
+        if not any(key[0] == "family" for key in report.computed):
+            violations.append(
+                f"sharded (shards={shards}, jobs={jobs}) ran no family job: "
+                f"the journal stitch went untested"
+            )
         for unit, (ref_sig, ref_states), (sig, states) in zip(
             fused, reference, observe(sharded)
         ):

@@ -15,10 +15,12 @@ import io
 import json
 import os
 import time
+from types import SimpleNamespace
 
 import pytest
 
 from repro.cache import ARTIFACT_VERSIONS, ArtifactCache, default_cache
+from repro.cache import store as store_mod
 from repro.experiments import suite as suite_mod
 from repro.experiments.config import PRIMARY_ROWS
 from repro.experiments.harness import get_workload
@@ -252,6 +254,23 @@ def test_empty_grid_is_an_empty_run(workload, tmp_path):
     assert data["n_tasks"] == 0 and data["tasks"] == []
 
 
+def test_failed_stores_are_counted_in_the_manifest(workload, tmp_path, monkeypatch):
+    """A full disk drops checkpoints, but not silently: ``CacheStats``
+    counts every failed store and the suite manifest shows the count."""
+
+    def full_disk(*args, **kwargs):
+        raise OSError(errno.ENOSPC, "injected: no space left on device")
+
+    monkeypatch.setattr(store_mod, "tempfile", SimpleNamespace(mkstemp=full_disk))
+    before = default_cache().stats.snapshot()
+    manifest = tmp_path / "full-disk.json"
+    compute_suite(workload, GRID[:1], jobs=1, manifest=manifest)
+    failed = default_cache().stats.delta(before)["store_errors"]
+    data = json.loads(manifest.read_text())
+    assert data["cache"]["store_errors"] == failed > 0
+    assert data["cache"]["stores"] == 0
+
+
 # -- sharded execution: the shard job is the checkpoint/resume unit ------
 
 
@@ -396,15 +415,26 @@ def test_only_failures_that_can_succeed_are_retried(
             compute_suite(workload, GRID, jobs=1, retries=retries)
     else:
         case = random_case(2)
+        line_bytes = case.cache_configs[0].line_bytes
+        # the direct-mapped-only stream runs in the family jobs that fail;
+        # the other stream relays whole
         pairs = [
             (
                 case.layout,
                 FetchStream(
                     case.layout.name,
-                    line_bytes=case.cache_configs[0].line_bytes,
+                    line_bytes=line_bytes,
+                    consumers=[miss_counter(case.cache_configs[0])],
+                ),
+            ),
+            (
+                case.layout,
+                FetchStream(
+                    case.layout.name,
+                    line_bytes=line_bytes,
                     consumers=[miss_counter(c) for c in case.cache_configs],
                 ),
-            )
+            ),
         ]
 
         def failing(trace, program, layouts, chunk_events, plan, specs, shard_idx):

@@ -8,13 +8,15 @@ build itself).
 import dataclasses
 import gc
 import threading
+from types import SimpleNamespace
 
 import pytest
 
+from repro.cache import ArtifactCache, default_cache
 from repro.experiments import harness, suite
 from repro.experiments.config import PRIMARY_ROWS
 from repro.experiments.harness import get_workload, training_profile
-from repro.experiments.suite import compute_suite, get_suite, suite_for
+from repro.experiments.suite import compute_suite, get_suite, suite_cache_key, suite_for
 from repro.serve.codec import result_digest, serialize_suite
 from repro.tpcd.workload import WorkloadSettings
 
@@ -81,7 +83,7 @@ def test_concurrent_parallel_suites_keep_their_own_workload():
 
 def test_get_suite_warm_disk_hit_skips_recompute(workload, monkeypatch):
     first = get_suite(workload, GRID)
-    key = suite._suite_key(SETTINGS, GRID, GRID)
+    key = suite_cache_key(SETTINGS, GRID, GRID)
     assert suite._SUITES.pop(key) is first
     monkeypatch.setattr(
         suite, "compute_suite", lambda *a, **k: pytest.fail("recomputed despite disk hit")
@@ -92,7 +94,7 @@ def test_get_suite_warm_disk_hit_skips_recompute(workload, monkeypatch):
 
 def test_suite_for_warm_hit_skips_workload_build(workload, monkeypatch):
     get_suite(workload, GRID)  # populate memory + disk
-    key = suite._suite_key(SETTINGS, GRID, GRID)
+    key = suite_cache_key(SETTINGS, GRID, GRID)
     suite._SUITES.pop(key)
     monkeypatch.setattr(
         suite, "get_workload", lambda *a, **k: pytest.fail("built workload despite disk hit")
@@ -104,6 +106,27 @@ def test_suite_for_warm_hit_skips_workload_build(workload, monkeypatch):
     assert warm.cells[GRID[0]]["ops"].miss_rate == pytest.approx(
         get_suite(workload, GRID).cells[GRID[0]]["ops"].miss_rate
     )
+
+
+def test_cold_suite_for_records_one_suite_miss(tmp_path, monkeypatch):
+    """A computed suite reads the ``suite`` kind once, so manifests and
+    ``/v1/metrics`` count one miss per computed suite."""
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+    monkeypatch.setattr(suite, "_SUITES", {})
+    monkeypatch.setattr(suite, "get_workload", lambda settings: SimpleNamespace(settings=settings))
+    monkeypatch.setattr(suite, "compute_suite", lambda *a, **k: suite.SuiteResults())
+    loads = []
+    real_load = ArtifactCache.load
+
+    def spy(self, kind, key_obj):
+        loads.append(kind)
+        return real_load(self, kind, key_obj)
+
+    monkeypatch.setattr(ArtifactCache, "load", spy)
+    before = default_cache().stats.snapshot()
+    suite_for(SETTINGS, GRID)
+    assert loads == ["suite"]
+    assert default_cache().stats.delta(before)["misses"] == 1
 
 
 def test_get_workload_warm_disk_hit_skips_build(monkeypatch):

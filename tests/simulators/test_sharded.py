@@ -94,6 +94,21 @@ def _run_both(trace, program, make_pairs, *, chunk_events, shards, jobs=1, **kwa
     return _snapshot(fused), _snapshot(shard), shard, report
 
 
+def _ran_family(report) -> bool:
+    """At least one family job ran, so the journal stitch was exercised."""
+    return any(key[0] == "family" for key in report.computed + report.checkpointed)
+
+
+def _stitched_stream(case):
+    """A fetch stream with only the direct-mapped counter, the shape of the
+    suite's P&H and row streams: ``run_sharded`` journal-stitches it."""
+    return FetchStream(
+        case.layout.name,
+        line_bytes=case.cache_configs[0].line_bytes,
+        consumers=[miss_counter(case.cache_configs[0])],
+    )
+
+
 def _naive_cold_sum(trace, program, make_pairs, *, chunk_events, bounds):
     """The WRONG stitch: independent cold runs per shard, counters summed.
 
@@ -132,9 +147,10 @@ BOUNDS = (0, 4, 8)
 
 
 def test_icache_set_run_straddles_boundary():
-    """A direct-mapped/2-way set touched on both sides of the boundary:
-    the post-boundary re-access must hit (stitch correction), and a
-    conflicting access must still miss."""
+    """A direct-mapped and a 2-way set touched on both sides of the
+    boundary: the post-boundary re-access must hit, and a conflicting
+    access must still miss. The direct-mapped stream is journal-stitched,
+    the 2-way stream relays whole."""
     program = _program()
     layout = Layout.original(program)
     # block 0 warm across the boundary; block 4 conflicts with it (4 sets)
@@ -143,17 +159,26 @@ def test_icache_set_run_straddles_boundary():
     def make_pairs():
         dm = miss_counter(CacheConfig(size_bytes=128, line_bytes=32))
         lru = miss_counter(CacheConfig(size_bytes=256, line_bytes=32, associativity=2))
-        return [(layout, FetchStream(layout.name, consumers=[dm, lru]))]
+        return [
+            (layout, FetchStream(layout.name, consumers=[dm])),
+            (layout, FetchStream(layout.name, consumers=[lru])),
+        ]
 
-    ref, got, _, _ = _run_both(
+    ref, got, _, report = _run_both(
         trace, program, make_pairs, chunk_events=CHUNK, shards=2
     )
     assert _eq(ref, got)
+    assert sorted(report.computed) == [
+        ("family", 0), ("family", 1), ("relay", 0, 0), ("relay", 0, 1),
+    ]
     naive = _naive_cold_sum(
         trace, program, make_pairs, chunk_events=CHUNK, bounds=BOUNDS
     )
-    fused_misses = [c["misses"] for c in ref[0]["counters"]]
-    assert naive[0] != fused_misses, "corpus never carried i-cache state across the boundary"
+    for stream, kind in enumerate(("direct-mapped", "2-way")):
+        fused_misses = [c["misses"] for c in ref[stream]["counters"]]
+        assert naive[stream] != fused_misses, (
+            f"corpus never carried {kind} i-cache state across the boundary"
+        )
 
 
 def test_victim_buffer_resident_straddles_boundary():
@@ -242,6 +267,7 @@ def test_sharded_equals_fused_for_any_partition(seed, shards):
 
     def make_pairs():
         pairs = [
+            (case.layout, _stitched_stream(case)),
             (
                 case.layout,
                 FetchStream(
@@ -267,6 +293,7 @@ def test_sharded_equals_fused_for_any_partition(seed, shards):
         chunk_events=case.chunk_events, shards=shards,
     )
     assert _eq(ref, got)
+    assert _ran_family(report)
     # and invariant to the partition itself, not only equal to fused:
     # a second, different shard count must produce the same snapshot
     other = max(1, (shards % 4) + 1)
@@ -285,6 +312,7 @@ def test_sharded_parallel_workers_match_serial():
 
     def make_pairs():
         return [
+            (case.layout, _stitched_stream(case)),
             (
                 case.layout,
                 FetchStream(
@@ -292,14 +320,15 @@ def test_sharded_parallel_workers_match_serial():
                     line_bytes=case.cache_configs[0].line_bytes,
                     consumers=[miss_counter(c) for c in case.cache_configs],
                 ),
-            )
+            ),
         ]
 
-    ref, got, _, _ = _run_both(
+    ref, got, _, report = _run_both(
         case.trace, case.program, make_pairs,
         chunk_events=case.chunk_events, shards=4, jobs=2,
     )
     assert _eq(ref, got)
+    assert _ran_family(report)
 
 
 # -- plan and input validation -------------------------------------------
@@ -363,6 +392,7 @@ class DictCheckpoint:
 def _case_pairs(case):
     line_bytes = case.cache_configs[0].line_bytes
     return [
+        (case.layout, _stitched_stream(case)),
         (
             case.layout,
             FetchStream(
@@ -397,6 +427,7 @@ def test_checkpoint_resume_recomputes_only_missing_jobs():
         chunk_events=RESUME_CHUNK, shards=4, checkpoint=ckpt,
     )
     assert first.plan.n_shards == 4
+    assert _ran_family(first)
     assert sorted(ckpt.data) == sorted(first.computed)
     reference = _snapshot(pairs)
 
