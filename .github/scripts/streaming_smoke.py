@@ -6,7 +6,10 @@ traces must come back as stores, not rebuilt), survive damage to a trace
 file (the workload loader must detect it and rebuild), and run the fused
 suite engine end to end, checking that one fused group over every task
 gives each task float-for-float the payload it gets when run alone (the
-identity that lets checkpoints from any grouping mix).
+identity that lets checkpoints from any grouping mix) and that the
+group's trace-cache tasks raise its tracemalloc peak by at most
+``TRACE_CACHE_PEAK_RATIO`` (a per-instruction array in the walk would
+exceed it).
 
 Run: ``PYTHONPATH=src python .github/scripts/streaming_smoke.py``
 """
@@ -16,6 +19,7 @@ from __future__ import annotations
 import os
 import sys
 import tempfile
+import tracemalloc
 
 os.environ.setdefault("REPRO_CACHE_DIR", tempfile.mkdtemp(prefix="repro-ci-cache-"))
 
@@ -28,6 +32,19 @@ from repro.tpcd.workload import WorkloadSettings  # noqa: E402
 
 SETTINGS = WorkloadSettings(scale=0.0005)
 GRID = PRIMARY_ROWS[:1]
+#: Bound on the fused group's tracemalloc peak over the same group without
+#: its trace-cache tasks. The walk over per-event arrays measures 1.003,
+#: and keeping one more int32 array per instruction alive in it 1.049.
+TRACE_CACHE_PEAK_RATIO = 1.04
+
+
+def _traced_peak(run, *args):
+    """``run(*args)`` and the tracemalloc peak it reached."""
+    tracemalloc.start()
+    try:
+        return run(*args), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def main() -> None:
@@ -70,9 +87,29 @@ def main() -> None:
     # fused-simulate: one group over every task vs each task alone
     tasks = suite_mod._suite_tasks(GRID, GRID)
     cache_sizes = sorted({c for c, _ in GRID})
-    payloads, errors = suite_mod._run_group(rebuilt, tasks, GRID, cache_sizes)
+    harness.training_profile(rebuilt)  # profiled once, outside the measured passes
+    (payloads, errors), peak = _traced_peak(
+        suite_mod._run_group, rebuilt, tasks, GRID, cache_sizes
+    )
     if errors:
         sys.exit(f"FAIL: fused group errors: {errors}")
+    fetch_tasks = [task for task in tasks if task[0] not in ("tc", "tc_ops")]
+    (_, errors), fetch_peak = _traced_peak(
+        suite_mod._run_group, rebuilt, fetch_tasks, GRID, cache_sizes
+    )
+    if errors:
+        sys.exit(f"FAIL: fused group errors without trace-cache tasks: {errors}")
+    ratio = peak / fetch_peak
+    if ratio > TRACE_CACHE_PEAK_RATIO:
+        sys.exit(
+            f"FAIL: trace-cache tasks raise the group's tracemalloc peak {ratio:.3f}x "
+            f"({fetch_peak / 2**20:.1f} -> {peak / 2**20:.1f} MiB), "
+            f"bound {TRACE_CACHE_PEAK_RATIO}"
+        )
+    print(
+        f"memory OK: tracemalloc peak {peak / 2**20:.1f} MiB with trace-cache tasks, "
+        f"{fetch_peak / 2**20:.1f} MiB without ({ratio:.3f}x)"
+    )
     for task in tasks:
         alone, errors = suite_mod._run_group(rebuilt, [task], GRID, cache_sizes)
         if errors or payloads[task] != alone[task]:

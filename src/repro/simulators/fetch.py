@@ -24,9 +24,11 @@ reach. The fetch boundaries are the orbit of position 0 under
 ``p -> p + length(p)``, extracted by a vectorized traversal
 (:func:`_fetch_starts`) that walks all taken-branch-delimited segments in
 lockstep and evaluates the length only at the active cursors, so a layout
-costs O(events + fetches) per window, not O(instructions).
-Per-instruction addresses and lengths are built on demand, for the trace
-cache's walk only (:class:`FetchLengths`).
+costs O(events + fetches) per window, not O(instructions). No pass
+builds an array with one entry per instruction beyond the shared
+``ChunkContext.rep_idx`` and the orbit's one-byte visited mask: the trace
+cache's walk (:mod:`repro.simulators.tracecache`) reads the same per-event
+arrays and applies the SEQ.3 length rule at its miss positions only.
 """
 
 from __future__ import annotations
@@ -154,18 +156,10 @@ class _Chunk:
     branch_ev: np.ndarray  # bool per event: its last instruction is a branch
     taken_at: np.ndarray  # int64: indices of the taken events
     stop: np.ndarray  # int64 per event: last instruction a fetch from it may reach
-    _addr: np.ndarray | None = None
 
     @property
     def n_taken(self) -> int:
         return self.taken_at.shape[0]
-
-    @property
-    def addr(self) -> np.ndarray:
-        """Byte address per instruction, built on first use."""
-        if self._addr is None:
-            self._addr = _instruction_addr(self)
-        return self._addr
 
 
 def expand_chunk(ctx: ChunkContext, layout: Layout) -> _Chunk:
@@ -230,7 +224,8 @@ def _fetch_ends(chunk: _Chunk, pos: np.ndarray, ev: np.ndarray, line_instrs: int
     ``stop``, at the end of the two cache lines reached from the fetch
     address, or after ``FETCH_WIDTH`` instructions, whichever comes first.
     This is the only SEQ.3 length rule; it runs at the orbit's cursors
-    (:func:`_fetch_starts`) and, for the trace cache, at every position.
+    (:func:`_fetch_starts`), and the trace cache's walk applies it at one
+    position at a time on its miss path.
     """
     # instruction-granular address: (ev_base + INSTR_BYTES * pos) >> shift
     offset = chunk.ev_base[ev]
@@ -300,48 +295,46 @@ def _fetch_starts(chunk: _Chunk, line_bytes: int) -> np.ndarray:
     return np.flatnonzero(visited)
 
 
-def _instruction_addr(chunk: _Chunk) -> np.ndarray:
-    """Byte address of every instruction of the window."""
-    addr = np.repeat(chunk.ev_base, chunk.ctx.ev_size)
-    addr += np.arange(0, INSTR_BYTES * chunk.ctx.total, INSTR_BYTES, dtype=np.int64)
-    return addr
+def _line_pairs(addr: np.ndarray, line_bytes: int) -> np.ndarray:
+    """The two consecutive cache lines read by a fetch from each byte
+    address in ``addr`` (consumed in place), interleaved in fetch order."""
+    if line_bytes & (line_bytes - 1) == 0:
+        addr >>= line_bytes.bit_length() - 1
+    else:
+        addr //= line_bytes
+    lines = np.empty((addr.shape[0], 2), dtype=np.int64)
+    lines[:, 0] = addr
+    np.add(addr, 1, out=lines[:, 1])
+    return lines.reshape(-1)
 
 
-def _instruction_lengths(chunk: _Chunk, line_bytes: int) -> np.ndarray:
-    """SEQ.3 fetch length from every instruction position of the window."""
-    pos = np.arange(chunk.ctx.total, dtype=np.int64)
-    lengths = _fetch_ends(chunk, pos, chunk.ctx.rep_idx, line_bytes // INSTR_BYTES)
-    lengths -= pos
-    return lengths
+def _check_line_bytes(line_bytes: int) -> None:
+    """Streams address cache lines in whole instructions."""
+    if line_bytes <= 0 or line_bytes % INSTR_BYTES:
+        raise ValueError(
+            f"line_bytes must be a positive multiple of {INSTR_BYTES}, got {line_bytes}"
+        )
 
 
 class FetchLengths:
-    """SEQ.3 fetch lengths of one expanded chunk at one line size, on demand.
+    """The SEQ.3 fetch starts of one expanded chunk at one line size.
 
     The fused driver hands one of these to every stream of a (layout,
-    line size). :class:`FetchStream` needs only the fetch starts
-    (:meth:`starts`); the per-instruction array (:meth:`array`) is built
-    the first time a trace cache asks for it. Both are kept, so streams
-    sharing the handle share the work.
+    line size), so the streams sharing it compute the orbit
+    (:func:`_fetch_starts`) once. :class:`FetchStream` reads the starts;
+    the trace cache does not need them.
     """
 
     def __init__(self, chunk: _Chunk, line_bytes: int) -> None:
         self.chunk = chunk
         self.line_bytes = line_bytes
         self._starts: np.ndarray | None = None
-        self._array: np.ndarray | None = None
 
     def starts(self) -> np.ndarray:
         """Fetch start positions in stream order (:func:`_fetch_starts`)."""
         if self._starts is None:
             self._starts = _fetch_starts(self.chunk, self.line_bytes)
         return self._starts
-
-    def array(self) -> np.ndarray:
-        """Fetch length from every instruction position."""
-        if self._array is None:
-            self._array = _instruction_lengths(self.chunk, self.line_bytes)
-        return self._array
 
 
 class FetchStream:
@@ -362,6 +355,7 @@ class FetchStream:
         line_bytes: int = 32,
         consumers: Sequence | None = None,
     ) -> None:
+        _check_line_bytes(line_bytes)
         self.layout_name = layout_name
         self.line_bytes = line_bytes
         self.consumers = list(consumers) if consumers is not None else []
@@ -375,15 +369,9 @@ class FetchStream:
         self.n_taken += chunk.n_taken
         start_arr = lengths.starts()
         self.n_fetches += start_arr.shape[0]
-        first_line = chunk.ev_base[chunk.ctx.rep_idx[start_arr]]
-        first_line += INSTR_BYTES * start_arr
-        if self.line_bytes & (self.line_bytes - 1) == 0:
-            first_line >>= self.line_bytes.bit_length() - 1
-        else:
-            first_line //= self.line_bytes
-        lines = np.empty(2 * start_arr.shape[0], dtype=np.int64)
-        lines[0::2] = first_line
-        lines[1::2] = first_line + 1
+        addr = chunk.ev_base[chunk.ctx.rep_idx[start_arr]]
+        addr += INSTR_BYTES * start_arr
+        lines = _line_pairs(addr, self.line_bytes)
         for consumer in self.consumers:
             consumer.feed(lines)
 

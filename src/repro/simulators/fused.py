@@ -9,11 +9,13 @@ over the trace: each window of events is expanded to the
 layout-independent :class:`~repro.simulators.fetch.ChunkContext` once,
 then for each distinct layout the per-layout event arrays are computed
 once and fed to every stream of that layout, together with one
-:class:`~repro.simulators.fetch.FetchLengths` handle per line size. Fetch
-streams evaluate SEQ.3 only at their fetch starts; per-instruction arrays
-are built only when a trace-cache stream of the layout asks for them.
-Evaluating a single layout is a pass with one stream; its attached
-counters and metric methods give the Table 3/4 cells.
+:class:`~repro.simulators.fetch.FetchLengths` handle per line size, the
+memo of fetch starts that the fetch streams of a (layout, line size)
+share. Fetch streams evaluate SEQ.3 only at their fetch starts, and the
+trace-cache walk only at the positions it visits; no stream builds an
+array with one entry per instruction. Evaluating a single layout is a
+pass with one stream; its attached counters and metric methods give the
+Table 3/4 cells.
 
 Peak memory is one window's expansion regardless of how many streams are
 fused: layouts are processed sequentially per window and the expansion is
@@ -55,7 +57,8 @@ def run_fused(
     A stream is anything with a ``line_bytes`` attribute and a
     ``feed(chunk, lengths)`` method. Streams sharing the same layout
     *object* share the per-window expansion, and among those, streams
-    with equal ``line_bytes`` share one SEQ.3 ``lengths`` handle.
+    with equal ``line_bytes`` share one ``lengths`` handle (the memo of
+    SEQ.3 fetch starts).
 
     ``start_event``/``stop_event`` restrict the pass to that event slice
     of the trace; the sharded engine (:mod:`repro.simulators.sharded`)

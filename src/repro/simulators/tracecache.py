@@ -15,16 +15,19 @@ stateful simulation serves every i-cache configuration — and the same run
 reports both the trace-cache-alone and combined STC+trace-cache numbers of
 Table 4 (:meth:`TraceCacheStream.ipc`).
 
-Implementation: the outcome bitmask and third-branch distance the
-sequential walk needs are functions of the *next-branch index* of a
-position, so they are precomputed vectorized into per-branch tables
-(typically 5x smaller than the instruction stream); the next-branch index
-itself is a per-event prefix count repeated over each event's
-instructions. The walk reads per-instruction addresses and SEQ.3 fetch
-lengths, which the expanded chunk builds on first use
-(:class:`~repro.simulators.fetch.FetchLengths`), so only layouts that
-carry a trace-cache stream pay for them. The hot loop reads a handful of
-table cells per visited position. Cache entries persist across
+Implementation: the walk reads per-event and per-branch arrays only, like
+the SEQ.3 orbit (:mod:`repro.simulators.fetch`). At a visited position
+``p`` of event ``e = rep_idx[p]`` it reads the byte address
+``ev_base[e] + INSTR_BYTES * p`` and the next-branch index, a per-event
+prefix count of branch events (a branch always ends its event). The
+outcome bitmask and third-branch position the walk needs are functions of
+that index alone, so they are precomputed vectorized into per-branch
+tables (typically 5x smaller than the instruction stream). On a miss the
+SEQ.3 advance comes from ``stop[e]`` and the two address caps — the rule
+of :func:`~repro.simulators.fetch._fetch_ends`, at one position. The hot
+loop thus reads a handful of table cells per visited position and builds
+no array with one entry per instruction; the miss path's line pairs are
+built in one vectorized step after the loop. Cache entries persist across
 chunks (:class:`TraceCacheStream`); the fill window truncates at chunk
 boundaries, as in the reference simulator
 (:func:`repro.validate.oracles.oracle_trace_cache`).
@@ -32,16 +35,20 @@ boundaries, as in the reference simulator
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
 
+from repro.cfg.blocks import INSTR_BYTES
 from repro.simulators.fetch import (
     BRANCH_LIMIT,
     FETCH_WIDTH,
     MISS_PENALTY_CYCLES,
     FetchLengths,
+    _check_line_bytes,
     _Chunk,
+    _line_pairs,
 )
 
 __all__ = ["TraceCacheConfig", "TraceCacheStream"]
@@ -55,6 +62,13 @@ class TraceCacheConfig:
     trace_instructions: int = FETCH_WIDTH
     branch_limit: int = BRANCH_LIMIT
 
+    def __post_init__(self) -> None:
+        # the walk needs a slot to index and traces that advance: a
+        # length-0 entry would hit and advance by nothing, forever
+        for name in ("n_entries", "trace_instructions", "branch_limit"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
+
 
 class TraceCacheStream:
     """Incremental trace-cache simulation fed one expanded chunk at a time.
@@ -64,13 +78,11 @@ class TraceCacheStream:
     (``consumers``); :meth:`ipc` turns a counter's miss count into the
     Table 4 cell.
 
-    The hot loop's lookup tables are indexed *by branch*, not by
-    instruction: both the outcome bitmask and the third-branch distance
-    from a position ``p`` are functions of ``first_branch[p]`` alone, so
-    the per-instruction work of the stream itself is one expansion of a
-    per-event prefix count, and the (typically 5x smaller) per-branch
-    tables are read scalar only at the ~n/8 positions the walk actually
-    visits.
+    The walk's lookup tables are indexed *by event* (address base,
+    next-branch index, SEQ.3 stop) and *by branch* (outcome bitmask,
+    third-branch position), and are read scalar only at the ~n/10
+    positions the walk actually visits; no table has one entry per
+    instruction.
     """
 
     def __init__(
@@ -81,6 +93,7 @@ class TraceCacheStream:
         line_bytes: int = 32,
         consumers=None,
     ) -> None:
+        _check_line_bytes(line_bytes)
         self.layout_name = layout_name
         self.config = config
         self.line_bytes = line_bytes
@@ -94,8 +107,12 @@ class TraceCacheStream:
         self._low_bits = [(1 << k) - 1 for k in range(config.branch_limit + 1)]
 
     def feed(self, chunk: _Chunk, lengths: FetchLengths) -> None:
-        """Consume one expanded chunk; ``lengths`` for this ``line_bytes``
-        (the SEQ.3 advance on the miss path)."""
+        """Consume one expanded chunk.
+
+        ``lengths`` is the fused driver's shared fetch-starts memo and is
+        not read: the walk evaluates the SEQ.3 advance itself, at its miss
+        positions only.
+        """
         config = self.config
         width = config.trace_instructions
         blimit = config.branch_limit
@@ -106,12 +123,10 @@ class TraceCacheStream:
         branch_ev = chunk.branch_ev
         branch_pos = ctx.last_idx[branch_ev]
         nb = int(branch_pos.size)
-        # next-branch index per position: a branch ends its event, so this
-        # is the exclusive prefix count of branch events, repeated over
-        # each event's instructions — everything else is indexed by branch
+        # next-branch index of every position of an event: a branch ends
+        # its event, so this is the exclusive prefix count of branch events
         branches_before = np.cumsum(branch_ev, dtype=np.int32)
         branches_before -= branch_ev
-        first_branch = np.repeat(branches_before, ctx.ev_size)
 
         # outcome bitmask of the next `blimit` branches from every branch
         # index (including nb = "past the last branch"), zero-padded
@@ -129,25 +144,28 @@ class TraceCacheStream:
         # zero-copy memoryviews: the loop touches only the positions it
         # visits, so materializing full Python lists would cost more than
         # the walk itself
-        seq_len = lengths.array().data
-        addr = chunk.addr.data
-        fb_of = first_branch.data
+        event_of = ctx.rep_idx.data
+        base_of = chunk.ev_base.data
+        stop_of = chunk.stop.data
+        fb_of = branches_before.data
         mask_of = mask_by_branch.data
         third_of = third_by_branch.data
 
         entries = self._entries
         low_bits = self._low_bits
         n_entries = config.n_entries
-        line_bytes = self.line_bytes
+        line_instrs = self.line_bytes // INSTR_BYTES
+        two_lines = 2 * line_instrs
         hits = 0
         misses = 0
-        miss_lines: list[int] = []
-        append = miss_lines.append
+        miss_addr = array("q")
+        append = miss_addr.append
         p = 0
         while p < n:
-            a = addr[p]
+            e = event_of[p]
+            a = base_of[e] + INSTR_BYTES * p
             index = (a >> 4) % n_entries  # 16-byte granular index bits
-            fb = fb_of[p]
+            fb = fb_of[e]
             entry = entries[index]
             if entry is not None and entry[0] == a:
                 _, mask, k, length = entry
@@ -162,9 +180,7 @@ class TraceCacheStream:
                     continue
             # trace cache miss: SEQ.3 fetch from the i-cache
             misses += 1
-            line = a // line_bytes
-            append(line)
-            append(line + 1)
+            append(a)
             # fill unit stores the observed trace: up to `width`
             # instructions or `blimit` branches, crossing taken branches
             until_third = third_of[fb] - p + 1
@@ -172,16 +188,25 @@ class TraceCacheStream:
             rem = n - p
             if length > rem:
                 length = rem
-            k = (fb_of[p + length] if p + length < n else nb) - fb
+            end = p + length
+            k = (fb_of[event_of[end]] if end < n else nb) - fb
             if k > blimit:
                 k = blimit
             entries[index] = (a, mask_of[fb] & low_bits[k], k, length)
-            p += seq_len[p]
+            # SEQ.3 advance (fetch._fetch_ends at one position): to the
+            # event's stop, the end of the two lines or FETCH_WIDTH
+            cap = two_lines - (a // INSTR_BYTES) % line_instrs
+            if cap > FETCH_WIDTH:
+                cap = FETCH_WIDTH
+            p += cap
+            stop = stop_of[e] + 1
+            if stop < p:
+                p = stop
         self.n_hits += hits
         self.n_misses += misses
-        lines_arr = np.asarray(miss_lines, dtype=np.int64)
+        lines = _line_pairs(np.frombuffer(miss_addr, dtype=np.int64), self.line_bytes)
         for consumer in self.consumers:
-            consumer.feed(lines_arr)
+            consumer.feed(lines)
 
     @property
     def n_cycles_base(self) -> int:

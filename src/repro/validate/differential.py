@@ -13,8 +13,10 @@ its relayed path run) — and the oracles of
 exactly: instruction/fetch/taken counts, the miss count of each cache
 organization (fused and sharded, against the oracle), and the full
 line-access stream of the fused pass, recorded by a :class:`LineLog`
-consumer. Any mismatch becomes a :class:`Divergence` carrying the case's
-reproduction seed.
+consumer. For the trace cache it also compares the entry table each
+driver carries out of the pass (``state_dict()["entries"]``, what a
+relay or a resumed run starts from) with the oracle's. Any mismatch
+becomes a :class:`Divergence` carrying the case's reproduction seed.
 """
 
 from __future__ import annotations
@@ -165,6 +167,12 @@ def diff_fetch_case(case: GeneratedCase) -> list[Divergence]:
     return out
 
 
+def _entry_table(stream: TraceCacheStream) -> dict:
+    """The stream's filled entries keyed by index, as the oracle keeps them."""
+    entries = stream.state_dict()["entries"]
+    return {index: entry for index, entry in enumerate(entries) if entry is not None}
+
+
 def diff_trace_cache_case(case: GeneratedCase) -> list[Divergence]:
     """Diff the trace-cache simulation on one case."""
     line_bytes = case.cache_configs[0].line_bytes
@@ -212,6 +220,7 @@ def diff_trace_cache_case(case: GeneratedCase) -> list[Divergence]:
         check(f"tc.{path}.n_hits", result.n_hits, ora.n_hits)
         check(f"tc.{path}.n_misses", result.n_misses, ora.n_misses)
         check(f"tc.{path}.n_taken", result.n_taken, ora.n_taken)
+        check(f"tc.{path}.entries", _entry_table(result), ora.entries)
     check("tc.fused.miss_lines", log.lines(), ora.miss_lines)
 
     for config, counter, sharded in zip(case.cache_configs, counters, sharded_counters):

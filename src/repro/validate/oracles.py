@@ -259,6 +259,9 @@ class OracleTraceCacheResult:
     n_misses: int = 0
     n_taken: int = 0
     miss_lines: list = field(default_factory=list)
+    #: final entry table: index -> (start address, outcome bitmask,
+    #: n_branches, n_instr), filled entries only
+    entries: dict = field(default_factory=dict)
 
 
 def oracle_trace_cache(
@@ -274,7 +277,8 @@ def oracle_trace_cache(
 
     Entries persist across windows (the hardware does not know about our
     streaming chunks); the fill window truncates at the window end, as in
-    production.
+    production. The result carries the final entry table, the state a
+    resumed run would start from.
     """
     width = config.trace_instructions
     blimit = config.branch_limit
@@ -282,7 +286,7 @@ def oracle_trace_cache(
     line_instrs = line_bytes // INSTR_BYTES
     # entry: index -> (start address, outcome bitmask, n_branches, n_instr)
     entries: dict[int, tuple[int, int, int, int]] = {}
-    out = OracleTraceCacheResult()
+    out = OracleTraceCacheResult(entries=entries)
 
     for window in oracle_windows(trace, program, layout, chunk_events):
         n = len(window.addr)

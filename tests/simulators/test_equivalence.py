@@ -11,7 +11,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cfg import BlockKind, Layout, ProgramBuilder
+from repro.cfg import INSTR_BYTES, BlockKind, Layout, ProgramBuilder
 from repro.profiling import BlockTrace
 from repro.simulators import CacheConfig, count_misses
 from repro.simulators.fetch import (
@@ -32,7 +32,8 @@ def _orbit_first_lines(trace, program, layout, line_bytes, chunk_events):
     for ctx in iter_chunk_contexts(trace, program, chunk_events):
         chunk = expand_chunk(ctx, layout)
         starts = _fetch_starts(chunk, line_bytes)
-        lines += (chunk.addr[starts] // line_bytes).tolist()
+        addr = chunk.ev_base[ctx.rep_idx[starts]] + INSTR_BYTES * starts
+        lines += (addr // line_bytes).tolist()
     return lines
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from repro.cfg import BlockKind, Layout, ProgramBuilder
+from repro.cfg import INSTR_BYTES, BlockKind, Layout, ProgramBuilder
 from repro.profiling import BlockTrace
 from repro.simulators import FetchStream, run_fused
 from repro.simulators.fetch import expand_chunk, iter_chunk_contexts
@@ -132,7 +132,9 @@ def test_instruction_chunks_addresses():
     contexts = list(iter_chunk_contexts(BlockTrace([0, 1]), p))
     assert len(contexts) == 1
     chunk = expand_chunk(contexts[0], layout)
-    np.testing.assert_array_equal(chunk.addr, [0, 4, 8, 12, 16])
+    position = np.arange(contexts[0].total)
+    addr = chunk.ev_base[contexts[0].rep_idx] + INSTR_BYTES * position
+    np.testing.assert_array_equal(addr, [0, 4, 8, 12, 16])
     # only the final event ends in a taken branch; a fetch from either
     # event may run to the window's last instruction
     np.testing.assert_array_equal(chunk.taken_ev, [0, 1])

@@ -3,25 +3,29 @@
 One `run_fused` pass carrying many streams must be bit-identical to
 running each fetch / trace-cache simulation (and each i-cache
 configuration) on its own — a solo single-stream pass, the "one-shot"
-reference below — and must build per-instruction arrays only for layouts
-that carry a trace-cache stream.
+reference below — and must build no per-instruction array beyond the
+shared window context, whichever streams it carries.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from repro.cfg import BlockKind, Layout, ProgramBuilder
 from repro.experiments.config import KB
 from repro.experiments.harness import get_workload, layouts_for
+from repro.profiling import BlockTrace
 from repro.simulators import (
     CacheConfig,
     FetchStream,
     TraceCacheConfig,
     TraceCacheStream,
+    expand_chunk,
     iter_chunk_contexts,
     miss_counter,
     run_fused,
 )
-from repro.simulators import fetch as fetch_mod
 from repro.tpcd.workload import WorkloadSettings
 from repro.validate import LineLog
 from repro.validate.generators import random_layout, random_program, random_trace
@@ -99,7 +103,7 @@ def test_fused_empty_pairs_is_a_no_op(workload):
     run_fused(workload.test_trace, workload.program, [])
 
 
-# -- per-instruction arrays are built only for trace-cache layouts ---------
+# -- no pass builds per-instruction arrays beyond the window context -------
 
 SMALL_CHUNK = 64
 
@@ -115,24 +119,78 @@ def small_case():
     return program, layouts, trace
 
 
-@pytest.fixture
-def builds(monkeypatch):
-    """Counts calls of the lazy per-instruction builders."""
-    calls = {"addr": 0, "lengths": 0}
-    real_addr = fetch_mod._instruction_addr
-    real_lengths = fetch_mod._instruction_lengths
+#: Bytes per instruction a pass may allocate above what the window
+#: context and its expansion reach. The fetch pass below needs about 2.9
+#: (the orbit's visited mask, fetch starts and line pairs), the trace
+#: cache about 0.9 more; one more int32 array per instruction (4 B)
+#: exceeds the bound in either.
+EXTRA_BYTES_PER_INSTRUCTION = 4
 
-    def addr(chunk):
-        calls["addr"] += 1
-        return real_addr(chunk)
 
-    def lengths(chunk, line_bytes):
-        calls["lengths"] += 1
-        return real_lengths(chunk, line_bytes)
+@pytest.fixture(scope="module")
+def one_window():
+    """One window of about 0.6 M instructions, from 32-47-instruction
+    blocks under a shuffled layout, and the tracemalloc peak that
+    expanding it alone reaches."""
+    rng = np.random.default_rng(17)
+    n_blocks = 256
+    kinds = [BlockKind.FALL_THROUGH, BlockKind.BRANCH, BlockKind.CALL, BlockKind.RETURN]
+    builder = ProgramBuilder()
+    builder.add_procedure(
+        "f",
+        "executor",
+        sizes=rng.integers(32, 48, size=n_blocks).tolist(),
+        kinds=[kinds[k] for k in rng.integers(0, 4, size=n_blocks)],
+    )
+    program = builder.build()
+    layout = Layout.from_order(program, rng.permutation(n_blocks), name="shuffled")
+    # sequential bursts and random jumps over few blocks: the trace cache
+    # sees hits as well as misses
+    events = np.empty(15_000, dtype=np.int32)
+    current = 0
+    jumps = rng.integers(0, n_blocks, size=events.size).tolist()
+    for i, roll in enumerate(rng.random(events.size).tolist()):
+        current = current + 1 if roll < 0.5 and current + 1 < n_blocks else jumps[i]
+        events[i] = current
+    trace = BlockTrace(events)
 
-    monkeypatch.setattr(fetch_mod, "_instruction_addr", addr)
-    monkeypatch.setattr(fetch_mod, "_instruction_lengths", lengths)
-    return calls
+    def expand():
+        for ctx in iter_chunk_contexts(trace, program):
+            expand_chunk(ctx, layout)
+
+    contexts = list(iter_chunk_contexts(trace, program))
+    assert len(contexts) == 1
+    n = contexts[0].total
+    assert 500_000 <= n <= 1_500_000
+    del contexts
+    return program, layout, trace, n, _peak_bytes(expand)
+
+
+def _peak_bytes(run) -> int:
+    """The tracemalloc peak reached while ``run()`` executes."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _one_window_streams(layout, *, trace_cache: bool) -> list:
+    """Fetch streams at two line sizes, plus a trace cache. No consumers:
+    the i-cache models' temporaries are per line access, not per
+    instruction, and are not measured here. (The walk runs about 50x
+    slower under tracemalloc, which sizes this case.)"""
+    streams = [FetchStream(layout.name, line_bytes=line_bytes) for line_bytes in (32, 64)]
+    if trace_cache:
+        streams.append(TraceCacheStream(layout.name))
+    return streams
+
+
+def _pass_peak(one_window, *, trace_cache: bool) -> int:
+    program, layout, trace, _, _ = one_window
+    pairs = [(layout, s) for s in _one_window_streams(layout, trace_cache=trace_cache)]
+    return _peak_bytes(lambda: run_fused(trace, program, pairs))
 
 
 def _assert_fetch_matches_oracle(stream, trace, program, layout):
@@ -146,7 +204,11 @@ def _assert_fetch_matches_oracle(stream, trace, program, layout):
     assert stream.consumers[0].lines() == ora.lines
 
 
-def test_fetch_only_pass_builds_no_instruction_arrays(small_case, builds):
+def test_fetch_only_pass_builds_no_instruction_arrays(small_case, one_window):
+    *_, n, expand_peak = one_window
+    extra = _pass_peak(one_window, trace_cache=False) - expand_peak
+    assert extra <= EXTRA_BYTES_PER_INSTRUCTION * n, f"{extra / n:.2f} B/instruction"
+
     program, layouts, trace = small_case
     pairs = [
         (layout, FetchStream(layout.name, line_bytes=line_bytes, consumers=[LineLog()]))
@@ -154,12 +216,16 @@ def test_fetch_only_pass_builds_no_instruction_arrays(small_case, builds):
         for line_bytes in (16, 32)
     ]
     run_fused(trace, program, pairs, chunk_events=SMALL_CHUNK)
-    assert builds == {"addr": 0, "lengths": 0}
     for layout, stream in pairs:
         _assert_fetch_matches_oracle(stream, trace, program, layout)
 
 
-def test_trace_cache_builds_instruction_arrays_once_per_layout_window(small_case, builds):
+def test_trace_cache_builds_no_instruction_arrays(small_case, one_window):
+    *_, n, _ = one_window
+    fetch_peak = _pass_peak(one_window, trace_cache=False)
+    extra = _pass_peak(one_window, trace_cache=True) - fetch_peak
+    assert extra <= EXTRA_BYTES_PER_INSTRUCTION * n, f"{extra / n:.2f} B/instruction"
+
     program, layouts, trace = small_case
     with_tc, fetch_only = layouts
     tc_configs = (TraceCacheConfig(n_entries=16), TraceCacheConfig(n_entries=64))
@@ -167,9 +233,7 @@ def test_trace_cache_builds_instruction_arrays_once_per_layout_window(small_case
     fetches = [FetchStream(layout.name, consumers=[LineLog()]) for layout in layouts]
     pairs = [(with_tc, fetches[0]), *[(with_tc, tc) for tc in tcs], (fetch_only, fetches[1])]
     run_fused(trace, program, pairs, chunk_events=SMALL_CHUNK)
-    windows = sum(1 for _ in iter_chunk_contexts(trace, program, SMALL_CHUNK))
-    assert windows > 1
-    assert builds == {"addr": windows, "lengths": windows}
+    assert sum(1 for _ in iter_chunk_contexts(trace, program, SMALL_CHUNK)) > 1
     for layout, stream in zip(layouts, fetches):
         _assert_fetch_matches_oracle(stream, trace, program, layout)
     for config, stream in zip(tc_configs, tcs):

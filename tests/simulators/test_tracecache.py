@@ -12,6 +12,8 @@ from repro.simulators import (
     run_fused,
 )
 from repro.validate import LineLog
+from repro.validate.generators import random_case
+from repro.validate.oracles import oracle_trace_cache
 
 
 def loop_program():
@@ -102,3 +104,41 @@ def test_config_defaults():
     c = TraceCacheConfig()
     assert c.n_entries == 256
     assert c.trace_instructions == 16
+
+
+@pytest.mark.parametrize(
+    "geometry",
+    [
+        {"n_entries": 0},
+        {"n_entries": -4},
+        {"trace_instructions": 0},
+        {"trace_instructions": -3},
+        {"branch_limit": 0},
+    ],
+)
+def test_config_rejects_empty_geometry(geometry):
+    with pytest.raises(ValueError):
+        TraceCacheConfig(**geometry)
+
+
+@pytest.mark.parametrize("stream_type", [FetchStream, TraceCacheStream])
+@pytest.mark.parametrize("line_bytes", [0, 2, 6, -4])
+def test_streams_reject_lines_off_the_instruction_grain(stream_type, line_bytes):
+    with pytest.raises(ValueError):
+        stream_type("l", line_bytes=line_bytes)
+
+
+def test_smallest_geometry_matches_oracle():
+    case = random_case(3)
+    config = TraceCacheConfig(1, 1, 1)
+    stream = TraceCacheStream(case.layout.name, config, consumers=[LineLog()])
+    run_fused(case.trace, case.program, [(case.layout, stream)], chunk_events=case.chunk_events)
+    ora = oracle_trace_cache(
+        case.trace, case.program, case.layout, config, chunk_events=case.chunk_events
+    )
+    assert ora.n_misses > 0
+    assert (stream.n_instructions, stream.n_hits, stream.n_misses, stream.n_taken) == (
+        ora.n_instructions, ora.n_hits, ora.n_misses, ora.n_taken
+    )
+    assert stream.consumers[0].lines() == ora.miss_lines
+    assert stream.state_dict()["entries"] == [ora.entries.get(0)]

@@ -9,6 +9,7 @@ proving the harness actually observes the counter it claims to check.
 import pytest
 
 import repro.simulators.fetch as fetch_mod
+from repro.simulators import TraceCacheStream
 from repro.validate.differential import (
     diff_fetch_case,
     diff_trace_cache_case,
@@ -80,6 +81,27 @@ def test_injected_branch_limit_bug_is_caught(monkeypatch):
         found.extend(diff_fetch_case(case))
         found.extend(diff_trace_cache_case(case))
     assert found, "harness failed to notice BRANCH_LIMIT=1"
+
+
+def test_injected_entry_unit_bug_is_caught(monkeypatch):
+    """Entries that store the start address in another unit still hit and
+    miss alike, so only the carried entry table can show them — and a
+    resumed or relayed walk seeded with them would silently miss."""
+    real = TraceCacheStream.state_dict
+
+    def quartered(self):
+        state = real(self)
+        state["entries"] = [
+            None if entry is None else (entry[0] // 4, *entry[1:])
+            for entry in state["entries"]
+        ]
+        return state
+
+    monkeypatch.setattr(TraceCacheStream, "state_dict", quartered)
+    found = []
+    for seed in _BUSY_SEEDS:
+        found.extend(diff_trace_cache_case(random_case(seed)))
+    assert "tc.fused.entries" in {d.counter for d in found}
 
 
 @pytest.mark.parametrize("seed", [0, 42])
