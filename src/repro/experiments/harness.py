@@ -22,6 +22,7 @@ __all__ = [
     "training_profile",
     "layouts_for",
     "standard_parser",
+    "shard_count",
     "settings_from_args",
     "suite_options_from_args",
     "resolve_jobs",
@@ -117,6 +118,14 @@ def layouts_for(
     return {name: builders[name]() for name in names}
 
 
+def shard_count(text: str) -> int:
+    """``argparse`` type of a shard-count flag: an integer of at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def standard_parser(description: str) -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(description=description)
     parser.add_argument("--scale", type=float, default=0.005, help="TPC-D scale factor (default 0.005)")
@@ -126,15 +135,16 @@ def standard_parser(description: str) -> argparse.ArgumentParser:
         "--jobs",
         type=int,
         default=1,
-        help="worker processes for the evaluation suite (0 = all cores, default 1)",
+        help="worker processes for the evaluation suite's shard jobs; above 1 "
+        "the suite runs shard-parallel (0 = all cores, default 1)",
     )
     parser.add_argument(
         "--shards",
-        type=int,
+        type=shard_count,
         default=None,
-        help="partition the trace into this many shard spans and run the suite "
-        "shard-parallel (bit-identical to the fused pass; shards become the "
-        "checkpoint/resume unit; default: off)",
+        help="partition the trace into this many shard spans for the suite's "
+        "pass (bit-identical to the fused pass; shard jobs become the "
+        "checkpoint/resume unit; default: --jobs)",
     )
     parser.add_argument(
         "--resume",
@@ -148,7 +158,7 @@ def standard_parser(description: str) -> argparse.ArgumentParser:
         type=float,
         default=None,
         metavar="SECONDS",
-        help="abort a parallel suite run if no task completes for this long",
+        help="abort a parallel suite run if no shard job completes for this long",
     )
     parser.add_argument(
         "--manifest",

@@ -135,10 +135,6 @@ class RunLog:
 
     # -- serialization -----------------------------------------------------
 
-    @property
-    def retry_count(self) -> int:
-        return sum(1 for e in self.data["events"] if e["type"] == "retry")
-
     def finish(self, status: str = "completed", error: str | None = None) -> None:
         self.data["status"] = status
         if error is not None:

@@ -8,40 +8,38 @@ artifact cache — so Table 3, Table 4 and the headline module share the
 work within and across processes.
 
 The suite is decomposed into self-contained (layout x geometry) tasks,
-and the engine executes them *fused*: tasks are grouped (at most
-``_FUSE_LIMIT`` per group) and each group makes a single streaming pass
-over the trace (:func:`repro.simulators.run_fused`) feeding every task's
-incremental fetch/trace-cache streams and attached i-cache miss counters
-at once — the trace is decoded and expanded once per group instead of
-once per simulation, and peak memory stays one window regardless of group
-size. A task's payload does not depend on which tasks share its group,
-so checkpoints from any grouping mix.
-
-The groups run on the shared job scheduler
-(:func:`repro.util.scheduler.run_jobs`), in-parent or, with ``jobs > 1``,
-on a fork-based process pool: the workload's trace handles are shared
-copy-on-write, each worker returns only scalar metrics, and assembly is
-deterministic, so parallel output is bit-identical to serial. Platforms
-without ``fork`` (and ``jobs=1``) run the same groups in-parent.
+and the engine evaluates every missing task in *one* streaming pass over
+the trace, made in the calling process: each task contributes
+incremental fetch/trace-cache streams with attached i-cache miss
+counters, so the trace is decoded and expanded once per pass instead of
+once per simulation. A task's payload does not depend on which tasks
+share its pass, so checkpoints from any run mix. With one worker and one
+shard the pass is :func:`repro.simulators.run_fused`; otherwise it is
+:func:`repro.simulators.run_sharded`, whose shard jobs run on ``jobs``
+fork workers of the shared job scheduler
+(:func:`repro.util.scheduler.run_jobs`) and whose stitched streams are
+bit-identical to the fused pass.
 
 The engine is fault-tolerant and resumable:
 
 * every completed task's payload is checkpointed through the artifact
   cache (kind ``suite-task``, keyed by the workload settings and task),
+  and every shard job of a sharded pass as well (kind ``suite-shard``),
   so a crashed, killed, or partially-failed run resumes by recomputing
-  only the missing tasks — and produces bit-identical results;
+  only what is missing — and produces bit-identical results;
 * failures that can succeed on retry (memory pressure, I/O hiccups; see
   :func:`repro.util.scheduler.is_transient`) are retried with exponential
   backoff, bounded by ``retries``;
-* a permanent task failure names the task (:class:`SuiteTaskError`),
-  cancels pending work, and leaves every completed task checkpointed;
-* ``task_timeout`` bounds how long a parallel run may go with no task
-  completing — a stall raises :class:`SuiteTimeoutError` naming the
-  still-running tasks instead of hanging forever;
-* if the worker pool itself dies, the run degrades to in-parent serial
-  execution of the remaining tasks;
+* a permanent failure names the task, or the shard job, that failed
+  (:class:`SuiteTaskError`) and leaves completed work checkpointed;
+* ``task_timeout`` bounds how long a parallel pass may go with no shard
+  job completing — a stall raises :class:`SuiteTimeoutError` naming the
+  still-running jobs instead of hanging forever;
+* if the worker pool itself dies, the pass degrades to in-process
+  execution of the remaining shard jobs;
 * a :class:`~repro.experiments.runlog.RunLog` manifest records per-task
-  timing, checkpoint provenance, retries, failures and cache counters.
+  timing, checkpoint provenance, shard jobs, retries, failures and cache
+  counters.
 """
 
 from __future__ import annotations
@@ -137,10 +135,10 @@ _Task = tuple[str, object]
 
 
 def _suite_tasks(grid, tc_rows) -> list[_Task]:
-    """Canonical task order, arranged so that tasks sharing a layout
-    (base/tc over ``orig``, row/tc_ops over one geometry) sit next to
-    each other — the fused engine groups contiguous tasks, and adjacent
-    tasks of one layout share its per-window expansion."""
+    """Canonical task order: tasks sharing a layout (base/tc over
+    ``orig``, row/tc_ops over one geometry) sit next to each other. The
+    order fixes the streams of the pass and, through the shard
+    checkpoint keys, which shard payloads a resumed run may reuse."""
     if not grid:  # empty grid: nothing to simulate, not even the bases
         return []
     tasks: list[_Task] = [("base", "orig"), ("tc", "orig"), ("base", "P&H")]
@@ -167,28 +165,23 @@ def _task_label(task: _Task) -> str:
     return "trace cache: ops layout {}/{}".format(*arg)
 
 
-# -- fused execution -----------------------------------------------------
+# -- the pass ------------------------------------------------------------
 #
-# The engine does not run tasks one simulation at a time: tasks are
-# grouped and each group makes a *single* pass over the trace
-# (repro.simulators.run_fused), with every task contributing incremental
-# streams whose i-cache configurations are attached miss counters. Every
-# stream starts cold and owns its counters, so a task's payload is the
-# same whichever tasks share its pass.
-
-#: Upper bound on tasks fused into one trace pass. Groups stay small so
-#: retry, stall detection and checkpointing keep useful granularity.
-_FUSE_LIMIT = 8
+# The engine does not run tasks one simulation at a time: every task
+# contributes incremental streams whose i-cache configurations are
+# attached miss counters, and all of them are fed in a *single* pass over
+# the trace. Every stream starts cold and owns its counters, so a task's
+# payload is the same whichever tasks share its pass.
 
 
 def _unit_for(workload: Workload, task: _Task, grid, cache_sizes, layout_memo=None):
-    """Build one task's fused streams and payload finalizer.
+    """Build one task's streams and payload finalizer.
 
     Returns ``(pairs, finalize)``: ``pairs`` are the ``(layout, stream)``
-    contributions to the fused pass, ``finalize()`` assembles the task
-    payload from the stream counters afterwards. ``layout_memo`` shares
-    layout objects across the units of one group, which lets the fused
-    driver share their per-window expansion as well.
+    contributions to the pass, ``finalize()`` assembles the task payload
+    from the stream counters afterwards. ``layout_memo`` shares layout
+    objects across the units of one pass, which lets the fused driver
+    share their per-window expansion as well.
     """
     kind, arg = task
     memo = layout_memo if layout_memo is not None else {}
@@ -274,90 +267,78 @@ def _unit_for(workload: Workload, task: _Task, grid, cache_sizes, layout_memo=No
     raise ValueError(f"unknown suite task {task!r}")
 
 
-def _run_units(workload: Workload, group, grid, cache_sizes, drive):
-    """Build the group's units, ``drive(tasks, pairs)`` their streams in
-    one pass, and finalize the payloads.
+def _run_group(
+    workload: Workload, tasks, grid, cache_sizes, *, shards: int | None = None,
+    jobs: int = 1, retries: int = 0, task_timeout: float | None = None,
+    runlog: RunLog | None = None, cache=None,
+):
+    """Evaluate ``tasks`` in one pass over the trace; returns
+    ``(payloads, errors)`` keyed by task.
 
-    Returns ``(payloads, errors)`` keyed by task. A failure while
-    building one task's unit (layout construction) is isolated to that
-    task; a failure during the shared pass fails every task whose unit
-    made it into the pass (none of their streams can be trusted).
+    With ``jobs <= 1`` and at most one shard the pass is one
+    :func:`run_fused`; otherwise it is one :func:`run_sharded` over
+    ``shards`` spans (default: ``jobs``) on ``jobs`` workers, whose shard
+    jobs ``cache`` checkpoints and ``runlog`` records. Payloads are
+    finalized with the same arithmetic either way, so results are
+    bit-identical for any shard/worker combination.
+
+    A failure while building one task's streams (layout construction) is
+    isolated to that task; a failure during the pass fails every task
+    whose streams made it into the pass (none of them can be trusted).
     """
     payloads: dict[_Task, dict] = {}
     errors: dict[_Task, BaseException] = {}
     memo: dict = {}
     units = []
-    for task in group:
+    for task in tasks:
         try:
             pairs, finalize = _unit_for(workload, task, grid, cache_sizes, memo)
         except Exception as exc:
             errors[task] = exc
             continue
         units.append((task, pairs, finalize))
-    if units:
-        try:
-            drive([task for task, _, _ in units], [pair for _, pairs, _ in units for pair in pairs])
-        except Exception as exc:
-            for task, _, _ in units:
-                errors[task] = exc
-            return payloads, errors
+    if not units:
+        return payloads, errors
+    trace = workload.test_trace
+    pairs = [pair for _, unit_pairs, _ in units for pair in unit_pairs]
+    event = runlog.event if runlog is not None else lambda kind, **fields: None
+    try:
+        if jobs <= 1 and shards in (None, 1):
+            run_fused(trace, workload.program, pairs)
+        else:
+            plan = plan_shards(len(trace), shards=jobs if shards is None else shards)
+            event(
+                "shard-plan", shards=plan.n_shards, chunk_events=plan.chunk_events,
+                bounds=list(plan.bounds),
+            )
+            checkpoint = None
+            if cache is not None:
+                # the prefix pins everything a shard payload depends on —
+                # workload settings, cache sizes, the exact task set (stream
+                # composition; suite streams always start cold) and the shard
+                # plan — so resumed runs only ever reuse payloads bit-identical
+                # to a fresh computation
+                in_pass = tuple(task for task, _, _ in units)
+                prefix = (workload.settings, tuple(cache_sizes), in_pass, plan.signature())
+                checkpoint = _CacheCheckpoint(cache, "suite-shard", lambda key: prefix + (key,))
+            report = run_sharded(
+                trace, workload.program, pairs,
+                shards=plan, jobs=jobs, retries=retries,
+                task_timeout=task_timeout, checkpoint=checkpoint,
+                on_job=lambda key, source: event("shard-job", job=list(key), source=source),
+            )
+            if report.degraded:
+                event("pool-broken", error=repr(report.pool_error), remaining=report.remaining)
+    except Exception as exc:
+        for task, _, _ in units:
+            errors[task] = exc
+        return payloads, errors
     for task, _, finalize in units:
         try:
             payloads[task] = finalize()
         except Exception as exc:
             errors[task] = exc
     return payloads, errors
-
-
-def _run_group(workload: Workload, group, grid, cache_sizes):
-    """One fused pass over the trace for a group of tasks; returns
-    ``(payloads, errors)`` keyed by task (see :func:`_run_units`)."""
-    return _run_units(
-        workload, group, grid, cache_sizes,
-        lambda tasks, pairs: run_fused(workload.test_trace, workload.program, pairs),
-    )
-
-
-def _run_sharded_group(
-    workload: Workload, group, grid, cache_sizes, shards, jobs, retries, task_timeout,
-    runlog, cache,
-):
-    """The group's streams in one shard-parallel pass (:func:`run_sharded`).
-
-    The shard job, not the task, is the checkpoint/retry/resume unit of
-    the pass: an interrupted run recomputes only the missing shard jobs
-    and relay steps. Payloads are finalized from the stitched streams
-    with the same arithmetic as the fused path, so results are
-    bit-identical for any shard/worker combination.
-    """
-
-    def drive(tasks, pairs) -> None:
-        trace = workload.test_trace
-        plan = plan_shards(len(trace), shards=shards)
-        runlog.event(
-            "shard-plan",
-            shards=plan.n_shards,
-            chunk_events=plan.chunk_events,
-            bounds=list(plan.bounds),
-        )
-        checkpoint = None
-        if cache is not None:
-            # the prefix pins everything a shard payload depends on — workload
-            # settings, cache sizes, the exact task set (stream composition;
-            # suite streams always start cold) and the shard plan — so resumed
-            # runs only ever reuse payloads bit-identical to a fresh computation
-            prefix = (workload.settings, tuple(cache_sizes), tuple(tasks), plan.signature())
-            checkpoint = _CacheCheckpoint(cache, "suite-shard", lambda key: prefix + (key,))
-        report = run_sharded(
-            trace, workload.program, pairs,
-            shards=plan, jobs=jobs, retries=retries,
-            task_timeout=task_timeout, checkpoint=checkpoint,
-            on_job=lambda key, source: runlog.event("shard-job", job=list(key), source=source),
-        )
-        if report.degraded:
-            runlog.event("pool-broken", remaining=0)
-
-    return _run_units(workload, group, grid, cache_sizes, drive)
 
 
 def _assemble(grid, tc_rows, results: dict[_Task, dict]) -> SuiteResults:
@@ -405,11 +386,13 @@ class SuiteTaskError(RuntimeError):
 
 
 class SuiteTimeoutError(RuntimeError):
-    """No task completed within ``task_timeout`` seconds of the last one."""
+    """No shard job of the suite's pass completed within ``task_timeout``
+    seconds of the last one."""
 
     def __init__(self, labels: list[str], timeout: float) -> None:
         super().__init__(
-            f"no suite task completed in {timeout:.1f}s; still running: {', '.join(labels)}"
+            f"no suite shard job completed in {timeout:.1f}s; "
+            f"still running: {', '.join(labels)}"
         )
         self.labels = labels
         self.timeout = timeout
@@ -426,6 +409,11 @@ def _task_key(settings: WorkloadSettings, cache_sizes, task: _Task) -> tuple:
     if task[0] in ("base", "tc"):
         return (settings, tuple(cache_sizes), task)
     return (settings, task)
+
+
+def _check_shards(shards: int | None) -> None:
+    if shards is not None and shards < 1:
+        raise ValueError(f"shards must be >= 1, got {shards}")
 
 
 class _CacheCheckpoint:
@@ -459,21 +447,25 @@ def compute_suite(
 ) -> SuiteResults:
     """Evaluate all layouts over the grid on the Test-set trace.
 
-    ``jobs > 1`` fans the (layout x geometry) tasks out over worker
-    processes (fork platforms only); results are bit-identical to serial.
-    ``shards > 1`` switches the axis of parallelism from tasks to *trace
-    spans*: every missing task joins one shard-parallel pass
-    (:func:`repro.simulators.run_sharded`) whose shard jobs fan out over
-    ``jobs`` workers — still bit-identical, and the checkpoint/retry/
-    resume unit becomes the shard job instead of the task.
+    Every missing (layout x geometry) task joins one pass over the trace,
+    made in the calling process. With ``jobs=1`` and at most one shard
+    the pass is one fused pass (:func:`repro.simulators.run_fused`).
+    Otherwise it is one shard-parallel pass
+    (:func:`repro.simulators.run_sharded`) over ``shards`` trace spans
+    (default: ``jobs``) whose shard jobs fan out over ``jobs`` worker
+    processes (fork platforms only); the shard job is then the unit the
+    pool retries, times out on and checkpoints. Results are bit-identical
+    for every ``jobs``/``shards`` combination. ``shards`` below 1 is a
+    :class:`ValueError`.
 
-    With ``resume=True`` (the default) each completed task is
-    checkpointed in the artifact cache and an interrupted or failed run
-    picks up where it left off; ``retries`` bounds per-task retry of
-    transient failures, ``task_timeout`` bounds how long a parallel run
-    may sit with no task completing, and ``manifest`` names a JSON file
-    to receive the structured run log (written on success *and* failure).
+    With ``resume=True`` (the default) each completed task and shard job
+    is checkpointed in the artifact cache and an interrupted or failed
+    run picks up where it left off; ``retries`` bounds retry of transient
+    failures, ``task_timeout`` bounds how long a parallel pass may sit
+    with no shard job completing, and ``manifest`` names a JSON file to
+    receive the structured run log (written on success *and* failure).
     """
+    _check_shards(shards)
     tc_rows = grid if tc_rows is None else tc_rows
     cache_sizes = sorted({c for c, _ in grid})
     tasks = _suite_tasks(grid, tc_rows)
@@ -502,14 +494,12 @@ def compute_suite(
         runlog.task_retry(label, exc, attempt)
         prog.fail(f"{label}: {exc!r} (attempt {attempt}, retrying)")
 
-    def stalled(labels: list[str], timeout: float) -> SuiteTimeoutError:
-        runlog.event("stall", tasks=labels, timeout=timeout)
-        prog.fail(f"stalled {timeout:.1f}s waiting on: {', '.join(labels)}")
-        return SuiteTimeoutError(labels, timeout)
-
     def on_failed(task: _Task, exc: BaseException, attempts: int) -> RuntimeError:
-        if isinstance(exc, ShardTimeoutError):
-            return stalled([repr(key) for key in exc.keys], exc.timeout)
+        if isinstance(exc, ShardTimeoutError):  # the pass stalled on its pool
+            labels = [repr(key) for key in exc.keys]
+            runlog.event("stall", tasks=labels, timeout=exc.timeout)
+            prog.fail(f"stalled {exc.timeout:.1f}s waiting on: {', '.join(labels)}")
+            return SuiteTimeoutError(labels, exc.timeout)
         if isinstance(exc, ShardError):  # a sharded pass names its shard job
             task, exc = ("shard", exc.key), exc.cause
         label = _task_label(task)
@@ -517,25 +507,13 @@ def compute_suite(
         prog.fail(f"{label}: {exc!r}")
         return SuiteTaskError(task, label, exc)
 
-    def on_pool_broken(exc: BaseException, remaining: list[_Task]) -> None:
-        runlog.event("pool-broken", error=repr(exc), remaining=len(remaining))
-        prog.fail(f"worker pool died ({exc!r}); running {len(remaining)} tasks serially")
+    def run(batch: list, inputs: dict):
+        return _run_group(
+            workload, batch, grid, cache_sizes,
+            shards=shards, jobs=jobs, retries=retries, task_timeout=task_timeout,
+            runlog=runlog, cache=cache if checkpointing else None,
+        )
 
-    if shards is not None and shards > 1:
-        # every missing task joins one in-parent group; the pass itself
-        # fans its shard jobs over ``jobs`` workers
-        def run(group, inputs):
-            return _run_sharded_group(
-                workload, group, grid, cache_sizes, shards, jobs, retries,
-                task_timeout, runlog, cache if checkpointing else None,
-            )
-
-        limit, lanes = max(1, len(tasks)), 1
-    else:
-        def run(group, inputs):
-            return _run_group(workload, group, grid, cache_sizes)
-
-        limit, lanes = _FUSE_LIMIT, jobs
     checkpoint = None
     if checkpointing:
         checkpoint = _CacheCheckpoint(
@@ -545,17 +523,14 @@ def compute_suite(
         if tasks:
             # profile once in the parent: workers inherit it copy-on-write
             training_profile(workload)
+        # one batch: every missing task joins the one pass
         results = run_jobs(
             tasks, run,
-            limit=limit, jobs=lanes, retries=retries, timeout=task_timeout,
+            limit=max(1, len(tasks)), retries=retries,
             checkpoint=checkpoint,
             on_done=on_done,
             on_retry=on_retry,
             on_failed=on_failed,
-            on_stall=lambda running, timeout: stalled(
-                sorted(_task_label(task) for task in running), timeout
-            ),
-            on_pool_broken=on_pool_broken,
         )
     except BaseException as exc:
         runlog.finish(status="failed", error=repr(exc))
@@ -635,6 +610,7 @@ def get_suite(
     ``jobs`` only affect how a miss is computed, never the cache key:
     sharded results are bit-identical to fused ones.
     """
+    _check_shards(shards)
     tc_rows = grid if tc_rows is None else tc_rows
     settings = workload.settings
     fault_kwargs = dict(
@@ -674,6 +650,7 @@ def suite_for(
 ) -> SuiteResults:
     """Disk-first suite lookup: a warm artifact-cache hit returns without
     building the workload at all."""
+    _check_shards(shards)
     tc_rows = grid if tc_rows is None else tc_rows
     return _cached_suite(
         settings, grid, tc_rows, manifest,

@@ -17,6 +17,7 @@ import argparse
 import asyncio
 import contextlib
 
+from repro.experiments.harness import shard_count
 from repro.serve.client import ServeClient
 from repro.serve.server import MAX_UPLOAD_BYTES, ServeApp
 
@@ -43,14 +44,15 @@ def build_parser() -> argparse.ArgumentParser:
         "--engine-jobs",
         type=int,
         default=1,
-        help="suite-engine worker processes per job (default 1: in-thread)",
+        help="suite-engine worker processes per job for its shard jobs "
+        "(default 1: in-thread)",
     )
     parser.add_argument(
         "--engine-shards",
-        type=int,
+        type=shard_count,
         default=None,
-        help="default shard count for the engine's trace-parallel path "
-        "(jobs may override per spec; default: off)",
+        help="default shard count of the engine's pass (jobs may override "
+        "per spec; default: --engine-jobs)",
     )
     parser.add_argument(
         "--retries", type=int, default=2, help="per-task transient-failure retries (default 2)"

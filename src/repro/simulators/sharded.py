@@ -153,7 +153,13 @@ class ShardReport:
     plan: ShardPlan
     computed: list = field(default_factory=list)  # job keys run this call
     checkpointed: list = field(default_factory=list)  # job keys loaded
-    degraded: bool = False  # worker pool died; finished in-process
+    pool_error: BaseException | None = None  # why the worker pool died
+    remaining: int = 0  # jobs the dead pool left to run in-process
+
+    @property
+    def degraded(self) -> bool:
+        """The worker pool died and the call finished in-process."""
+        return self.pool_error is not None
 
     @property
     def n_jobs(self) -> int:
@@ -342,9 +348,10 @@ def run_sharded(
     Drop-in equivalent of :func:`run_fused`: streams are mutated in place
     and end up bit-identical — counters *and* carried state — to a single
     fused pass, for any ``shards``/``jobs`` combination. ``shards`` is a
-    shard count or a precomputed :class:`ShardPlan`; ``jobs > 1`` fans the
-    shard jobs and relay steps over a fork-based process pool (platforms
-    without ``fork``, and ``jobs=1``, run in-process).
+    shard count (default: ``jobs``; below 1 is a :class:`ValueError`) or
+    a precomputed :class:`ShardPlan`; ``jobs > 1`` fans the shard jobs and
+    relay steps over a fork-based process pool (platforms without
+    ``fork``, and ``jobs=1``, run in-process).
 
     ``checkpoint``, when given, must expose ``load(key) -> payload|None``
     and ``store(key, payload)``; keys are ``("family", shard)`` and
@@ -356,8 +363,9 @@ def run_sharded(
     ``"checkpoint"`` or ``"computed"``. Failures that can succeed on retry
     (:func:`repro.util.scheduler.is_transient`) retry up to ``retries``
     times with backoff; ``task_timeout`` bounds how long a parallel run
-    may go with no job completing; a dead worker pool degrades to
-    in-process execution of the remaining jobs.
+    may go with no job completing (:class:`ShardTimeoutError`); a dead
+    worker pool degrades to in-process execution of the remaining jobs,
+    and the report records why it died and how many jobs it left.
     """
     n_events = len(trace)
     if isinstance(shards, ShardPlan):
@@ -365,7 +373,7 @@ def run_sharded(
         if plan.chunk_events != chunk_events or plan.n_events != n_events:
             raise ValueError("shard plan does not match this trace/window size")
     else:
-        plan = plan_shards(n_events, chunk_events, shards if shards else max(jobs, 1))
+        plan = plan_shards(n_events, chunk_events, max(jobs, 1) if shards is None else shards)
     report = ShardReport(plan=plan)
     if not pairs:
         return report
@@ -395,7 +403,8 @@ def run_sharded(
             on_job(key, source)
 
     def pool_broken(exc: BaseException, remaining: list) -> None:
-        report.degraded = True
+        report.pool_error = exc
+        report.remaining = len(remaining)
 
     keys = [("family", s) for s in range(n_shards)] if family else []
     keys += [("relay", ci, s) for ci in range(len(chains)) for s in range(n_shards)]

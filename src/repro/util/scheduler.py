@@ -1,12 +1,12 @@
 """One fault-tolerant job scheduler for the simulation engines.
 
 The suite engine (:func:`repro.experiments.suite.compute_suite`) runs its
-task groups and the sharded engine (:func:`repro.simulators.run_sharded`)
-its shard jobs and relay chains through :func:`run_jobs`, which alone
-owns checkpoint restore and store, retry of the failures that can
-succeed on retry (:func:`is_transient`) with backoff, the stall timeout
-of a process pool, and the fallback to in-parent execution when the pool
-dies.
+tasks, as one batch in the calling process, and the sharded engine
+(:func:`repro.simulators.run_sharded`) its shard jobs and relay chains
+through :func:`run_jobs`, which alone owns checkpoint restore and store,
+retry of the failures that can succeed on retry (:func:`is_transient`)
+with backoff, the stall timeout of a process pool, and the fallback to
+in-parent execution when the pool dies.
 
 Pool workers receive the job function through the pool initializer.
 Under ``fork`` initializer arguments are inherited, not pickled, so the
@@ -63,19 +63,6 @@ def _backoff(attempt: int) -> float:
     return _RETRY_BACKOFF_SECONDS * (2 ** (attempt - 1))
 
 
-def _split_groups(keys, n_groups: int) -> list[list]:
-    """Contiguous, near-even split of ``keys`` into ``n_groups`` lists."""
-    n = len(keys)
-    n_groups = max(1, min(n_groups, n))
-    base, rem = divmod(n, n_groups)
-    out, start = [], 0
-    for g in range(n_groups):
-        size = base + (1 if g < rem else 0)
-        out.append(list(keys[start : start + size]))
-        start += size
-    return out
-
-
 # The job function of a pool worker, installed in the worker process by the
 # pool initializer. The parent process never sets it.
 _job: Callable | None = None
@@ -98,12 +85,16 @@ def _ignore(*args) -> None:
     return None
 
 
+def _stall_error(keys: list, timeout: float) -> TimeoutError:
+    return TimeoutError(f"no job completed in {timeout:.1f}s; still running: {keys!r}")
+
+
 def run_jobs(
     keys: Sequence[Hashable],
     run: Callable,
     *,
     on_failed: Callable,
-    on_stall: Callable,
+    on_stall: Callable = _stall_error,
     limit: int = 1,
     jobs: int = 1,
     retries: int = 0,
@@ -124,10 +115,9 @@ def run_jobs(
 
     Keys run in contiguous batches of at most ``limit``: in order in the
     calling process, or, with ``jobs > 1`` where the platform can fork,
-    split near-evenly into at least ``jobs`` batches on a pool of up to
-    ``jobs`` workers. A failed key is retried up to ``retries`` times when
-    :func:`is_transient` allows it; the failed keys of one batch retry
-    together after a backoff.
+    on a pool of up to ``jobs`` workers. A failed key is retried up to
+    ``retries`` times when :func:`is_transient` allows it; the failed keys
+    of one batch retry together after a backoff.
 
     ``checkpoint``, when given, exposes ``load(key) -> payload | None``
     and ``store(key, payload)``. The callbacks:
@@ -141,7 +131,7 @@ def run_jobs(
     * ``on_failed(key, exc, attempts)`` returns the exception to raise for
       a permanent failure, ``on_stall(keys, timeout)`` the one to raise
       when no pool batch completes in ``timeout`` seconds (``keys`` are
-      those still running);
+      those still running; by default a :class:`TimeoutError`);
     * ``on_pool_broken(exc, remaining)`` before the ``remaining`` keys of
       a dead pool run in the calling process.
     """
@@ -180,8 +170,11 @@ def run_jobs(
             time.sleep(_backoff(max(attempts[key] for key in retry)))
         return retry
 
+    def batches(keys: list) -> list:
+        return [keys[i : i + limit] for i in range(0, len(keys), limit)]
+
     def in_parent(keys: list) -> None:
-        queue = [keys[i : i + limit] for i in range(0, len(keys), limit)]
+        queue = batches(keys)
         while queue:
             batch = queue.pop(0)
             for key in batch:
@@ -204,7 +197,7 @@ def run_jobs(
             initializer=_init_worker,
             initargs=(run,),
         )
-        waiting = _split_groups(keys, max(n_workers, -(-len(keys) // limit)))
+        waiting = batches(keys)
         in_flight: dict = {}
         submitted: dict = {}
         try:

@@ -23,6 +23,7 @@ from repro.experiments import (
     table4,
 )
 from repro.experiments import __main__ as full_run
+from repro.experiments.harness import standard_parser
 
 SCALE_ARGS = ["--scale", "0.0002"]
 
@@ -48,6 +49,15 @@ def test_help_exits_zero(module, capsys):
         module.main(["--help"])
     assert exit_info.value.code == 0
     assert "usage" in capsys.readouterr().out.lower()
+
+
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_shard_counts_below_one_are_rejected_at_parse_time(value, capsys):
+    parser = standard_parser("shard count check")
+    with pytest.raises(SystemExit) as exit_info:
+        parser.parse_args(["--shards", value])
+    assert exit_info.value.code == 2
+    assert "--shards: must be at least 1" in capsys.readouterr().err
 
 
 def test_figure3_cli(capsys):

@@ -4,9 +4,12 @@ Each test points ``REPRO_CACHE_DIR`` at its own directory so checkpoint
 state never leaks between tests (the default cache re-reads the env on
 every access); workload and profile stay warm in the in-memory layers.
 
-Failures are injected at the ``_unit_for`` seam — the engine builds each
-task's fused streams through it, so a raising unit stands in for any
-per-task failure while the rest of the group proceeds.
+Per-task failures are injected at the ``_unit_for`` seam — the engine
+builds each task's streams through it, in the calling process, so a
+raising unit stands in for any per-task failure while the rest of the
+pass proceeds. Failures on the worker pool are injected into the shard
+jobs of the sharded pass (``_family_shard``, ``_relay_shard``), which a
+suite with ``jobs > 1`` runs there.
 """
 
 import dataclasses
@@ -41,6 +44,7 @@ FAIL_TASK = ("row", GRID[1])
 
 REAL_UNIT = suite_mod._unit_for
 REAL_FAMILY = sharded_mod._family_shard
+REAL_RELAY = sharded_mod._relay_shard
 
 
 @pytest.fixture(scope="module")
@@ -69,6 +73,17 @@ def _flatten(s):
 def _checkpoint_files():
     root = default_cache().root
     return list(root.rglob("suite-task/*.pkl"))
+
+
+def _shard_checkpoint_files():
+    return list(default_cache().root.rglob("suite-shard/*.pkl"))
+
+
+def _wait_for(condition, seconds: float = 60.0) -> None:
+    """Poll ``condition`` until it holds, for at most ``seconds``."""
+    deadline = time.monotonic() + seconds
+    while not condition() and time.monotonic() < deadline:
+        time.sleep(0.05)
 
 
 def test_failing_task_names_task_and_preserves_checkpoints(workload, monkeypatch):
@@ -128,24 +143,44 @@ def test_resume_recomputes_only_missing_and_is_bit_identical(
     assert "cache" in data and data["cache"]["hits"] >= checkpointed
 
 
-def test_parallel_failure_cancels_pending_and_resume_completes(workload, monkeypatch):
-    def boom(wl, task, grid, cache_sizes, layout_memo=None):
-        if task == FAIL_TASK:
+def test_parallel_failure_cancels_pending_and_resume_completes(
+    workload, tmp_path, monkeypatch
+):
+    """A shard job that fails on the pool (``jobs=2``, no ``shards``) fails
+    the run naming that job; the shard jobs checkpointed before it are
+    reused by the resume."""
+
+    def boom(trace, program, layouts, chunk_events, plan, specs, shard_idx):
+        if shard_idx == plan.n_shards - 1:
+            # fail once another shard job is checkpointed, so the resume
+            # has something to reuse
+            _wait_for(_shard_checkpoint_files)
             raise ValueError("injected parallel failure")
-        return REAL_UNIT(wl, task, grid, cache_sizes, layout_memo)
+        return REAL_FAMILY(trace, program, layouts, chunk_events, plan, specs, shard_idx)
 
-    monkeypatch.setattr(suite_mod, "_unit_for", boom)
+    monkeypatch.setattr(sharded_mod, "_family_shard", boom)
+    manifest = tmp_path / "fail.json"
     with pytest.raises(SuiteTaskError) as excinfo:
-        compute_suite(workload, GRID, jobs=2)
-    assert suite_mod._task_label(FAIL_TASK) in str(excinfo.value)
-    checkpointed = {p.name for p in _checkpoint_files()}
+        compute_suite(workload, GRID, jobs=2, manifest=manifest)
+    failed_job = ("family", 1)  # jobs=2 plans two shards
+    assert excinfo.value.task == ("shard", failed_job)
+    assert suite_mod._task_label(("shard", failed_job)) in str(excinfo.value)
+    data = json.loads(manifest.read_text())
+    assert data["status"] == "failed"
+    assert len(data["tasks"]) == 1  # only the failure: no task completed
+    checkpointed = {p.name for p in _shard_checkpoint_files()}
+    assert checkpointed
 
-    monkeypatch.setattr(suite_mod, "_unit_for", REAL_UNIT)
-    resumed = compute_suite(workload, GRID, jobs=2)
+    monkeypatch.setattr(sharded_mod, "_family_shard", REAL_FAMILY)
+    manifest = tmp_path / "resume.json"
+    resumed = compute_suite(workload, GRID, jobs=2, manifest=manifest)
     fresh = compute_suite(workload, GRID, jobs=1, resume=False)
     assert _flatten(resumed) == _flatten(fresh)
     # checkpoints written before the failure were reused, not recomputed
-    assert checkpointed <= {p.name for p in _checkpoint_files()}
+    assert checkpointed <= {p.name for p in _shard_checkpoint_files()}
+    data = json.loads(manifest.read_text())
+    sources = [e["source"] for e in data["events"] if e["type"] == "shard-job"]
+    assert sources.count("checkpoint") == len(checkpointed)
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
@@ -193,37 +228,47 @@ def test_deterministic_failure_is_not_retried(workload, tmp_path, monkeypatch):
 
 
 def test_hanging_parallel_task_raises_timeout_naming_it(workload, tmp_path, monkeypatch):
-    hang_task = ("tc", "orig")
+    """A shard job that hangs on the pool (``jobs=2``, no ``shards``) stalls
+    the pass once every other job is done: the run fails with a timeout
+    naming that job."""
+    release = tmp_path / "release"  # cross-process: workers are forks
 
-    def hanging(wl, task, grid, cache_sizes, layout_memo=None):
-        if task == hang_task:
-            time.sleep(8)  # bounded so the orphaned worker exits by session end
-        return REAL_UNIT(wl, task, grid, cache_sizes, layout_memo)
+    def hanging(trace, program, layouts, chunk_events, plan, specs, shard_idx):
+        if shard_idx == plan.n_shards - 1:
+            _wait_for(release.exists)  # bounded, and released below
+        return REAL_FAMILY(trace, program, layouts, chunk_events, plan, specs, shard_idx)
 
-    monkeypatch.setattr(suite_mod, "_unit_for", hanging)
+    monkeypatch.setattr(sharded_mod, "_family_shard", hanging)
     manifest = tmp_path / "stall.json"
-    with pytest.raises(SuiteTimeoutError) as excinfo:
-        compute_suite(workload, GRID, jobs=2, task_timeout=2.5, manifest=manifest)
-    assert suite_mod._task_label(hang_task) in str(excinfo.value)
+    try:
+        with pytest.raises(SuiteTimeoutError) as excinfo:
+            compute_suite(workload, GRID, jobs=2, task_timeout=2.5, manifest=manifest)
+    finally:
+        release.write_text("x")  # let the orphaned worker finish
+    hung = repr(("family", 1))  # jobs=2 plans two shards
+    assert excinfo.value.labels == [hung]
+    assert hung in str(excinfo.value)
     data = json.loads(manifest.read_text())
     assert data["status"] == "failed"
-    assert any(e["type"] == "stall" for e in data["events"])
+    stalls = [e for e in data["events"] if e["type"] == "stall"]
+    assert [e["tasks"] for e in stalls] == [[hung]]
 
 
 def test_dead_worker_pool_degrades_to_serial(workload, tmp_path, monkeypatch):
+    """A relay step whose worker dies (``jobs=2``, no ``shards``) breaks the
+    pool; the pass finishes its remaining shard jobs in-process."""
     parent = os.getpid()
-    kill_task = ("row", GRID[0])
 
-    def killer(wl, task, grid, cache_sizes, layout_memo=None):
-        if task == kill_task and os.getpid() != parent:
+    def killer(trace, program, layouts, chunk_events, plan, spec, shard_idx, state):
+        if shard_idx == plan.n_shards - 1 and os.getpid() != parent:
             os._exit(3)  # hard worker death: no exception crosses the pipe
-        return REAL_UNIT(wl, task, grid, cache_sizes, layout_memo)
+        return REAL_RELAY(trace, program, layouts, chunk_events, plan, spec, shard_idx, state)
 
-    monkeypatch.setattr(suite_mod, "_unit_for", killer)
+    monkeypatch.setattr(sharded_mod, "_relay_shard", killer)
     manifest = tmp_path / "pool.json"
     result = compute_suite(workload, GRID, jobs=2, manifest=manifest)
 
-    monkeypatch.setattr(suite_mod, "_unit_for", REAL_UNIT)
+    monkeypatch.setattr(sharded_mod, "_relay_shard", REAL_RELAY)
     fresh = compute_suite(workload, GRID, jobs=1, resume=False)
     assert _flatten(result) == _flatten(fresh)
     data = json.loads(manifest.read_text())
@@ -272,10 +317,6 @@ def test_failed_stores_are_counted_in_the_manifest(workload, tmp_path, monkeypat
 
 
 # -- sharded execution: the shard job is the checkpoint/resume unit ------
-
-
-def _shard_checkpoint_files():
-    return list(default_cache().root.rglob("suite-shard/*.pkl"))
 
 
 def test_sharded_suite_is_bit_identical_to_serial(workload, tmp_path):
@@ -376,7 +417,28 @@ def test_sharded_dead_worker_pool_degrades_and_stays_identical(
     assert _flatten(result) == _flatten(fresh)
     data = json.loads(manifest.read_text())
     assert data["status"] == "completed"
-    assert any(e["type"] == "pool-broken" for e in data["events"])
+    (broken,) = [e for e in data["events"] if e["type"] == "pool-broken"]
+    assert broken["remaining"] >= 1  # the killed job at least ran in-process
+    assert "BrokenProcessPool" in broken["error"]
+
+
+@pytest.mark.parametrize("shards", [0, -3])
+def test_shard_counts_below_one_are_rejected(workload, monkeypatch, shards):
+    """Rejected before any cache lookup, workload build or layout build."""
+
+    def touched(*args, **kwargs):
+        pytest.fail("looked something up for an invalid shard count")
+
+    for name in ("default_cache", "get_workload", "_cached_suite", "_unit_for"):
+        monkeypatch.setattr(suite_mod, name, touched)
+    calls = [
+        lambda: compute_suite(workload, GRID, shards=shards),
+        lambda: suite_mod.get_suite(workload, GRID, shards=shards),
+        lambda: suite_mod.suite_for(SETTINGS, GRID, shards=shards),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="shards must be >= 1"):
+            call()
 
 
 # -- failure classification: only what can succeed on retry retries -----

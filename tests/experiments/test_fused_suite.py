@@ -1,11 +1,12 @@
-"""Fused suite engine: a task's payload does not depend on its group.
+"""Fused suite engine: a task's payload does not depend on its pass.
 
 One `_run_group` pass over every task must produce, for every task on
 every layout x geometry cell, exactly the payload the task computes when
 run alone through `_run_group([task])` — float-for-float, since
-checkpoints written under any grouping (in-parent chunks, pool splits,
-retry groups) must be interchangeable. Stream correctness itself is
-pinned by the `repro.validate` oracle differentials.
+checkpoints written by any pass (a full run, a resume of the missing
+tasks, a retry of the failed ones) must be interchangeable. Stream
+correctness itself is pinned by the `repro.validate` oracle
+differentials.
 """
 
 import pytest
@@ -14,7 +15,6 @@ from repro.experiments import suite as suite_mod
 from repro.experiments.config import PRIMARY_ROWS
 from repro.experiments.harness import get_workload
 from repro.tpcd.workload import WorkloadSettings
-from repro.util import scheduler
 
 SETTINGS = WorkloadSettings(scale=0.0005)
 GRID = PRIMARY_ROWS[:2]
@@ -58,10 +58,3 @@ def test_unit_construction_failure_is_isolated(workload, monkeypatch):
     assert set(errors) == {bad_task}
     assert set(payloads) == set(tasks) - {bad_task}
 
-
-def test_split_groups_partitions_in_order():
-    tasks = list(range(7))
-    groups = scheduler._split_groups(tasks, 3)
-    assert [t for g in groups for t in g] == tasks
-    assert max(len(g) for g in groups) - min(len(g) for g in groups) <= 1
-    assert scheduler._split_groups(tasks, 100) == [[t] for t in tasks]

@@ -51,9 +51,10 @@ def test_parallel_is_bit_identical_to_serial(workload):
 
 
 def test_concurrent_parallel_suites_keep_their_own_workload():
-    """Two threads run the fork task pool at the same moment, as
-    ``repro.serve --workers 2 --engine-jobs 2`` does: each call's workers
-    must simulate that call's workload, never the other thread's."""
+    """Two threads fan their suites' shard jobs over fork pools at the
+    same moment, as ``repro.serve --workers 2 --engine-jobs 2`` does: each
+    call's workers must simulate that call's workload, never the other
+    thread's."""
     workloads = [get_workload(WorkloadSettings(scale=0.0002, seed=seed)) for seed in (7, 8)]
 
     def digest(workload, jobs):

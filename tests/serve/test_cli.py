@@ -1,5 +1,6 @@
-"""CLI smoke for ``python -m repro.serve``: --help and the hermetic
-``--port 0 --once`` self-terminating mode (bind, self-check, exit)."""
+"""CLI smoke for ``python -m repro.serve``: --help, flag validation and
+the hermetic ``--port 0 --once`` self-terminating mode (bind, self-check,
+exit)."""
 
 from __future__ import annotations
 
@@ -7,6 +8,10 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
+
+from repro.serve.__main__ import build_parser
 
 SRC = str(Path(__file__).resolve().parents[2] / "src")
 
@@ -36,6 +41,14 @@ def test_once_mode_self_terminates(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert "repro.serve listening on http://127.0.0.1:" in proc.stdout
     assert "self-check ok" in proc.stdout
+
+
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_engine_shard_counts_below_one_are_rejected_at_parse_time(value, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        build_parser().parse_args(["--engine-shards", value])
+    assert exit_info.value.code == 2
+    assert "--engine-shards: must be at least 1" in capsys.readouterr().err
 
 
 def test_bad_flag_exits_nonzero():

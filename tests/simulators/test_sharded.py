@@ -14,11 +14,13 @@ Three layers of evidence that ``run_sharded`` is bit-identical to
   with the fused pass on every counter and every piece of carried state;
 * **fault-tolerance** at shard granularity: checkpoint/resume recomputes
   only missing shard jobs, transient failures retry, a dead worker pool
-  degrades to in-process execution — all without perturbing results.
+  degrades to in-process execution — all without perturbing results —
+  and a pool that stalls raises a timeout naming the hung job.
 """
 
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -34,6 +36,7 @@ from repro.simulators import (
     FetchStream,
     ShardError,
     ShardPlan,
+    ShardTimeoutError,
     TraceCacheConfig,
     TraceCacheStream,
     miss_counter,
@@ -353,6 +356,17 @@ def test_plan_shards_clamps_to_window_count():
         plan_shards(10, 5, 0)
 
 
+@pytest.mark.parametrize("shards", [0, -3])
+def test_shard_counts_below_one_are_rejected(shards):
+    """``shards=0`` is an error, not a silent fallback to ``jobs`` shards."""
+    case = random_case(3)
+    with pytest.raises(ValueError, match="shards must be >= 1"):
+        run_sharded(
+            case.trace, case.program, [], chunk_events=case.chunk_events,
+            shards=shards, jobs=2,
+        )
+
+
 def test_mismatched_plan_is_rejected():
     case = random_case(3)
     plan = plan_shards(len(case.trace) + 1, case.chunk_events, 2)
@@ -548,9 +562,39 @@ def test_dead_worker_pool_degrades_to_in_process(monkeypatch):
         chunk_events=RESUME_CHUNK, shards=4, jobs=2,
     )
     assert report.degraded
+    assert report.remaining >= 1  # the killed job at least ran in-process
+    assert "BrokenProcessPool" in repr(report.pool_error)
     fused = _case_pairs(case)
     run_fused(case.trace, case.program, fused, chunk_events=RESUME_CHUNK)
     assert _eq(_snapshot(fused), _snapshot(pairs))
+
+
+def test_hanging_job_on_the_pool_times_out_naming_it(tmp_path, monkeypatch):
+    """Once every other job is done, a parallel run with no job completing
+    for ``task_timeout`` seconds raises instead of waiting for ever."""
+    case = random_case(RESUME_SEED)
+    real = sharded_mod._family_shard
+    release = tmp_path / "release"  # cross-process: workers are forks
+
+    def hanging(trace, program, layouts, chunk_events, plan, specs, shard_idx):
+        if shard_idx == 1:
+            deadline = time.monotonic() + 60  # bounded, and released below
+            while not release.exists() and time.monotonic() < deadline:
+                time.sleep(0.05)
+        return real(trace, program, layouts, chunk_events, plan, specs, shard_idx)
+
+    monkeypatch.setattr(sharded_mod, "_family_shard", hanging)
+    try:
+        with pytest.raises(ShardTimeoutError) as excinfo:
+            run_sharded(
+                case.trace, case.program, _case_pairs(case),
+                chunk_events=RESUME_CHUNK, shards=4, jobs=2, task_timeout=1,
+            )
+    finally:
+        release.write_text("x")  # let the orphaned worker finish
+    assert excinfo.value.keys == [("family", 1)]
+    assert repr(("family", 1)) in str(excinfo.value)
+    assert excinfo.value.timeout == 1
 
 
 def test_on_job_reports_every_job_once():
