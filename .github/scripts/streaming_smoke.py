@@ -2,7 +2,10 @@
 
 Exercises the full path on a tiny workload: capture traces straight into
 the on-disk store, reload the workload from the artifact cache (the
-traces must come back as stores, not rebuilt), survive damage to a trace
+traces must come back as stores, not rebuilt), profile the training
+trace and run Figure 2 and the prediction extension with whole-trace
+reads forbidden (they must read windows, and the profile must equal the
+one over the in-memory trace), survive damage to a trace
 file (the workload loader must detect it and rebuild), and run the fused
 suite engine end to end, checking that one fused group over every task
 gives each task float-for-float the payload it gets when run alone (the
@@ -21,13 +24,15 @@ import sys
 import tempfile
 import tracemalloc
 
+import numpy as np
+
 os.environ.setdefault("REPRO_CACHE_DIR", tempfile.mkdtemp(prefix="repro-ci-cache-"))
 
-from repro.experiments import harness  # noqa: E402
+from repro.experiments import figure2, harness, prediction  # noqa: E402
 from repro.experiments import suite as suite_mod  # noqa: E402
 from repro.experiments.config import PRIMARY_ROWS  # noqa: E402
 from repro.experiments.harness import get_workload  # noqa: E402
-from repro.profiling import TraceStore  # noqa: E402
+from repro.profiling import TraceStore, profile_trace  # noqa: E402
 from repro.tpcd.workload import WorkloadSettings  # noqa: E402
 
 SETTINGS = WorkloadSettings(scale=0.0005)
@@ -70,6 +75,30 @@ def main() -> None:
     if len(reloaded.test_trace) != len(workload.test_trace):
         sys.exit("FAIL: reloaded workload trace differs from the original")
     print("reload OK: workload came back from the artifact cache with stored traces")
+
+    # analyses: the training profile, Figure 2 and the prediction pass read
+    # the stored traces window by window, never whole
+    def whole_read(store):
+        raise AssertionError(f"{store.path} was read whole")
+
+    n_blocks = reloaded.program.n_blocks
+    materialize = TraceStore.materialize
+    TraceStore.materialize = whole_read
+    try:
+        profile = profile_trace(reloaded.training_trace, n_blocks)
+        figure2.compute(reloaded)
+        prediction.compute(reloaded)
+    except AssertionError as exc:
+        sys.exit(f"FAIL: an analysis read a stored trace whole ({exc})")
+    finally:
+        TraceStore.materialize = materialize
+    in_memory = profile_trace(reloaded.training_trace.materialize(), n_blocks)
+    if not (
+        np.array_equal(profile.block_count, in_memory.block_count)
+        and sorted(profile.edges()) == sorted(in_memory.edges())
+    ):
+        sys.exit("FAIL: the windowed training profile differs from the in-memory one")
+    print("analyses OK: profile, Figure 2 and prediction read the stored traces in windows")
 
     # damage: a truncated trace file must be detected at load time (the
     # workload loader runs the shallow header/directory verification) and

@@ -47,9 +47,6 @@ class _Chains:
             self.chain_of[x] = ca
         self.chains[ca].extend(self.chains.pop(cb))
 
-    def chain_containing(self, x: int) -> list[int]:
-        return self.chains[self.chain_of[x]]
-
 
 def _order_blocks(program: Program, cfg: WeightedCFG, proc_blocks: tuple[int, ...]) -> list[int]:
     """P&H bottom-up block chaining for one procedure."""

@@ -51,13 +51,15 @@ CACHE_VERSION = 1
 ARTIFACT_VERSIONS: dict[str, int] = {
     "workload": 2,  # v2: traces stored as on-disk TraceStore files
     "profile": 1,
-    "suite": 1,
-    "suite-task": 1,  # per-task suite checkpoints (crash/interrupt resume)
+    # the four result kinds below were last bumped when a separator that
+    # ends a window stopped letting its run fall through into the next one
+    "suite": 2,
+    "suite-task": 2,  # per-task suite checkpoints (crash/interrupt resume)
     # shard-job checkpoints of a sharded suite run (--shards); v2: family
     # payloads cover only fetch streams whose counters are all direct-mapped
-    "suite-shard": 2,
+    "suite-shard": 3,
     "trace": 1,  # chunked trace files (repro.profiling.tracestore format v1)
-    "serve-result": 1,  # repro.serve job results for uploaded-trace jobs
+    "serve-result": 2,  # repro.serve job results for uploaded-trace jobs
 }
 
 _ENV_DIR = "REPRO_CACHE_DIR"

@@ -1,7 +1,9 @@
 """Run every experiment in sequence: ``python -m repro.experiments``.
 
-Accepts the standard ``--scale/--seed/--kernel-seed`` flags plus
-``--skip-extensions`` to run only the paper's own tables and figures.
+Accepts the standard ``--scale/--seed/--kernel-seed`` flags, the suite
+flags (``--jobs``, ``--shards``, ``--resume``, ``--task-timeout``,
+``--manifest``) and ``--skip-extensions`` to run only the paper's own
+tables and figures.
 """
 
 from __future__ import annotations
@@ -12,14 +14,14 @@ from repro.experiments.harness import (
     get_workload,
     resolve_jobs,
     settings_from_args,
-    standard_parser,
     suite_options_from_args,
+    suite_parser,
 )
 from repro.experiments.suite import get_suite
 
 
 def main(argv=None) -> None:
-    parser = standard_parser("Run the full reproduction: every table and figure.")
+    parser = suite_parser("Run the full reproduction: every table and figure.")
     parser.add_argument("--skip-extensions", action="store_true")
     args = parser.parse_args(argv)
     workload = get_workload(settings_from_args(args))

@@ -22,6 +22,7 @@ __all__ = [
     "training_profile",
     "layouts_for",
     "standard_parser",
+    "suite_parser",
     "shard_count",
     "settings_from_args",
     "suite_options_from_args",
@@ -127,10 +128,20 @@ def shard_count(text: str) -> int:
 
 
 def standard_parser(description: str) -> argparse.ArgumentParser:
+    """A CLI parser with the workload's flags: ``--scale``, ``--seed`` and
+    ``--kernel-seed``."""
     parser = argparse.ArgumentParser(description=description)
     parser.add_argument("--scale", type=float, default=0.005, help="TPC-D scale factor (default 0.005)")
     parser.add_argument("--seed", type=int, default=7, help="data generator seed")
     parser.add_argument("--kernel-seed", type=int, default=2029, help="kernel model seed")
+    return parser
+
+
+def suite_parser(description: str) -> argparse.ArgumentParser:
+    """:func:`standard_parser` plus the flags of an evaluation-suite run:
+    ``--jobs``, ``--shards``, ``--resume``, ``--task-timeout`` and
+    ``--manifest`` (read by :func:`suite_options_from_args`)."""
+    parser = standard_parser(description)
     parser.add_argument(
         "--jobs",
         type=int,

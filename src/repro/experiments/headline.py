@@ -15,8 +15,8 @@ from repro.experiments.harness import (
     get_workload,
     resolve_jobs,
     settings_from_args,
-    standard_parser,
     suite_options_from_args,
+    suite_parser,
 )
 from repro.experiments.suite import get_suite, suite_for
 from repro.tpcd.workload import Workload
@@ -87,7 +87,7 @@ def render(rows: dict[str, tuple[float, float]]) -> str:
 
 
 def main(argv=None) -> None:
-    args = standard_parser(__doc__.splitlines()[0]).parse_args(argv)
+    args = suite_parser(__doc__.splitlines()[0]).parse_args(argv)
     # warm the suite via the disk-first path (skips the workload build on a
     # warm artifact cache), then reuse it through the in-memory layer
     suite_for(

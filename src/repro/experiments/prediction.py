@@ -12,17 +12,22 @@ Run: ``python -m repro.experiments.prediction``
 
 from __future__ import annotations
 
+from collections.abc import Mapping
+
+from repro.cfg.layout import Layout
+from repro.cfg.program import Program
 from repro.experiments.harness import (
     get_workload,
     layouts_for,
     settings_from_args,
     standard_parser,
 )
-from repro.simulators.branchpred import evaluate_prediction
+from repro.simulators.branchpred import PredictionStream
+from repro.simulators.fused import run_fused
 from repro.tpcd.workload import Workload
 from repro.util.fmt import format_table
 
-__all__ = ["compute", "render", "main"]
+__all__ = ["compute", "predict", "render", "main"]
 
 #: cap the per-branch simulation (the predictor loop is sequential Python)
 DEFAULT_MAX_EVENTS = 3_000_000
@@ -36,13 +41,23 @@ def compute(
     max_events: int | None = DEFAULT_MAX_EVENTS,
 ) -> list[list]:
     layouts = layouts_for(workload, cache_kb, cfa_kb)
-    rows = []
-    for name, layout in layouts.items():
-        r = evaluate_prediction(
-            workload.test_trace, workload.program, layout, max_events=max_events
-        )
-        rows.append([name, 100.0 * r.taken_fraction, 100.0 * r.accuracy])
-    return rows
+    streams = predict(workload.test_trace, workload.program, layouts, max_events=max_events)
+    return [[name, 100.0 * s.taken_fraction, 100.0 * s.accuracy] for name, s in zip(layouts, streams)]
+
+
+def predict(
+    trace, program: Program, layouts: Mapping[str, Layout], *, max_events: int | None
+) -> list[PredictionStream]:
+    """One bimodal predictor per layout, all fed in one pass over ``trace``.
+
+    ``max_events`` keeps the trace's first ``max_events`` events and the
+    transitions among them: the pass stops before the last capped event,
+    which still arrives as the final window's successor.
+    """
+    streams = [PredictionStream(name, program) for name in layouts]
+    stop_event = None if max_events is None else max_events - 1
+    run_fused(trace, program, list(zip(layouts.values(), streams)), stop_event=stop_event)
+    return streams
 
 
 def render(rows: list[list]) -> str:

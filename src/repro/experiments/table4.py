@@ -9,8 +9,8 @@ from repro.experiments.config import CACHE_CFA_GRID, PAPER_TABLE4, PRIMARY_ROWS
 from repro.experiments.harness import (
     resolve_jobs,
     settings_from_args,
-    standard_parser,
     suite_options_from_args,
+    suite_parser,
 )
 from repro.experiments.suite import SuiteResults, get_suite, suite_for
 from repro.tpcd.workload import Workload
@@ -81,7 +81,7 @@ def render(suite: SuiteResults, grid: tuple[tuple[int, int], ...] = CACHE_CFA_GR
 
 
 def main(argv=None) -> None:
-    parser = standard_parser(__doc__.splitlines()[0])
+    parser = suite_parser(__doc__.splitlines()[0])
     parser.add_argument("--quick", action="store_true", help="primary rows only")
     args = parser.parse_args(argv)
     grid = PRIMARY_ROWS if args.quick else CACHE_CFA_GRID

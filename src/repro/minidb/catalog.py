@@ -127,10 +127,6 @@ class Table:
             decide(slot < len(page.rows) - 1)
             page.rows[slot] = new_row
 
-    def fetch_many(self, tids: list[TID]) -> Iterator[tuple]:
-        for tid in tids:
-            yield self.fetch(tid)
-
     def index_on(self, column: str, kind: str = "btree") -> BTreeIndex | HashIndex:
         try:
             return self.indexes[(column, kind)]

@@ -67,7 +67,3 @@ class HashIndex:
         self._buckets = [[] for _ in range(self._n_buckets)]
         for key, tids in entries:
             self._buckets[hash(key) % self._n_buckets].append((key, tids))
-
-    @property
-    def max_chain(self) -> int:
-        return max((len(b) for b in self._buckets), default=0)

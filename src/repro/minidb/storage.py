@@ -69,7 +69,3 @@ class StorageManager:
         decide(pageno == len(pages) - 1)
         self.reads += 1
         return pages[pageno]
-
-    def write_page(self, fid: int, pageno: int, page: Page) -> None:
-        """No-op for in-memory files (kept for interface completeness)."""
-        self._files[fid][pageno] = page

@@ -15,7 +15,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.profiling.trace import BlockTrace
+from repro.profiling.trace import DEFAULT_CHUNK_EVENTS, SEPARATOR, BlockTrace
+from repro.profiling.tracestore import TraceStore
 
 __all__ = [
     "cumulative_reference_curve",
@@ -58,31 +59,53 @@ def hottest_blocks_for_coverage(block_count: np.ndarray, fraction: float) -> np.
 
 
 def reuse_distances(
-    trace: BlockTrace,
+    trace: BlockTrace | TraceStore,
     block_size: np.ndarray,
     subset: np.ndarray | None = None,
 ) -> np.ndarray:
     """Instruction distances between consecutive executions of the same block.
 
-    Returns one distance per re-execution event (not per block). When
-    ``subset`` is given, only re-executions of those blocks are reported.
-    Vectorized: events are grouped per block with a stable argsort, and
+    Returns one distance per re-execution event (not per block), in an
+    order that depends on the window size. When ``subset`` is given, only
+    re-executions of those blocks are reported. Instruction positions keep
+    growing across run separators, as in
+    :meth:`BlockTrace.instruction_positions`.
+
+    The trace is read in windows of ``DEFAULT_CHUNK_EVENTS`` events. Each
+    window's events are grouped per block with a stable argsort, and
     distances are differences of instruction positions within each group.
+    A block executed in an earlier window leads its group with its last
+    position there, carried in one array.
     """
-    ids = trace.block_ids()
-    if ids.size < 2:
-        return np.empty(0, dtype=np.int64)
-    pos = trace.instruction_positions(block_size)
-    order = np.argsort(ids, kind="stable")
-    sorted_ids = ids[order]
-    sorted_pos = pos[order]
-    same = sorted_ids[1:] == sorted_ids[:-1]
-    gaps = sorted_pos[1:] - sorted_pos[:-1]
+    n_blocks = int(block_size.shape[0])
+    keep = None
     if subset is not None:
-        keep = np.zeros(int(block_size.shape[0]), dtype=bool)
+        keep = np.zeros(n_blocks, dtype=bool)
         keep[np.asarray(subset)] = True
-        same = same & keep[sorted_ids[1:]]
-    return gaps[same]
+    last_pos = np.full(n_blocks, -1, dtype=np.int64)  # -1: not executed yet
+    start = 0  # instruction position of the window's first event
+    parts = [np.empty(0, dtype=np.int64)]
+    for window, _ in trace.iter_events(DEFAULT_CHUNK_EVENTS):
+        ids = window[window != SEPARATOR]
+        if ids.size == 0:
+            continue
+        pos = np.cumsum(block_size[ids], dtype=np.int64)  # where each event ends
+        pos += start
+        start = int(pos[-1])
+        pos -= block_size[ids]
+        seen = np.flatnonzero(last_pos >= 0)
+        ids = np.concatenate((seen.astype(ids.dtype), ids))
+        pos = np.concatenate((last_pos[seen], pos))
+        order = np.argsort(ids, kind="stable")
+        sorted_ids, sorted_pos = ids[order], pos[order]
+        del ids, pos, order  # one window's temporaries live at a time
+        last = np.append(sorted_ids[1:] != sorted_ids[:-1], True)  # a group's last event
+        last_pos[sorted_ids[last]] = sorted_pos[last]
+        same = ~last[:-1]
+        if keep is not None:
+            same &= keep[sorted_ids[1:]]
+        parts.append(np.diff(sorted_pos)[same])
+    return np.concatenate(parts)
 
 
 def fraction_reexecuted_within(distances: np.ndarray, limit: int) -> float:

@@ -13,16 +13,21 @@ from collections.abc import Iterable, Iterator, Sequence
 
 import numpy as np
 
-__all__ = ["SEPARATOR", "BlockTrace"]
+__all__ = ["DEFAULT_CHUNK_EVENTS", "SEPARATOR", "BlockTrace"]
 
 #: Sentinel event separating independent runs within one trace.
 SEPARATOR = -1
+
+#: Events per window of every streamed pass over a trace, and per chunk of
+#: a stored trace: one size, so default reads pass stored chunks through
+#: without re-slicing.
+DEFAULT_CHUNK_EVENTS = 2_000_000
 
 
 class BlockTrace:
     """Immutable sequence of executed basic-block ids (plus run separators)."""
 
-    __slots__ = ("events", "__weakref__")
+    __slots__ = ("events",)
 
     def __init__(self, events: np.ndarray | Sequence[int]) -> None:
         events = np.asarray(events, dtype=np.int32)

@@ -38,7 +38,6 @@ from __future__ import annotations
 import mmap
 import os
 import struct
-import weakref
 import zlib
 from collections import deque
 from collections.abc import Iterator
@@ -46,7 +45,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.profiling.trace import SEPARATOR, BlockTrace
+from repro.profiling.trace import DEFAULT_CHUNK_EVENTS, SEPARATOR, BlockTrace
 
 __all__ = [
     "TRACE_FORMAT_VERSION",
@@ -58,11 +57,6 @@ __all__ = [
 
 #: On-disk format version; readers reject anything else.
 TRACE_FORMAT_VERSION = 1
-
-#: Nominal events per stored chunk. Matches the simulators' default
-#: expansion window, so streamed reads pass stored chunks through without
-#: re-slicing.
-DEFAULT_CHUNK_EVENTS = 2_000_000
 
 _MAGIC = b"RTRC"
 #: magic, version, reserved, chunk_events, n_events, n_valid, dir_offset, crc
@@ -243,15 +237,16 @@ def write_trace(trace: BlockTrace, path: Path | str,
 
 
 class TraceStore:
-    """Read side of a stored trace; duck-types as a :class:`BlockTrace`.
+    """Read side of a stored trace.
 
-    The streaming interface is :meth:`iter_events` — identical windows to
-    ``BlockTrace.iter_events`` over the materialized stream, so simulators
-    accept either kind of trace and produce bit-identical results. Any
-    other ``BlockTrace`` attribute (``events``, ``block_ids``, …) is
-    served by transparently materializing the full trace (weakly cached),
-    which legacy/analysis paths may rely on but the streaming suite never
-    touches for large traces.
+    The one read path is :meth:`iter_events`: the same windows as
+    ``BlockTrace.iter_events`` over the same event stream. Every consumer
+    reads windows — the simulators, the training profile
+    (:func:`~repro.profiling.profiler.profile_trace`), reuse distances and
+    branch prediction — so each accepts either kind of trace, gives
+    bit-identical results and decodes a stored trace one chunk at a time.
+    :meth:`materialize` is an explicit whole-trace read for tests and
+    round-trip checks.
 
     Stores pickle as just their path and re-open lazily, so a workload
     holding stored traces costs nothing to fan out to worker processes.
@@ -263,7 +258,6 @@ class TraceStore:
         self._n_events = 0
         self._n_valid = 0
         self._chunk_events = DEFAULT_CHUNK_EVENTS
-        self._materialized: weakref.ref[BlockTrace] | None = None
 
     @property
     def path(self) -> Path:
@@ -440,19 +434,13 @@ class TraceStore:
             out = parts[0] if len(parts) == 1 else np.concatenate(parts)
             yield out, (int(buf[0][0]) if have else None)
 
-    # -- BlockTrace compatibility ----------------------------------------
+    # -- whole-trace reads -----------------------------------------------
 
     def materialize(self) -> BlockTrace:
-        """The full in-memory trace (weakly cached across calls)."""
-        trace = self._materialized() if self._materialized is not None else None
-        if trace is None:
-            records = self._ensure()
-            if records:
-                trace = BlockTrace(np.concatenate(list(self._iter_stored())))
-            else:
-                trace = BlockTrace(np.empty(0, dtype=np.int32))
-            self._materialized = weakref.ref(trace)
-        return trace
+        """The whole trace in memory, decoded afresh on every call."""
+        if self._ensure():
+            return BlockTrace(np.concatenate(list(self._iter_stored())))
+        return BlockTrace(np.empty(0, dtype=np.int32))
 
     @property
     def n_events(self) -> int:
@@ -463,11 +451,6 @@ class TraceStore:
     def __len__(self) -> int:
         self._ensure()
         return self._n_events
-
-    def __getattr__(self, name: str):
-        if name.startswith("_"):
-            raise AttributeError(name)
-        return getattr(self.materialize(), name)
 
     def __reduce__(self):
         return (TraceStore, (str(self._path),))

@@ -368,9 +368,6 @@ class JobManager:
 
     # -- observability ---------------------------------------------------
 
-    def queue_depth(self) -> int:
-        return self._queue.qsize()
-
     def metrics(self) -> dict:
         live_queued = sum(1 for j in self.jobs.values() if j.state == "queued")
         live_running = sum(1 for j in self.jobs.values() if j.state == "running")

@@ -9,54 +9,73 @@ which transitions are *taken*, it changes what the predictor must learn —
 the STC's mostly-not-taken branches are easier, so the layout helps
 prediction too. ``python -m repro.experiments.prediction`` quantifies it.
 
-The predictor is inherently sequential state, so evaluation is a Python
-loop over dynamic branches — use reduced-scale traces for this analysis.
+:class:`PredictionStream` is a stream like the fetch and trace-cache
+streams: :func:`~repro.simulators.fused.run_fused` feeds it each window's
+expanded chunk, whose taken-branch rule
+(:func:`~repro.simulators.fetch.expand_chunk`) gives every branch's
+direction under the layout. The predictor is inherently sequential
+state, so each window's branches go through a Python loop — use
+reduced-scale traces for this analysis.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from repro.cfg.blocks import BlockKind, INSTR_BYTES
-from repro.cfg.layout import Layout
+from repro.cfg.blocks import INSTR_BYTES, BlockKind
 from repro.cfg.program import Program
-from repro.profiling.trace import SEPARATOR, BlockTrace
+from repro.simulators.fetch import FetchLengths, _Chunk
 
-__all__ = ["BimodalPredictor", "PredictionResult", "evaluate_prediction"]
+__all__ = ["PredictionStream"]
 
 
-class BimodalPredictor:
-    """2-bit saturating counters indexed by (branch byte address / 4)."""
+class PredictionStream:
+    """A bimodal predictor run over every dynamic conditional branch.
 
-    __slots__ = ("counters", "mask")
+    The predictor is a table of ``n_entries`` 2-bit saturating counters
+    indexed by (branch byte address / 4), all starting weakly not-taken.
+    A dynamic branch is a BRANCH-kind block followed by another block of
+    the same run; its address is the block's last instruction, and it is
+    taken iff the layout does not place the successor right after it. The
+    counters carry across windows.
+    """
 
-    def __init__(self, n_entries: int = 2048) -> None:
+    #: The stream reads no cache lines (``run_fused`` groups streams by it).
+    line_bytes = None
+
+    def __init__(self, layout_name: str, program: Program, *, n_entries: int = 2048) -> None:
         if n_entries < 1 or n_entries & (n_entries - 1):
             raise ValueError("n_entries must be a power of two")
-        self.counters = np.full(n_entries, 1, dtype=np.int8)  # weakly not-taken
-        self.mask = n_entries - 1
+        self.layout_name = layout_name
+        self._is_branch = program.block_kind == BlockKind.BRANCH
+        self._counters = [1] * n_entries  # weakly not-taken
+        self._mask = n_entries - 1
+        self.n_branches = 0
+        self.n_mispredicted = 0
+        self.n_taken = 0
 
-    def predict(self, addr: int) -> bool:
-        return bool(self.counters[(addr >> 2) & self.mask] >= 2)
-
-    def update(self, addr: int, taken: bool) -> None:
-        i = (addr >> 2) & self.mask
-        c = self.counters[i]
-        if taken:
-            if c < 3:
-                self.counters[i] = c + 1
-        elif c > 0:
-            self.counters[i] = c - 1
-
-
-@dataclass
-class PredictionResult:
-    layout_name: str
-    n_branches: int
-    n_mispredicted: int
-    n_taken: int
+    def feed(self, chunk: _Chunk, lengths: FetchLengths) -> None:
+        """Predict the window's branches that have a successor in their run."""
+        ctx = chunk.ctx
+        has_successor = np.append(ctx.adjacent, ctx.next_id is not None)
+        at = np.flatnonzero(has_successor & self._is_branch[ctx.ids])
+        addr = chunk.ev_base[at] + INSTR_BYTES * ctx.last_idx[at]
+        taken = chunk.taken_ev[at]
+        counters, mask = self._counters, self._mask
+        mispredicted = 0
+        for a, t in zip(addr.tolist(), taken.tolist()):
+            i = (a >> 2) & mask
+            c = counters[i]
+            if (c >= 2) != t:
+                mispredicted += 1
+            if t:
+                if c < 3:
+                    counters[i] = c + 1
+            elif c > 0:
+                counters[i] = c - 1
+        self.n_branches += at.shape[0]
+        self.n_mispredicted += mispredicted
+        self.n_taken += int(np.count_nonzero(taken))
 
     @property
     def accuracy(self) -> float:
@@ -65,63 +84,3 @@ class PredictionResult:
     @property
     def taken_fraction(self) -> float:
         return self.n_taken / self.n_branches if self.n_branches else 0.0
-
-
-def evaluate_prediction(
-    trace: BlockTrace,
-    program: Program,
-    layout: Layout,
-    *,
-    n_entries: int = 2048,
-    max_events: int | None = None,
-) -> PredictionResult:
-    """Run the bimodal predictor over every dynamic branch of the trace.
-
-    The direction of a dynamic branch under a layout is "taken" iff the
-    next block is not laid out sequentially (same rule the fetch unit
-    uses). ``max_events`` caps the work for quick analyses.
-    """
-    events = trace.events
-    if max_events is not None:
-        events = events[:max_events]
-    valid = events != SEPARATOR
-    ids = events[valid].astype(np.int64)
-    if ids.size < 2:
-        return PredictionResult(layout.name, 0, 0, 0)
-    kinds = program.block_kind
-    sizes = program.block_size.astype(np.int64)
-    addr = layout.address
-
-    src = ids[:-1]
-    dst = ids[1:]
-    # transitions across separators are excluded (gap in valid positions)
-    pos = np.flatnonzero(valid)
-    adjacent = (pos[1:] - pos[:-1]) == 1
-    src, dst = src[adjacent], dst[adjacent]
-    branchy = (kinds[src] == BlockKind.BRANCH)
-    src, dst = src[branchy], dst[branchy]
-    taken = addr[dst] != addr[src] + sizes[src] * INSTR_BYTES
-    # branch instruction address: last instruction of the source block
-    branch_addr = (addr[src] + (sizes[src] - 1) * INSTR_BYTES).tolist()
-    taken_list = taken.tolist()
-
-    counters = [1] * n_entries
-    mask = n_entries - 1
-    mispredicted = 0
-    for a, t in zip(branch_addr, taken_list):
-        i = (a >> 2) & mask
-        c = counters[i]
-        if (c >= 2) != t:
-            mispredicted += 1
-        if t:
-            if c < 3:
-                counters[i] = c + 1
-        elif c > 0:
-            counters[i] = c - 1
-
-    return PredictionResult(
-        layout_name=layout.name,
-        n_branches=int(src.size),
-        n_mispredicted=mispredicted,
-        n_taken=int(taken.sum()),
-    )

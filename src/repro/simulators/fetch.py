@@ -41,7 +41,7 @@ import numpy as np
 from repro.cfg.blocks import INSTR_BYTES, BlockKind
 from repro.cfg.layout import Layout
 from repro.cfg.program import Program
-from repro.profiling.trace import SEPARATOR, BlockTrace
+from repro.profiling.trace import DEFAULT_CHUNK_EVENTS, SEPARATOR, BlockTrace
 
 __all__ = [
     "ChunkContext",
@@ -58,8 +58,6 @@ MISS_PENALTY_CYCLES = 5
 #: SEQ.3 limits.
 FETCH_WIDTH = 16
 BRANCH_LIMIT = 3
-
-_DEFAULT_CHUNK_EVENTS = 2_000_000
 
 #: ``addr >> _INSTR_SHIFT`` is the instruction-granular address.
 _INSTR_SHIFT = INSTR_BYTES.bit_length() - 1
@@ -82,14 +80,14 @@ class ChunkContext:
     last_idx: np.ndarray  # int64: instruction index of each event's last instr
     branchy_ev: np.ndarray  # bool: event ends in a branch/call/return block
     adjacent: np.ndarray  # bool (len-1): no separator between events i, i+1
-    next_id: int | None  # first block id after the window (None: sep/EOF)
+    next_id: int | None  # block id of the last event's successor (None: run/trace ends)
     total: int  # instructions in the window
 
 
 def iter_chunk_contexts(
     trace: BlockTrace,
     program: Program,
-    chunk_events: int = _DEFAULT_CHUNK_EVENTS,
+    chunk_events: int = DEFAULT_CHUNK_EVENTS,
     *,
     start_event: int = 0,
     stop_event: int | None = None,
@@ -98,7 +96,11 @@ def iter_chunk_contexts(
 
     ``trace`` may be an in-memory :class:`BlockTrace` or an on-disk
     :class:`~repro.profiling.tracestore.TraceStore` — anything with the
-    ``iter_events(chunk_events)`` windowed iterator.
+    windowed ``iter_events`` iterator.
+
+    ``next_id`` is the event after the window, or ``None`` when the run of
+    the window's last valid event ends first: at the end of the trace, or
+    at a separator that follows the window or ends it.
 
     ``start_event``/``stop_event`` restrict expansion to that event slice
     (shard workers use this): when the bounds fall on window boundaries,
@@ -110,12 +112,7 @@ def iter_chunk_contexts(
     kinds = program.block_kind
     branchy = (kinds == BlockKind.BRANCH) | (kinds == BlockKind.CALL) | (kinds == BlockKind.RETURN)
 
-    if start_event or stop_event is not None:
-        windows = trace.iter_events(
-            chunk_events, start_event=start_event, stop_event=stop_event
-        )
-    else:
-        windows = trace.iter_events(chunk_events)
+    windows = trace.iter_events(chunk_events, start_event=start_event, stop_event=stop_event)
     for ev, next_event in windows:
         valid_idx = np.flatnonzero(ev != SEPARATOR)
         if valid_idx.size == 0:
@@ -135,7 +132,9 @@ def iter_chunk_contexts(
             adjacent=(valid_idx[1:] - valid_idx[:-1]) == 1,
             next_id=(
                 int(next_event)
-                if next_event is not None and next_event != SEPARATOR
+                if next_event is not None
+                and next_event != SEPARATOR
+                and ev[-1] != SEPARATOR
                 else None
             ),
             total=int(ends[-1]),

@@ -30,12 +30,8 @@ from collections.abc import Sequence
 
 from repro.cfg.layout import Layout
 from repro.cfg.program import Program
-from repro.simulators.fetch import (
-    _DEFAULT_CHUNK_EVENTS,
-    FetchLengths,
-    expand_chunk,
-    iter_chunk_contexts,
-)
+from repro.profiling.trace import DEFAULT_CHUNK_EVENTS
+from repro.simulators.fetch import FetchLengths, expand_chunk, iter_chunk_contexts
 
 __all__ = ["run_fused"]
 
@@ -45,7 +41,7 @@ def run_fused(
     program: Program,
     pairs: Sequence[tuple[Layout, object]],
     *,
-    chunk_events: int = _DEFAULT_CHUNK_EVENTS,
+    chunk_events: int = DEFAULT_CHUNK_EVENTS,
     start_event: int = 0,
     stop_event: int | None = None,
 ) -> None:

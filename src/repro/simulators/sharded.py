@@ -46,7 +46,8 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from repro.cfg.program import Program
-from repro.simulators.fetch import _DEFAULT_CHUNK_EVENTS, FetchStream
+from repro.profiling.trace import DEFAULT_CHUNK_EVENTS
+from repro.simulators.fetch import FetchStream
 from repro.simulators.fused import run_fused
 from repro.simulators.icache import (
     _DirectMappedCounter,
@@ -99,7 +100,7 @@ class ShardPlan:
 
 def plan_shards(
     n_events: int,
-    chunk_events: int = _DEFAULT_CHUNK_EVENTS,
+    chunk_events: int = DEFAULT_CHUNK_EVENTS,
     shards: int = 1,
 ) -> ShardPlan:
     """Split ``n_events`` into at most ``shards`` window-aligned spans.
@@ -335,7 +336,7 @@ def run_sharded(
     program: Program,
     pairs: Sequence[tuple],
     *,
-    chunk_events: int = _DEFAULT_CHUNK_EVENTS,
+    chunk_events: int = DEFAULT_CHUNK_EVENTS,
     shards: int | ShardPlan | None = None,
     jobs: int = 1,
     retries: int = 0,

@@ -69,7 +69,9 @@ def oracle_windows(
     transition is sequential when the successor starts exactly where the
     predecessor ends *and* no separator sits between them; the last event
     of a window checks sequentiality against the first event beyond the
-    window (none at end of trace, or when a separator follows).
+    window, which sits at position ``len(window)`` (none at end of trace,
+    when a separator follows, or when a separator ends the window: the
+    run ends there).
     """
     sizes = program.block_size
     kinds = program.block_kind
@@ -81,7 +83,8 @@ def oracle_windows(
                 valid.append((pos, event))
         if not valid:
             continue
-        if next_event is not None and next_event != SEPARATOR:
+        last_pos = valid[-1][0]
+        if next_event is not None and next_event != SEPARATOR and last_pos + 1 == len(window):
             next_id = int(next_event)
         else:
             next_id = None

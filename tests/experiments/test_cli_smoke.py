@@ -23,7 +23,7 @@ from repro.experiments import (
     table4,
 )
 from repro.experiments import __main__ as full_run
-from repro.experiments.harness import standard_parser
+from repro.experiments.harness import suite_parser
 
 SCALE_ARGS = ["--scale", "0.0002"]
 
@@ -51,9 +51,21 @@ def test_help_exits_zero(module, capsys):
     assert "usage" in capsys.readouterr().out.lower()
 
 
+@pytest.mark.parametrize(
+    "module",
+    [ablations, figure2, inlining, prediction, table1, table2],
+    ids=lambda m: m.__name__.split(".")[-1],
+)
+def test_clis_without_a_suite_reject_suite_flags(module, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        module.main(["--jobs", "2"])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("value", ["0", "-3"])
 def test_shard_counts_below_one_are_rejected_at_parse_time(value, capsys):
-    parser = standard_parser("shard count check")
+    parser = suite_parser("shard count check")
     with pytest.raises(SystemExit) as exit_info:
         parser.parse_args(["--shards", value])
     assert exit_info.value.code == 2

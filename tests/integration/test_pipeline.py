@@ -63,21 +63,22 @@ def test_all_layouts_complete(workload, layouts):
 def test_instruction_count_is_layout_invariant(workload, fetch_results):
     counts = {r.n_instructions for r in fetch_results.values()}
     assert len(counts) == 1
-    assert counts.pop() == workload.test_trace.n_instructions(workload.program.block_size)
+    test_trace = workload.test_trace.materialize()
+    assert counts.pop() == test_trace.n_instructions(workload.program.block_size)
 
 
 def test_trace_events_only_hot_blocks(workload):
     """Traces never reference cold procedures."""
     program = workload.program
     cold_procs = {p.pid for p in program.procedures if p.cold}
-    ids = workload.test_trace.block_ids()
+    ids = workload.test_trace.materialize().block_ids()
     touched = set(np.unique(program.block_proc[ids]).tolist())
     assert not (touched & cold_procs)
 
 
 def test_training_and_test_share_hot_code(workload):
-    train = set(np.unique(workload.training_trace.block_ids()).tolist())
-    test = set(np.unique(workload.test_trace.block_ids()).tolist())
+    train = set(np.unique(workload.training_trace.materialize().block_ids()).tolist())
+    test = set(np.unique(workload.test_trace.materialize().block_ids()).tolist())
     overlap = len(train & test) / len(test)
     assert overlap > 0.5  # the profile is representative
 
@@ -123,8 +124,10 @@ def test_trace_cache_combination(workload, layouts):
 def test_determinism_end_to_end():
     a = WorkloadSettings(scale=SCALE).build()
     b = WorkloadSettings(scale=SCALE).build()
-    np.testing.assert_array_equal(a.training_trace.events, b.training_trace.events)
-    np.testing.assert_array_equal(b.test_trace.events, b.test_trace.events)
+    np.testing.assert_array_equal(
+        a.training_trace.materialize().events, b.training_trace.materialize().events
+    )
+    np.testing.assert_array_equal(a.test_trace.materialize().events, b.test_trace.materialize().events)
     assert a.program.n_blocks == b.program.n_blocks
 
 

@@ -7,8 +7,11 @@ from repro.profiling import (
     cumulative_reference_curve,
     fraction_reexecuted_within,
     hottest_blocks_for_coverage,
+    locality,
     reuse_distances,
+    write_trace,
 )
+from repro.validate.generators import random_case
 
 
 def test_curve_monotone_and_normalized():
@@ -52,6 +55,27 @@ def test_reuse_distances_subset():
     t = BlockTrace([0, 1, 0, 1])
     d = reuse_distances(t, sizes, subset=np.array([0]))
     assert d.tolist() == [11]
+
+
+@pytest.mark.parametrize("window", [1, 7, 10**6])
+def test_stored_trace_reuse_distances_match_the_whole_trace(tmp_path, monkeypatch, window):
+    cases = [random_case(seed) for seed in range(25)]
+    subsets = [np.arange(0, c.program.n_blocks, 2) for c in cases]
+    want = [
+        (
+            np.sort(reuse_distances(c.trace, c.program.block_size)),
+            np.sort(reuse_distances(c.trace, c.program.block_size, subset=subset)),
+        )
+        for c, subset in zip(cases, subsets)
+    ]
+    monkeypatch.setattr(locality, "DEFAULT_CHUNK_EVENTS", window)
+    for case, subset, (all_blocks, some_blocks) in zip(cases, subsets, want):
+        store = write_trace(case.trace, tmp_path / f"{case.seed}.trace", chunk_events=5)
+        sizes = case.program.block_size
+        np.testing.assert_array_equal(np.sort(reuse_distances(store, sizes)), all_blocks)
+        np.testing.assert_array_equal(
+            np.sort(reuse_distances(store, sizes, subset=subset)), some_blocks
+        )
 
 
 def test_fraction_reexecuted_within():

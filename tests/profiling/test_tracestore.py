@@ -7,6 +7,7 @@ must surface as a clean :class:`TraceFormatError`, never a crash or a
 silently wrong trace.
 """
 
+import functools
 import pickle
 import struct
 import zlib
@@ -24,8 +25,12 @@ from repro.profiling import (
     TraceWriter,
     write_trace,
 )
+from repro.experiments import prediction
+from repro.profiling import locality, profile_trace, profiler, reuse_distances
 from repro.profiling.trace import SEPARATOR
 from repro.profiling.tracestore import _HEADER, _MAGIC
+from repro.simulators import run_fused
+from repro.validate.generators import random_case
 
 
 def _events(draw_ids, n):
@@ -246,3 +251,36 @@ def test_stats_report_compression(tmp_path):
     assert stats["raw_bytes"] == 80_000
     assert stats["bytes"] < stats["raw_bytes"]
     assert stats["compression_ratio"] > 1.0
+
+
+def test_analyses_read_a_stored_trace_in_windows(tmp_path, monkeypatch):
+    """The training profile, reuse distances and the prediction pass read
+    a three-window stored trace window by window, never whole, and give
+    what they give on the in-memory trace."""
+    case = random_case(3)
+    trace, program, layout = case.trace, case.program, case.layout
+    window = -(-len(trace) // 3)
+    layouts = {layout.name: layout}
+
+    def analyses(trace):
+        cfg = profile_trace(trace, program.n_blocks)
+        [stream] = prediction.predict(trace, program, layouts, max_events=len(trace) - 2)
+        return (
+            cfg.block_count.tolist(),
+            sorted(cfg.edges()),
+            sorted(reuse_distances(trace, program.block_size).tolist()),
+            (stream.n_branches, stream.n_mispredicted, stream.n_taken),
+        )
+
+    want = analyses(trace)
+    store = write_trace(trace, tmp_path / "t.trace", chunk_events=window)
+    assert len(list(store.iter_events(window))) == 3
+
+    def whole_read(self):
+        raise AssertionError("read the stored trace whole")
+
+    monkeypatch.setattr(TraceStore, "materialize", whole_read)
+    monkeypatch.setattr(profiler, "DEFAULT_CHUNK_EVENTS", window)
+    monkeypatch.setattr(locality, "DEFAULT_CHUNK_EVENTS", window)
+    monkeypatch.setattr(prediction, "run_fused", functools.partial(run_fused, chunk_events=window))
+    assert analyses(store) == want

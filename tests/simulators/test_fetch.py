@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cfg import INSTR_BYTES, BlockKind, Layout, ProgramBuilder
 from repro.profiling import BlockTrace
 from repro.simulators import FetchStream, run_fused
 from repro.simulators.fetch import expand_chunk, iter_chunk_contexts
 from repro.validate import LineLog
+from repro.validate.generators import random_case
 
 
 def straight_program(sizes, kinds):
@@ -106,6 +109,28 @@ def test_separator_breaks_sequence():
     # without the separator this would be one fetch
     assert r.n_fetches == 2
     assert r.n_taken == 2
+
+
+@pytest.mark.parametrize("chunk_events", [1, 2, 3])
+def test_separator_ending_a_window_ends_the_run(chunk_events):
+    # at chunk_events=2 the first window is [0, SEPARATOR]: block 0 must
+    # not fall through into block 1 of the next run
+    p = straight_program([4, 4, 4], [BlockKind.FALL_THROUGH] * 3)
+    trace = BlockTrace.concatenate([BlockTrace([0]), BlockTrace([1])])
+    r = simulate(trace, p, Layout.original(p), chunk_events=chunk_events)
+    assert r.n_taken == 2
+    assert r.n_instructions == 8
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_instruction_and_taken_counts_do_not_depend_on_the_window(seed):
+    case = random_case(seed)
+    counts = set()
+    for chunk_events in (1, 2, 3, case.chunk_events, 10**9):
+        r = simulate(case.trace, case.program, case.layout, chunk_events=chunk_events)
+        counts.add((r.n_instructions, r.n_taken))
+    assert len(counts) == 1, counts
 
 
 def test_chunking_preserves_results():
