@@ -13,11 +13,13 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.cfg.blocks import INSTR_BYTES
 from repro.cfg.layout import Layout
 from repro.cfg.program import Program
 from repro.cfg.weighted import WeightedCFG
 from repro.core.mapping import CacheGeometry, map_sequences
 from repro.core.seeds import auto_seeds
+from repro.core.stc import STCParams
 from repro.core.tracebuild import TraceParams, build_sequences
 
 __all__ = ["torrellas_layout"]
@@ -33,7 +35,7 @@ def torrellas_layout(
 ) -> Layout:
     """Sequences + block-granularity CFA."""
     if exec_threshold is None:
-        exec_threshold = max(1, int(1e-5 * int(cfg.block_count.sum())))
+        exec_threshold = max(1, int(STCParams.exec_fraction * int(cfg.block_count.sum())))
     sequences = build_sequences(
         cfg,
         auto_seeds(program, cfg),
@@ -51,7 +53,7 @@ def torrellas_layout(
             position[block] = (si, bi)
     chosen: list[int] = []
     budget = geometry.cfa_bytes
-    sizes = program.block_size.astype(np.int64) * 4
+    sizes = program.block_size.astype(np.int64) * INSTR_BYTES
     for block in hot_order:
         block = int(block)
         if counts[block] == 0 or budget <= 0:

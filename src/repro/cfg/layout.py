@@ -62,18 +62,14 @@ class Layout:
     def from_placements(
         cls,
         program: Program,
-        placements: dict[int, int] | tuple[np.ndarray, np.ndarray],
+        placements: dict[int, int],
         *,
         name: str,
     ) -> "Layout":
         """Layout from explicit ``block -> byte address`` placements (may have gaps)."""
         address = np.full(program.n_blocks, -1, dtype=np.int64)
-        if isinstance(placements, dict):
-            for block, addr in placements.items():
-                address[block] = addr
-        else:
-            blocks, addrs = placements
-            address[np.asarray(blocks)] = np.asarray(addrs)
+        for block, addr in placements.items():
+            address[block] = addr
         if (address < 0).any():
             missing = int((address < 0).sum())
             raise ValueError(f"{missing} blocks left unplaced")

@@ -15,6 +15,7 @@ from collections.abc import Iterable, Iterator
 
 import numpy as np
 
+from repro.cfg.blocks import BlockKind
 from repro.cfg.program import Program
 
 __all__ = ["WeightedCFG"]
@@ -28,6 +29,12 @@ class WeightedCFG:
         self.block_count = np.zeros(self._n, dtype=np.int64)
         self._out: dict[int, dict[int, int]] = {}
         self._in: dict[int, dict[int, int]] = {}
+
+    #: per source block, its sorted ``(succ, count)`` pairs and out-weight (see :meth:`_exit`)
+    _exits: dict[int, tuple[tuple[tuple[int, int], ...], int]] | None = None
+
+    def __getstate__(self) -> dict:  # pickles carry the profile, never the derived table
+        return {key: value for key, value in self.__dict__.items() if key != "_exits"}
 
     # -- construction ----------------------------------------------------
 
@@ -59,6 +66,7 @@ class WeightedCFG:
     def add_transition(self, src: int, dst: int, count: int = 1) -> None:
         if count <= 0:
             raise ValueError("transition count must be positive")
+        self._exits = None
         self._out.setdefault(src, {})
         self._out[src][dst] = self._out[src].get(dst, 0) + count
         self._in.setdefault(dst, {})
@@ -74,12 +82,20 @@ class WeightedCFG:
     def n_edges(self) -> int:
         return sum(len(s) for s in self._out.values())
 
+    def _exit(self, block: int) -> tuple[tuple[tuple[int, int], ...], int]:
+        """``block``'s sorted ``(succ, count)`` pairs and out-weight, from a table built whole
+        on the first query and only then published: threads sharing a profile never see part of it."""
+        table = self._exits
+        if table is None:
+            table = self._exits = {
+                b: (tuple(sorted(succs.items(), key=lambda kv: (-kv[1], kv[0]))), sum(succs.values()))
+                for b, succs in self._out.items()
+            }
+        return table.get(block, ((), 0))
+
     def successors(self, block: int) -> list[tuple[int, int]]:
-        """``(succ, count)`` pairs, heaviest first (ties broken by block id)."""
-        succs = self._out.get(block)
-        if not succs:
-            return []
-        return sorted(succs.items(), key=lambda kv: (-kv[1], kv[0]))
+        """``(succ, count)`` pairs, heaviest first (ties by block id), in a new list; sorted once per profile."""
+        return list(self._exit(block)[0])
 
     def predecessors(self, block: int) -> list[tuple[int, int]]:
         preds = self._in.get(block)
@@ -88,8 +104,8 @@ class WeightedCFG:
         return sorted(preds.items(), key=lambda kv: (-kv[1], kv[0]))
 
     def out_weight(self, block: int) -> int:
-        succs = self._out.get(block)
-        return sum(succs.values()) if succs else 0
+        """Total count of ``block``'s outgoing transitions, summed once per profile."""
+        return self._exit(block)[1]
 
     def edge_count(self, src: int, dst: int) -> int:
         return self._out.get(src, {}).get(dst, 0)
@@ -121,8 +137,6 @@ class WeightedCFG:
         this is the weighted call graph used by Pettis & Hansen procedure
         ordering (return transitions are excluded to avoid double-counting).
         """
-        from repro.cfg.blocks import BlockKind
-
         graph: dict[tuple[int, int], int] = {}
         proc = program.block_proc
         kind = program.block_kind

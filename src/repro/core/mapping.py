@@ -98,7 +98,6 @@ def map_sequences(
     name: str,
     cfa_sequences: list[list[int]] | None = None,
     cfa_blocks: list[int] | None = None,
-    cfa_whole_sequences: bool = True,
 ) -> Layout:
     """Produce a layout from ordered sequences and a cache geometry.
 
@@ -109,39 +108,36 @@ def map_sequences(
       not fit join the front of the regular sequence stream.
     * ``cfa_blocks`` (Torrellas baseline) — pin the given individual blocks
       into the CFA, pulling them out of their sequences.
-    * ``cfa_whole_sequences=True`` (default) — single-pass form: the main
-      ``sequences`` themselves are the CFA candidates.
+    * neither (default) — single-pass form: the main ``sequences``
+      themselves are the CFA candidates.
+
+    Cold code (the blocks no sequence placed), in block-id order, fills the
+    gaps the protected windows left, gap by gap, then follows the last
+    sequence: one cumulative sum over the cold sizes says how many blocks
+    fit in each gap, and the first that does not moves on to the next one.
     """
     sizes = program.block_size.astype(np.int64) * INSTR_BYTES
-    placed: dict[int, int] = {}
+    address = np.full(program.n_blocks, -1, dtype=np.int64)
     alloc = _Allocator(geometry)
 
     # -- fill the CFA -------------------------------------------------------
-    in_cfa: set[int] = set()
     if cfa_blocks is not None:
         budget = geometry.cfa_bytes
         for block in cfa_blocks:
             if sizes[block] <= budget:
-                placed[block] = alloc.place(int(sizes[block]))
+                address[block] = alloc.place(int(sizes[block]))
                 budget -= int(sizes[block])
-                in_cfa.add(block)
     else:
         if cfa_sequences is not None:
-            candidates = cfa_sequences
-            overflow: list[list[int]] = []
-        elif cfa_whole_sequences and geometry.cfa_bytes:
-            candidates = sequences
-            overflow = None
+            candidates, overflow = cfa_sequences, []
         else:
-            candidates = []
-            overflow = None
+            candidates, overflow = sequences, None
         budget = geometry.cfa_bytes
         for seq in candidates:
             seq_size = int(sizes[list(seq)].sum())
             if seq_size <= budget:
                 for block in seq:
-                    placed[block] = alloc.place(int(sizes[block]))
-                    in_cfa.add(block)
+                    address[block] = alloc.place(int(sizes[block]))
                 budget -= seq_size
             elif overflow is not None:
                 overflow.append(seq)
@@ -152,42 +148,34 @@ def map_sequences(
     if alloc.cursor < geometry.cfa_bytes:
         alloc.cursor = geometry.cfa_bytes  # do not mix sequences into the CFA
     for seq in sequences:
-        rest = [b for b in seq if b not in in_cfa]
+        rest = [b for b in seq if address[b] < 0]  # the CFA's blocks are placed
         if not rest:
             continue
         seq_size = int(sizes[rest].sum())
         if seq_size <= geometry.cache_bytes - geometry.cfa_bytes or not alloc.protecting:
             start = alloc.place(seq_size)
             for block in rest:
-                placed[block] = start
+                address[block] = start
                 start += int(sizes[block])
         else:
             # longer than a logical cache's free area: place block by block,
             # breaking only where the protected window forces a jump
             for block in rest:
-                placed[block] = alloc.place(int(sizes[block]))
+                address[block] = alloc.place(int(sizes[block]))
 
     # -- cold remainder fills the entire address space ----------------------
-    alloc.protecting = False
-    gaps = alloc.gaps
-    gap_idx = 0
-    gap_pos = gaps[0][0] if gaps else None
-    for block in range(program.n_blocks):
-        if block in placed:
-            continue
-        size = int(sizes[block])
-        addr = None
-        while gap_idx < len(gaps):
-            g_start, g_end = gaps[gap_idx]
-            pos = max(gap_pos if gap_pos is not None else g_start, g_start)
-            if pos + size <= g_end:
-                addr = pos
-                gap_pos = pos + size
-                break
-            gap_idx += 1
-            gap_pos = gaps[gap_idx][0] if gap_idx < len(gaps) else None
-        if addr is None:
-            addr = alloc.place(size)
-        placed[block] = addr
+    cold = np.flatnonzero(address < 0)
+    # offset[i]: bytes of the cold blocks before cold[i]
+    offset = np.concatenate(([0], np.cumsum(sizes[cold])))
+    first = 0  # the first cold block not placed yet
+    for g_start, g_end in alloc.gaps:
+        # the blocks first..stop-1 fit in this gap; block ``stop`` does not,
+        # so it and every later block move on to the next gap
+        stop = int(np.searchsorted(offset, offset[first] + (g_end - g_start), side="right")) - 1
+        address[cold[first:stop]] = g_start + offset[first:stop] - offset[first]
+        first = stop
+    address[cold[first:]] = alloc.cursor + offset[first:-1] - offset[first]
 
-    return Layout.from_placements(program, placed, name=name)
+    layout = Layout(name=name, address=address)
+    layout.validate(program)
+    return layout

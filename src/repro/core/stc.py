@@ -6,8 +6,9 @@ the ``auto`` / ``ops`` layout of the paper's evaluation (Tables 3 and 4).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
+from repro.cfg.blocks import INSTR_BYTES
 from repro.cfg.layout import Layout
 from repro.cfg.program import Program
 from repro.cfg.weighted import WeightedCFG
@@ -115,8 +116,6 @@ def _fit_first_pass(
     budget = geometry.cfa_bytes
     if budget == 0:
         return [], set()
-
-    from repro.cfg.blocks import INSTR_BYTES
 
     sizes = program.block_size
 

@@ -59,6 +59,7 @@ def build_sequences(
     pass's sequences from those.
     """
     visited = visited if visited is not None else set()
+    exits: dict[int, tuple] = {}  # the frontier walks' table, see _note_frontier
     sequences: list[list[int]] = []
 
     for seed in seeds:
@@ -66,7 +67,7 @@ def build_sequences(
         pending: deque[int] = deque()
         if seed in visited:
             if explore_from_visited:
-                _note_frontier(cfg, seed, params, visited, pending)
+                _note_frontier(cfg, seed, params, visited, pending, exits)
             else:
                 continue
         elif cfg.block_count[seed] < params.exec_threshold:
@@ -89,26 +90,29 @@ def _note_frontier(
     params: TraceParams,
     visited: set[int],
     pending: deque[int],
+    exits: dict[int, tuple],
 ) -> None:
     """Walk already-placed blocks reachable from ``seed``, noting every
-    valid transition into unplaced territory."""
+    valid transition into unplaced territory. ``exits``, shared by one
+    call's walks, holds each walked block's ``(succ, valid)`` pairs: the
+    static half of :func:`_grow`'s test (``succ in visited`` can change)."""
     frontier = [seed]
     walked = {seed}
     while frontier:
         block = frontier.pop()
-        out_weight = cfg.out_weight(block)
-        if out_weight == 0:
-            continue
-        for succ, count in cfg.successors(block):
+        entry = exits.get(block)
+        if entry is None:
+            out_weight = cfg.out_weight(block)
+            entry = exits[block] = tuple(
+                (succ, cfg.block_count[succ] >= params.exec_threshold and count / out_weight >= params.branch_threshold)
+                for succ, count in cfg.successors(block)
+            )
+        for succ, valid in entry:
             if succ in visited:
                 if succ not in walked:
                     walked.add(succ)
                     frontier.append(succ)
-                continue
-            if (
-                cfg.block_count[succ] >= params.exec_threshold
-                and count / out_weight >= params.branch_threshold
-            ):
+            elif valid:
                 pending.append(succ)
 
 
@@ -124,12 +128,9 @@ def _grow(
     visited.add(start)
     current = start
     while True:
-        successors = cfg.successors(current)
         out_weight = cfg.out_weight(current)
-        if out_weight == 0:
-            break
         chosen = None
-        for succ, count in successors:
+        for succ, count in cfg.successors(current):
             if succ in visited:
                 continue
             if cfg.block_count[succ] < params.exec_threshold:

@@ -83,7 +83,7 @@ def _encode_chunk(events: np.ndarray) -> tuple[bytes, int]:
 
 def _decode_chunk(payload: bytes, n_events: int, flags: int) -> np.ndarray:
     try:
-        raw = zlib.decompress(payload)
+        raw = zlib.decompress(payload, bufsize=4 * n_events)
     except zlib.error as exc:
         raise TraceFormatError(f"undecompressable trace chunk: {exc}") from exc
     arr = np.frombuffer(raw, dtype=np.int32)
@@ -92,7 +92,7 @@ def _decode_chunk(payload: bytes, n_events: int, flags: int) -> np.ndarray:
             f"trace chunk decoded to {arr.shape[0]} events, directory says {n_events}"
         )
     if flags & _FLAG_DELTA:
-        arr = np.cumsum(arr, dtype=np.int64).astype(np.int32)
+        arr = np.cumsum(arr, dtype=np.int32)  # exact: every prefix sum is an event
     arr.setflags(write=False)
     return arr
 

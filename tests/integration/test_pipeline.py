@@ -121,9 +121,15 @@ def test_trace_cache_combination(workload, layouts):
     assert tc_orig.n_hits + tc_orig.n_misses == tc_orig.n_cycles_base
 
 
-def test_determinism_end_to_end():
+def test_determinism_end_to_end(tmp_path, monkeypatch):
+    # each build streams its traces into its own cache directory, so the
+    # second cannot replace the files the first one wrote
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "a"))
     a = WorkloadSettings(scale=SCALE).build()
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "b"))
     b = WorkloadSettings(scale=SCALE).build()
+    for trace in ("training_trace", "test_trace"):
+        assert getattr(a, trace).path != getattr(b, trace).path
     np.testing.assert_array_equal(
         a.training_trace.materialize().events, b.training_trace.materialize().events
     )

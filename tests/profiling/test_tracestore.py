@@ -10,6 +10,7 @@ silently wrong trace.
 import functools
 import pickle
 import struct
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -28,7 +29,7 @@ from repro.profiling import (
 from repro.experiments import prediction
 from repro.profiling import locality, profile_trace, profiler, reuse_distances
 from repro.profiling.trace import SEPARATOR
-from repro.profiling.tracestore import _HEADER, _MAGIC
+from repro.profiling.tracestore import _FLAG_DELTA, _HEADER, _MAGIC, _decode_chunk, _encode_chunk
 from repro.simulators import run_fused
 from repro.validate.generators import random_case
 
@@ -108,6 +109,61 @@ def test_delta_overflow_falls_back_to_raw(tmp_path):
     store = write_trace(BlockTrace(events), tmp_path / "wide.trace")
     np.testing.assert_array_equal(store.materialize().events, events)
     store.verify(deep=True)
+
+
+def _int64_decode(payload: bytes, flags: int) -> np.ndarray:
+    """The chunk decoder as it was: the deltas summed in int64, then cast."""
+    arr = np.frombuffer(zlib.decompress(payload), dtype=np.int32)
+    return np.cumsum(arr, dtype=np.int64).astype(np.int32) if flags & _FLAG_DELTA else arr
+
+
+_HI = int(np.iinfo(np.int32).max)
+
+#: low and top-of-range block ids with separators between them
+wide_event_arrays = st.lists(
+    st.one_of(st.integers(0, 1000), st.integers(_HI - 1000, _HI), st.just(SEPARATOR)),
+    min_size=1,
+    max_size=300,
+).map(lambda xs: np.asarray(xs, dtype=np.int32))
+
+
+@given(wide_event_arrays)
+@settings(max_examples=100, deadline=None)
+def test_chunk_decode_matches_the_int64_delta_sum(events):
+    payload, flags = _encode_chunk(events)
+    decoded = _decode_chunk(payload, events.shape[0], flags)
+    assert decoded.dtype == np.int32
+    np.testing.assert_array_equal(decoded, _int64_decode(payload, flags))
+    np.testing.assert_array_equal(decoded, events)
+
+
+def test_delta_chunk_with_the_largest_ids_decodes_exactly():
+    # deltas of 2**31 - 1 and -2**31, the extremes an int32 delta can hold
+    events = np.asarray([0, _HI, SEPARATOR, _HI - 1, 5, _HI, SEPARATOR, 0], dtype=np.int32)
+    payload, flags = _encode_chunk(events)
+    assert flags == _FLAG_DELTA
+    decoded = _decode_chunk(payload, events.shape[0], flags)
+    np.testing.assert_array_equal(decoded, _int64_decode(payload, flags))
+    np.testing.assert_array_equal(decoded, events)
+
+
+def test_chunk_decode_peak_stays_under_two_and_a_half_chunks():
+    """Decompressing into a buffer sized to the chunk and summing in int32
+    holds the raw deltas and the events, twice the decoded bytes; an int64
+    sum and a growing output buffer held about five times."""
+    rng = np.random.default_rng(3)
+    events = (50_000 + np.cumsum(rng.integers(-3, 4, size=200_000))).astype(np.int32)
+    events[::997] = SEPARATOR
+    payload, flags = _encode_chunk(events)
+    assert flags == _FLAG_DELTA
+    tracemalloc.start()
+    try:
+        decoded = _decode_chunk(payload, events.shape[0], flags)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    np.testing.assert_array_equal(decoded, events)
+    assert peak <= 2.5 * events.nbytes
 
 
 def test_truncated_file_is_a_clean_error(tmp_path):
