@@ -12,7 +12,9 @@ gives each task float-for-float the payload it gets when run alone (the
 identity that lets checkpoints from any grouping mix) and that the
 group's trace-cache tasks raise its tracemalloc peak by at most
 ``TRACE_CACHE_PEAK_RATIO`` (a per-instruction array in the walk would
-exceed it).
+exceed it), and that the group's peak stays within ``PEAK_SLACK`` of
+``PEAK_BYTES_PER_WINDOW_INSTRUCTION`` per instruction of the largest
+window (a re-widened window array would exceed it).
 
 Run: ``PYTHONPATH=src python .github/scripts/streaming_smoke.py``
 """
@@ -33,6 +35,7 @@ from repro.experiments import suite as suite_mod  # noqa: E402
 from repro.experiments.config import PRIMARY_ROWS  # noqa: E402
 from repro.experiments.harness import get_workload  # noqa: E402
 from repro.profiling import TraceStore, profile_trace  # noqa: E402
+from repro.profiling.trace import DEFAULT_CHUNK_EVENTS, SEPARATOR  # noqa: E402
 from repro.tpcd.workload import WorkloadSettings  # noqa: E402
 
 SETTINGS = WorkloadSettings(scale=0.0005)
@@ -41,6 +44,11 @@ GRID = PRIMARY_ROWS[:1]
 #: its trace-cache tasks. The walk over per-event arrays measures 1.003,
 #: and keeping one more int32 array per instruction alive in it 1.049.
 TRACE_CACHE_PEAK_RATIO = 1.04
+#: The fused group's tracemalloc peak per instruction of the trace's
+#: largest window, measured with int32 window arrays (int64 ones measured
+#: 36.34). A pass may exceed it by ``PEAK_SLACK``.
+PEAK_BYTES_PER_WINDOW_INSTRUCTION = 18.82
+PEAK_SLACK = 1.1
 
 
 def _traced_peak(run, *args):
@@ -128,6 +136,18 @@ def main() -> None:
     )
     if errors:
         sys.exit(f"FAIL: fused group errors without trace-cache tasks: {errors}")
+    window_instructions = max(
+        int(rebuilt.program.block_size[ev[ev != SEPARATOR]].sum(dtype=np.int64))
+        for ev, _ in rebuilt.test_trace.iter_events(DEFAULT_CHUNK_EVENTS)
+    )
+    per_instruction = peak / window_instructions
+    bound = PEAK_SLACK * PEAK_BYTES_PER_WINDOW_INSTRUCTION
+    if per_instruction > bound:
+        sys.exit(
+            f"FAIL: the fused group's tracemalloc peak is {per_instruction:.2f} B per "
+            f"instruction of its largest window, bound {bound:.2f}"
+        )
+    print(f"memory OK: tracemalloc peak {per_instruction:.2f} B per window instruction")
     ratio = peak / fetch_peak
     if ratio > TRACE_CACHE_PEAK_RATIO:
         sys.exit(

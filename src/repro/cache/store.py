@@ -25,6 +25,7 @@ behaviour in their manifests.
 from __future__ import annotations
 
 import dataclasses
+import errno
 import hashlib
 import os
 import pickle
@@ -121,19 +122,28 @@ class CacheStats:
     corrupt_dropped: int = 0  #: truncated/unparseable entries unlinked
     tmp_swept: int = 0  #: orphaned ``*.tmp`` files reclaimed
     evictions: int = 0  #: entries removed by the size-cap LRU sweep
+    #: ``store_errors`` split by errno name (``ENOSPC``, ``EROFS``, ...;
+    #: ``other`` for an ``OSError`` without one)
+    store_errnos: dict[str, int] = dataclasses.field(default_factory=dict)
 
     def snapshot(self) -> "CacheStats":
-        return dataclasses.replace(self)
+        return dataclasses.replace(self, store_errnos=dict(self.store_errnos))
 
     def as_dict(self) -> dict[str, int]:
-        return dataclasses.asdict(self)
+        """Flat counters: each errno of ``store_errnos`` that dropped a
+        store appears as ``store_errors.<ERRNO>``."""
+        out = {
+            f.name: getattr(self, f.name)
+            for f in dataclasses.fields(self)
+            if f.name != "store_errnos"
+        }
+        out.update((f"store_errors.{name}", n) for name, n in self.store_errnos.items())
+        return out
 
     def delta(self, since: "CacheStats") -> dict[str, int]:
         """Per-counter change since an earlier :meth:`snapshot`."""
-        return {
-            f.name: getattr(self, f.name) - getattr(since, f.name)
-            for f in dataclasses.fields(self)
-        }
+        then = since.as_dict()
+        return {name: n - then.get(name, 0) for name, n in self.as_dict().items()}
 
 
 #: Load failures that prove the entry itself is damaged (truncated file,
@@ -229,9 +239,11 @@ class ArtifactCache:
             except BaseException:
                 os.unlink(tmp)
                 raise
-        except OSError:
+        except OSError as exc:
             # read-only or full disk: caching is best-effort, but counted
             self.stats.store_errors += 1
+            name = errno.errorcode.get(exc.errno, "other")
+            self.stats.store_errnos[name] = self.stats.store_errnos.get(name, 0) + 1
             return None
         self.stats.stores += 1
         self._sweep_tmp(path.parent)

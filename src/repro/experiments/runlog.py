@@ -19,7 +19,8 @@ Schema (``schema_version`` 1): a single JSON object with
   ``status``, ``source``, ``seconds``, ``attempts`` (and ``error`` for
   failures);
 * ``events`` — ordered retry / failure / stall / pool-degradation
-  records;
+  records, and at the end one ``disk-full`` record per errno in
+  :data:`DISK_FULL_ERRNOS` that dropped stores during the run;
 * ``cache`` — :class:`repro.cache.CacheStats` deltas over the run.
 """
 
@@ -36,9 +37,12 @@ from typing import Any
 
 from repro.cache import ArtifactCache
 
-__all__ = ["MANIFEST_SCHEMA_VERSION", "RunLog", "git_revision"]
+__all__ = ["DISK_FULL_ERRNOS", "MANIFEST_SCHEMA_VERSION", "RunLog", "git_revision"]
 
 MANIFEST_SCHEMA_VERSION = 1
+
+#: Store failures that mean the disk or the user's quota is full.
+DISK_FULL_ERRNOS = ("ENOSPC", "EDQUOT")
 
 
 def git_revision() -> str | None:
@@ -141,7 +145,12 @@ class RunLog:
             self.data["error"] = error
         self.data["wall_seconds"] = round(self._clock() - self._t0, 6)
         if self._cache is not None and self._stats0 is not None:
-            self.data["cache"] = self._cache.stats.delta(self._stats0)
+            delta = self._cache.stats.delta(self._stats0)
+            self.data["cache"] = delta
+            for name in DISK_FULL_ERRNOS:
+                dropped = delta.get(f"store_errors.{name}", 0)
+                if dropped:
+                    self.event("disk-full", errno=name, dropped_stores=dropped)
 
     def write(self, path: Path | str) -> Path:
         """Serialize the manifest as JSON; parent directories are created."""

@@ -359,6 +359,7 @@ class TraceStore:
                     if len(payload) != comp_size or zlib.crc32(payload) != crc:
                         raise TraceFormatError(f"{self._path}: chunk CRC mismatch")
                     arr = _decode_chunk(payload, n_events, flags)
+                    del payload  # not held across the yield
                     a = start_event - lo if lo < start_event else 0
                     b = stop - lo if hi > stop else n_events
                     yield arr if a == 0 and b == n_events else arr[a:b]

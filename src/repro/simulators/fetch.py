@@ -29,6 +29,13 @@ builds an array with one entry per instruction beyond the shared
 ``ChunkContext.rep_idx`` and the orbit's one-byte visited mask: the trace
 cache's walk (:mod:`repro.simulators.tracecache`) reads the same per-event
 arrays and applies the SEQ.3 length rule at its miss positions only.
+
+Every per-window array is held at the width its values need: block ids,
+instruction indices, byte offsets, address bases, stops, fetch starts and
+cache lines are int32. Values that would not fit raise ``ValueError``
+instead of wrapping: a window of more than :data:`_MAX_WINDOW_INSTRUCTIONS`
+instructions (:func:`iter_chunk_contexts`), and a layout whose addresses
+leave the int32 range where it meets a window (:func:`expand_chunk`).
 """
 
 from __future__ import annotations
@@ -62,6 +69,12 @@ BRANCH_LIMIT = 3
 #: ``addr >> _INSTR_SHIFT`` is the instruction-granular address.
 _INSTR_SHIFT = INSTR_BYTES.bit_length() - 1
 
+#: Per-window arrays are int32: byte offsets and addresses stay below this.
+_INT32_LIMIT = 1 << 31
+
+#: The most instructions one window may hold: its byte offsets fit int32.
+_MAX_WINDOW_INSTRUCTIONS = (_INT32_LIMIT - 1) // INSTR_BYTES
+
 
 @dataclass
 class ChunkContext:
@@ -73,11 +86,10 @@ class ChunkContext:
     (:func:`expand_chunk` adds the per-layout addresses).
     """
 
-    ids: np.ndarray  # int64 block id per valid event
-    ev_size: np.ndarray  # int64 instructions per event
+    ids: np.ndarray  # int32 block id per valid event
     rep_idx: np.ndarray  # int32: event index of each instruction
-    start_bytes: np.ndarray  # int64: INSTR_BYTES * index of each event's first instr
-    last_idx: np.ndarray  # int64: instruction index of each event's last instr
+    start_bytes: np.ndarray  # int32: INSTR_BYTES * index of each event's first instr
+    last_idx: np.ndarray  # int32: instruction index of each event's last instr
     branchy_ev: np.ndarray  # bool: event ends in a branch/call/return block
     adjacent: np.ndarray  # bool (len-1): no separator between events i, i+1
     next_id: int | None  # block id of the last event's successor (None: run/trace ends)
@@ -107,38 +119,63 @@ def iter_chunk_contexts(
     the contexts produced are bit-identical to the corresponding contexts
     of a full iteration, including the boundary sequentiality peek past
     ``stop_event``.
+
+    Raises ``ValueError`` for a window of more than
+    :data:`_MAX_WINDOW_INSTRUCTIONS` instructions, whose byte offsets
+    would not fit the context's int32 arrays.
     """
-    sizes = program.block_size.astype(np.int64)
+    sizes = program.block_size.astype(np.int32)
     kinds = program.block_kind
     branchy = (kinds == BlockKind.BRANCH) | (kinds == BlockKind.CALL) | (kinds == BlockKind.RETURN)
 
     windows = trace.iter_events(chunk_events, start_event=start_event, stop_event=stop_event)
     for ev, next_event in windows:
-        valid_idx = np.flatnonzero(ev != SEPARATOR)
-        if valid_idx.size == 0:
-            continue
-        ids = ev[valid_idx].astype(np.int64)
-        ev_size = sizes[ids]
-        ends = np.cumsum(ev_size)
-        yield ChunkContext(
-            ids=ids,
-            ev_size=ev_size,
-            # int32: event indices stay below the window size, and the
-            # narrower gathers at the orbit's cursors are faster
-            rep_idx=np.repeat(np.arange(ids.shape[0], dtype=np.int32), ev_size),
-            start_bytes=(ends - ev_size) * INSTR_BYTES,
-            last_idx=ends - 1,
-            branchy_ev=branchy[ids],
-            adjacent=(valid_idx[1:] - valid_idx[:-1]) == 1,
-            next_id=(
-                int(next_event)
-                if next_event is not None
-                and next_event != SEPARATOR
-                and ev[-1] != SEPARATOR
-                else None
-            ),
-            total=int(ends[-1]),
+        # built in a helper: no window-sized temporary stays alive in this
+        # frame while the caller works on the context
+        ctx = _chunk_context(ev, next_event, sizes, branchy)
+        if ctx is not None:
+            yield ctx
+
+
+def _chunk_context(
+    ev: np.ndarray, next_event: int | None, sizes: np.ndarray, branchy: np.ndarray
+) -> ChunkContext | None:
+    """The context of one window of raw events (``None``: separators only)."""
+    valid = ev != SEPARATOR
+    ids = ev[valid].astype(np.int32, copy=False)
+    if ids.size == 0:
+        return None
+    ev_size = sizes[ids]
+    total = int(ev_size.sum(dtype=np.int64))
+    if total > _MAX_WINDOW_INSTRUCTIONS:
+        raise ValueError(
+            f"a window of {total} instructions exceeds {_MAX_WINDOW_INSTRUCTIONS}, "
+            "the most whose byte offsets fit int32; use smaller windows"
         )
+    ends = np.cumsum(ev_size, dtype=np.int32)
+    start_bytes = ends - ev_size
+    start_bytes *= INSTR_BYTES
+    ends -= 1
+    return ChunkContext(
+        ids=ids,
+        # int32: event indices stay below the window size, and the
+        # narrower gathers at the orbit's cursors are faster
+        rep_idx=np.repeat(np.arange(ids.shape[0], dtype=np.int32), ev_size),
+        start_bytes=start_bytes,
+        last_idx=ends,
+        branchy_ev=branchy[ids],
+        # valid event i and i+1 are adjacent iff the raw event right after
+        # event i is valid (trailing separators add one entry past the end)
+        adjacent=valid[1:][valid[:-1]][: ids.shape[0] - 1],
+        next_id=(
+            int(next_event)
+            if next_event is not None
+            and next_event != SEPARATOR
+            and ev[-1] != SEPARATOR
+            else None
+        ),
+        total=total,
+    )
 
 
 @dataclass
@@ -150,11 +187,11 @@ class _Chunk:
     """
 
     ctx: ChunkContext
-    ev_base: np.ndarray  # int64 per event: block address - ctx.start_bytes
+    ev_base: np.ndarray  # int32 per event: block address - ctx.start_bytes
     taken_ev: np.ndarray  # bool per event: its last instruction is a taken branch
     branch_ev: np.ndarray  # bool per event: its last instruction is a branch
-    taken_at: np.ndarray  # int64: indices of the taken events
-    stop: np.ndarray  # int64 per event: last instruction a fetch from it may reach
+    taken_at: np.ndarray  # int32: indices of the taken events
+    stop: np.ndarray  # int32 per event: last instruction a fetch from it may reach
 
     @property
     def n_taken(self) -> int:
@@ -166,10 +203,11 @@ def expand_chunk(ctx: ChunkContext, layout: Layout) -> _Chunk:
 
     Run separators force a taken branch on the preceding instruction (two
     profiled runs never fall through into each other).
+
+    Raises ``ValueError`` when a block of the window starts or ends
+    outside the int32 byte range of the per-window arrays.
     """
-    addresses = layout.address
-    ev_base = addresses[ctx.ids]
-    ev_base -= ctx.start_bytes
+    ev_base = _event_bases(ctx, layout)
     # a transition is sequential when the next block starts exactly where
     # this one ends — the two events share their address base — with no
     # run separator in between
@@ -178,14 +216,14 @@ def expand_chunk(ctx: ChunkContext, layout: Layout) -> _Chunk:
         np.equal(ev_base[1:], ev_base[:-1], out=seq[:-1])
         seq[:-1] &= ctx.adjacent
     if ctx.next_id is not None:
-        seq[-1] = int(addresses[ctx.next_id]) - INSTR_BYTES * ctx.total == int(ev_base[-1])
+        seq[-1] = int(layout.address[ctx.next_id]) - INSTR_BYTES * ctx.total == int(ev_base[-1])
 
     # any non-sequential transition behaves as a taken branch — including
     # a fall-through whose successor the layout moved away (the layout
     # step would insert an unconditional jump there)
     taken_ev = ~seq
     branch_ev = ctx.branchy_ev | taken_ev
-    taken_at = np.flatnonzero(taken_ev)
+    taken_at = np.flatnonzero(taken_ev).astype(np.int32)
     return _Chunk(
         ctx=ctx,
         ev_base=ev_base,
@@ -194,6 +232,32 @@ def expand_chunk(ctx: ChunkContext, layout: Layout) -> _Chunk:
         taken_at=taken_at,
         stop=_event_stops(ctx.last_idx, taken_at, np.flatnonzero(branch_ev)),
     )
+
+
+def _event_bases(ctx: ChunkContext, layout: Layout) -> np.ndarray:
+    """Per event, its block's address minus the event's byte offset in the
+    window, as int32.
+
+    Raises ``ValueError`` when a block of the window starts or ends
+    outside the int32 byte range.
+    """
+    address = layout.address
+    if address.size and (int(address.min()) < 0 or int(address.max()) >= _INT32_LIMIT):
+        raise ValueError(
+            f"layout {layout.name!r} has block addresses outside [0, 2**31), "
+            "the int32 range of the window arrays"
+        )
+    ev_base = address.astype(np.int32)[ctx.ids]
+    # blocks do not overlap, so the window's highest block ends last
+    top = int(ev_base.argmax())
+    size = int(ctx.last_idx[top]) + 1 - int(ctx.start_bytes[top]) // INSTR_BYTES
+    if int(ev_base[top]) + INSTR_BYTES * size > _INT32_LIMIT:
+        raise ValueError(
+            f"layout {layout.name!r} places block {int(ctx.ids[top])} across byte 2**31, "
+            "the end of the int32 range of the window arrays"
+        )
+    ev_base -= ctx.start_bytes
+    return ev_base
 
 
 def _event_stops(last_idx: np.ndarray, taken_at: np.ndarray, branch_at: np.ndarray) -> np.ndarray:
@@ -206,7 +270,7 @@ def _event_stops(last_idx: np.ndarray, taken_at: np.ndarray, branch_at: np.ndarr
     holds, at each branch event, the stop of a fetch starting there
     yields the stop of every event (taken events are branch events).
     """
-    stop = np.full(last_idx.shape[0], last_idx[-1], dtype=np.int64)
+    stop = np.full(last_idx.shape[0], last_idx[-1], dtype=last_idx.dtype)
     reach = branch_at.shape[0] - BRANCH_LIMIT + 1
     if reach > 0:
         stop[branch_at[:reach]] = last_idx[branch_at[BRANCH_LIMIT - 1 :]]
@@ -264,8 +328,8 @@ def _fetch_starts(chunk: _Chunk, line_bytes: int) -> np.ndarray:
     n = ctx.total
     line_instrs = line_bytes // INSTR_BYTES
     taken_end = ctx.last_idx[chunk.taken_at]
-    seg_start = np.concatenate(([0], taken_end + 1))
-    seg_end = np.concatenate((taken_end, [n - 1]))[: seg_start.size]
+    seg_start = np.concatenate(([0], taken_end + 1), dtype=np.int32)
+    seg_end = np.concatenate((taken_end, [n - 1]), dtype=np.int32)[: seg_start.size]
     alive = seg_start <= seg_end  # drop the empty tail when the last
     cur = seg_start[alive]  # instruction is a taken branch
     end = seg_end[alive]
@@ -291,17 +355,18 @@ def _fetch_starts(chunk: _Chunk, line_bytes: int) -> np.ndarray:
                     visited[p] = True
                     p = ends[p - first]
             break
-    return np.flatnonzero(visited)
+    return np.flatnonzero(visited).astype(np.int32)
 
 
 def _line_pairs(addr: np.ndarray, line_bytes: int) -> np.ndarray:
-    """The two consecutive cache lines read by a fetch from each byte
-    address in ``addr`` (consumed in place), interleaved in fetch order."""
+    """The two consecutive cache lines read by a fetch from each int32 byte
+    address in ``addr`` (consumed in place), interleaved in fetch order,
+    as int32."""
     if line_bytes & (line_bytes - 1) == 0:
         addr >>= line_bytes.bit_length() - 1
     else:
         addr //= line_bytes
-    lines = np.empty((addr.shape[0], 2), dtype=np.int64)
+    lines = np.empty((addr.shape[0], 2), dtype=np.int32)
     lines[:, 0] = addr
     np.add(addr, 1, out=lines[:, 1])
     return lines.reshape(-1)

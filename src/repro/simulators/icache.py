@@ -16,8 +16,11 @@ organizations:
 * direct-mapped + fully associative victim cache (16 lines) — stateful
   swap behaviour. The stream is first run-compressed per set (a repeat of
   the immediately preceding access to the same set always hits the primary
-  slot and changes no state), then the surviving accesses — typically a
-  small fraction — run through the explicit swap loop.
+  slot and changes no state), and each surviving access's evicted
+  resident is read off the same sort; then the surviving accesses —
+  typically a small fraction — run through the explicit swap loop.
+
+Per-line work keeps the width of the fed lines (int32 from the streams).
 
 Each model is an incremental counter object (:func:`miss_counter`) with a
 ``feed(lines)`` method. Attached to a fetch or trace-cache stream, it
@@ -97,19 +100,21 @@ def count_misses(lines: np.ndarray | Sequence[np.ndarray], config: CacheConfig) 
 
 
 def _group_sorted(lines: np.ndarray, n_sets: int):
-    """Sort a chunk stably by set; return (sets, lines, group-start mask).
+    """Sort a chunk stably by set; return (order, sets, lines, group-start mask).
 
-    The set index is computed with a bit mask when ``n_sets`` is a power
-    of two and narrowed to uint16 when it fits: NumPy's stable sort is a
-    radix sort for 16-bit keys, which turns the dominant cost of every
-    cache model from O(n log n) comparisons into O(n) passes.
+    The set index is narrowed to uint16 when it fits: NumPy's stable sort
+    is a radix sort for 16-bit keys, which turns the dominant cost of
+    every cache model from O(n log n) comparisons into O(n) passes. For a
+    power-of-two ``n_sets`` the keys come straight from the lines' low 16
+    bits, masked in place.
     """
-    if n_sets & (n_sets - 1) == 0:
-        sets = lines & (n_sets - 1)
+    if n_sets & (n_sets - 1) == 0 and n_sets <= 1 << 16:
+        sets = lines.astype(np.uint16)
+        sets &= n_sets - 1
     else:
         sets = lines % n_sets
-    if n_sets <= 1 << 16:
-        sets = sets.astype(np.uint16)
+        if n_sets <= 1 << 16:
+            sets = sets.astype(np.uint16)
     order = np.argsort(sets, kind="stable")
     sorted_sets = sets[order]
     sorted_lines = lines[order]
@@ -262,77 +267,91 @@ class _TwoWayLRUCounter(_MissCounter):
         self.misses = int(state["misses"])
 
 
+#: Compressed accesses the victim swap loop turns into Python ints at a time.
+_VICTIM_SLICE = 1 << 16
+
+
 class _VictimCounter(_MissCounter):
     """Batched victim-cache simulation over chunked streams.
 
-    Vectorized per-set run compression removes the accesses that repeat the
-    immediately preceding access to the same set — always primary hits with
-    no state change — before the stateful swap loop.
+    Every access leaves its line in its set's primary slot (a hit stays, a
+    victim hit swaps in, a miss fills), so the primary slot of a set always
+    holds the set's last accessed line: ``_last`` is the whole primary
+    state. Vectorized per-set run compression removes the accesses that
+    repeat that line — always primary hits with no state change — and
+    reads each surviving access's evicted resident (the set's previous
+    access) off the same sort. The stateful swap loop then only moves
+    lines through the LRU victim buffer, over plain Python ints in
+    bounded slices.
     """
 
-    __slots__ = ("_last", "_primary", "_victim", "_capacity")
+    __slots__ = ("_last", "_victim", "_capacity")
 
     kind = "victim"
 
     def __init__(self, n_sets: int, capacity: int) -> None:
         super().__init__()
         self._last = np.full(n_sets, -1, dtype=np.int64)
-        self._primary = np.full(n_sets, -1, dtype=np.int64)
         self._victim: dict[int, None] = {}
         self._capacity = capacity
 
     def _feed(self, lines: np.ndarray) -> None:
-        last, primary, victim = self._last, self._primary, self._victim
-        n_sets = last.shape[0]
+        last, victim = self._last, self._victim
+        n = lines.shape[0]
+        order, sorted_sets, sorted_lines, first = _group_sorted(lines, last.shape[0])
+        first_idx = np.flatnonzero(first)
+        # the line each access finds in its set's primary slot: the set's
+        # previous access, or the carried last line at the chunk boundary
+        residents = np.empty_like(sorted_lines)
+        residents[1:] = sorted_lines[:-1]
+        residents[first_idx] = last[sorted_sets[first_idx]]
+        last_idx = np.concatenate((first_idx[1:] - 1, [n - 1]))
+        last[sorted_sets[last_idx]] = sorted_lines[last_idx]
+        # each per-line temporary is dropped once spent: this feed is the
+        # memory peak of a fetch stream's window
+        del sorted_sets, sorted_lines, first
+        # back to stream order, where the compressed accesses interleave
+        # across sets exactly as in the original stream
+        in_stream = np.empty_like(residents)
+        in_stream[order] = residents
+        del order, residents
+        keep = lines != in_stream
+        compressed = lines[keep]
+        evicted = in_stream[keep]
+        del keep, in_stream
         capacity = self._capacity
         misses = 0
-        order, sorted_sets, sorted_lines, first = _group_sorted(lines, n_sets)
-        keep_sorted = np.empty(lines.shape[0], dtype=bool)
-        keep_sorted[1:] = first[1:] | (sorted_lines[1:] != sorted_lines[:-1])
-        first_idx = np.flatnonzero(first)
-        keep_sorted[first_idx] = sorted_lines[first_idx] != last[sorted_sets[first_idx]]
-        last_idx = np.concatenate((first_idx[1:] - 1, [lines.shape[0] - 1]))
-        last[sorted_sets[last_idx]] = sorted_lines[last_idx]
-        # back to stream order: the compressed accesses interleave across
-        # sets exactly as in the original stream
-        keep = np.zeros(lines.shape[0], dtype=bool)
-        keep[order] = keep_sorted
-        compressed = lines[keep]
-        sets = (compressed % n_sets).tolist()
-        for line, s in zip(compressed.tolist(), sets):
-            resident = primary[s]
-            if resident == line:
-                continue
-            if line in victim:
-                del victim[line]
+        for start in range(0, compressed.shape[0], _VICTIM_SLICE):
+            part = slice(start, start + _VICTIM_SLICE)
+            for line, resident in zip(compressed[part].tolist(), evicted[part].tolist()):
+                if line in victim:
+                    del victim[line]
+                    if resident >= 0:
+                        victim[resident] = None
+                        while len(victim) > capacity:
+                            del victim[next(iter(victim))]
+                    continue
+                misses += 1
                 if resident >= 0:
+                    victim.pop(resident, None)
                     victim[resident] = None
                     while len(victim) > capacity:
                         del victim[next(iter(victim))]
-                primary[s] = line
-                continue
-            misses += 1
-            if resident >= 0:
-                victim.pop(resident, None)
-                victim[resident] = None
-                while len(victim) > capacity:
-                    del victim[next(iter(victim))]
-            primary[s] = line
         self.misses += misses
 
     def state_dict(self) -> dict:
         return {
             "kind": self.kind,
             "last": self._last.copy(),
-            "primary": self._primary.copy(),
             "victim": list(self._victim),  # LRU order, oldest first
             "capacity": self._capacity,
             "misses": self.misses,
         }
 
     def load_state(self, state: dict) -> None:
+        # a state saved with a separate "primary" entry loads too: it
+        # always equals "last"
         self._last[:] = state["last"]
-        self._primary[:] = state["primary"]
         self._victim = dict.fromkeys(state["victim"])
         self._capacity = int(state["capacity"])
         self.misses = int(state["misses"])

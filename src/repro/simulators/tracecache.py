@@ -68,6 +68,10 @@ class TraceCacheConfig:
         for name in ("n_entries", "trace_instructions", "branch_limit"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
+        # the walk keeps the outcomes of a trace's branches as the bits of
+        # an int32
+        if self.branch_limit > 32:
+            raise ValueError(f"branch_limit must be at most 32, got {self.branch_limit}")
 
 
 class TraceCacheStream:
@@ -130,14 +134,14 @@ class TraceCacheStream:
 
         # outcome bitmask of the next `blimit` branches from every branch
         # index (including nb = "past the last branch"), zero-padded
-        taken_at = chunk.taken_ev[branch_ev].astype(np.int64)
-        padded = np.concatenate((taken_at, np.zeros(blimit, dtype=np.int64)))
-        mask_by_branch = np.zeros(nb + 1, dtype=np.int64)
+        taken_at = chunk.taken_ev[branch_ev].astype(np.int32)
+        padded = np.concatenate((taken_at, np.zeros(blimit, dtype=np.int32)))
+        mask_by_branch = np.zeros(nb + 1, dtype=np.int32)
         for j in range(blimit):
             mask_by_branch |= padded[j : j + nb + 1] << j
         # position of the `blimit`-th branch at or after each branch index;
         # the out-of-range sentinel makes the fill window width-limited
-        third_by_branch = np.full(nb + 1, n + width, dtype=np.int64)
+        third_by_branch = np.full(nb + 1, n + width, dtype=np.int32)
         if nb >= blimit:
             third_by_branch[: nb - blimit + 1] = branch_pos[blimit - 1 :]
 
@@ -158,7 +162,7 @@ class TraceCacheStream:
         two_lines = 2 * line_instrs
         hits = 0
         misses = 0
-        miss_addr = array("q")
+        miss_addr = array("i")  # int32 byte addresses, as the fetch stream's
         append = miss_addr.append
         p = 0
         while p < n:
@@ -204,7 +208,7 @@ class TraceCacheStream:
                 p = stop
         self.n_hits += hits
         self.n_misses += misses
-        lines = _line_pairs(np.frombuffer(miss_addr, dtype=np.int64), self.line_bytes)
+        lines = _line_pairs(np.frombuffer(miss_addr, dtype=np.intc), self.line_bytes)
         for consumer in self.consumers:
             consumer.feed(lines)
 

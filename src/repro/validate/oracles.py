@@ -218,11 +218,13 @@ def oracle_two_way_lru(lines: Iterable[int], config: CacheConfig) -> int:
     return misses
 
 
-def oracle_victim(lines: Iterable[int], config: CacheConfig) -> int:
+def oracle_victim(lines: Iterable[int], config: CacheConfig, *, final: dict | None = None) -> int:
     """Direct-mapped cache + fully associative LRU victim buffer (Jouppi).
 
     A primary miss that hits the buffer swaps the two lines and counts as
     a hit; a real miss pushes the evicted resident into the buffer.
+    ``final``, when given, receives the end state: ``primary`` (set ->
+    resident line) and ``victim`` (the buffer in LRU order, oldest first).
     """
     n_sets = config.n_sets
     capacity = config.victim_lines
@@ -249,6 +251,8 @@ def oracle_victim(lines: Iterable[int], config: CacheConfig) -> int:
             while len(victim) > capacity:
                 victim.popitem(last=False)
         primary[s] = line
+    if final is not None:
+        final.update(primary=primary, victim=list(victim))
     return misses
 
 

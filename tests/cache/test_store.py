@@ -1,6 +1,8 @@
+import errno
 import os
 import time
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import pytest
 
@@ -12,6 +14,7 @@ from repro.cache import (
     stable_digest,
 )
 from repro.cache import store as store_mod
+from repro.experiments.runlog import RunLog
 
 
 @dataclass(frozen=True)
@@ -103,6 +106,32 @@ def test_stats_count_hits_misses_and_stores(tmp_path):
     assert cache.stats.hits == 2
     delta = cache.stats.delta(cache.stats.snapshot())
     assert all(v == 0 for v in delta.values())
+
+
+def test_failed_stores_are_split_by_errno(tmp_path, monkeypatch):
+    """Every dropped store counts under its errno; a full disk or quota
+    also gets a ``disk-full`` manifest event, a read-only disk does not."""
+    cache = ArtifactCache(tmp_path)
+    log = RunLog("t", cache=cache)
+    before = cache.stats.snapshot()
+    codes = iter([errno.EDQUOT, errno.EROFS, errno.EDQUOT, None])
+
+    def failing_mkstemp(*args, **kwargs):
+        raise OSError(next(codes), "injected")
+
+    monkeypatch.setattr(store_mod, "tempfile", SimpleNamespace(mkstemp=failing_mkstemp))
+    for key in range(4):
+        assert cache.store("suite", key, "v") is None
+    delta = cache.stats.delta(before)
+    assert before.store_errnos == {}
+    assert delta["store_errors"] == 4
+    split = {k: v for k, v in delta.items() if k.startswith("store_errors.")}
+    assert split == {"store_errors.EDQUOT": 2, "store_errors.EROFS": 1, "store_errors.other": 1}
+    log.finish()
+    assert log.data["cache"] == delta
+    assert [e for e in log.data["events"] if e["type"] == "disk-full"] == [
+        {"type": "disk-full", "errno": "EDQUOT", "dropped_stores": 2}
+    ]
 
 
 def test_store_sweeps_stale_tmp_files_but_spares_fresh_ones(tmp_path):

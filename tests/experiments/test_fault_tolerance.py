@@ -301,7 +301,8 @@ def test_empty_grid_is_an_empty_run(workload, tmp_path):
 
 def test_failed_stores_are_counted_in_the_manifest(workload, tmp_path, monkeypatch):
     """A full disk drops checkpoints, but not silently: ``CacheStats``
-    counts every failed store and the suite manifest shows the count."""
+    counts every failed store by errno, and the suite manifest shows the
+    counts and names the full disk in a ``disk-full`` event."""
 
     def full_disk(*args, **kwargs):
         raise OSError(errno.ENOSPC, "injected: no space left on device")
@@ -310,10 +311,14 @@ def test_failed_stores_are_counted_in_the_manifest(workload, tmp_path, monkeypat
     before = default_cache().stats.snapshot()
     manifest = tmp_path / "full-disk.json"
     compute_suite(workload, GRID[:1], jobs=1, manifest=manifest)
-    failed = default_cache().stats.delta(before)["store_errors"]
+    delta = default_cache().stats.delta(before)
+    failed = delta["store_errors"]
+    assert delta["store_errors.ENOSPC"] == failed
     data = json.loads(manifest.read_text())
-    assert data["cache"]["store_errors"] == failed > 0
+    assert data["cache"]["store_errors"] == data["cache"]["store_errors.ENOSPC"] == failed > 0
     assert data["cache"]["stores"] == 0
+    full = [e for e in data["events"] if e["type"] == "disk-full"]
+    assert full == [{"type": "disk-full", "errno": "ENOSPC", "dropped_stores": failed}]
 
 
 # -- sharded execution: the shard job is the checkpoint/resume unit ------

@@ -6,9 +6,11 @@ from hypothesis import strategies as st
 from repro.cfg import INSTR_BYTES, BlockKind, Layout, ProgramBuilder
 from repro.profiling import BlockTrace
 from repro.simulators import FetchStream, run_fused
+from repro.simulators import fetch as fetch_mod
 from repro.simulators.fetch import expand_chunk, iter_chunk_contexts
 from repro.validate import LineLog
 from repro.validate.generators import random_case
+from repro.validate.oracles import oracle_fetch
 
 
 def straight_program(sizes, kinds):
@@ -172,3 +174,49 @@ def test_ideal_ipc_and_run_length():
     r = simulate(BlockTrace([0, 1]), p, layout)
     assert r.ideal_ipc == pytest.approx(16.0)
     assert r.instructions_between_taken == pytest.approx(16.0)
+
+
+# -- int32 window arrays: values that do not fit raise, never wrap --------
+
+INT32_TOP = 2**31
+
+
+@pytest.mark.parametrize("start", [INT32_TOP - 12, INT32_TOP])
+def test_layout_block_past_int32_raises(start):
+    """A gapped layout whose four-instruction block 1 ends past 2**31
+    bytes (or starts there) would wrap in the int32 window arrays."""
+    p = straight_program([4, 4], [BlockKind.BRANCH, BlockKind.RETURN])
+    layout = Layout.from_placements(p, {0: 0, 1: start}, name="high")
+    with pytest.raises(ValueError, match="int32"):
+        simulate(BlockTrace([0, 1]), p, layout)
+
+
+def test_layout_block_ending_at_int32_limit_is_exact():
+    """A block whose last instruction sits at the last int32 word still
+    fits, and its fetches and lines equal the oracle's."""
+    p = straight_program([4, 4, 4], [BlockKind.BRANCH, BlockKind.BRANCH, BlockKind.RETURN])
+    placements = {0: 0, 1: INT32_TOP - 16 - 64, 2: INT32_TOP - 16}
+    layout = Layout.from_placements(p, placements, name="high")
+    trace = BlockTrace([0, 1, 2, 0, 2])
+    r = simulate(trace, p, layout)
+    ora = oracle_fetch(trace, p, layout)
+    assert (r.n_instructions, r.n_fetches, r.n_taken) == (
+        ora.n_instructions, ora.n_fetches, ora.n_taken
+    )
+    assert r.consumers[0].lines() == ora.lines
+    assert max(ora.lines) == (INT32_TOP - 16) // 32 + 1
+
+
+def test_window_over_the_instruction_limit_raises(monkeypatch):
+    """A window's byte offsets must fit int32. With the limit patched down
+    to 12 instructions, a 12-instruction window passes and a
+    13-instruction one raises; smaller windows over the same trace pass."""
+    monkeypatch.setattr(fetch_mod, "_MAX_WINDOW_INSTRUCTIONS", 12)
+    p = straight_program(
+        [4, 4, 5], [BlockKind.FALL_THROUGH, BlockKind.FALL_THROUGH, BlockKind.RETURN]
+    )
+    layout = Layout.original(p)
+    assert simulate(BlockTrace([0, 1, 0]), p, layout).n_instructions == 12
+    with pytest.raises(ValueError, match="instructions"):
+        simulate(BlockTrace([0, 1, 2]), p, layout)
+    assert simulate(BlockTrace([0, 1, 2]), p, layout, chunk_events=2).n_instructions == 13

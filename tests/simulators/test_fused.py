@@ -15,7 +15,8 @@ import pytest
 from repro.cfg import BlockKind, Layout, ProgramBuilder
 from repro.experiments.config import KB
 from repro.experiments.harness import get_workload, layouts_for
-from repro.profiling import BlockTrace
+from repro.profiling import BlockTrace, write_trace
+from repro.profiling.trace import SEPARATOR
 from repro.simulators import (
     CacheConfig,
     FetchStream,
@@ -26,6 +27,7 @@ from repro.simulators import (
     miss_counter,
     run_fused,
 )
+from repro.simulators.fetch import FetchLengths
 from repro.tpcd.workload import WorkloadSettings
 from repro.validate import LineLog
 from repro.validate.generators import random_layout, random_program, random_trace
@@ -242,3 +244,62 @@ def test_trace_cache_builds_no_instruction_arrays(small_case, one_window):
             ora.n_instructions, ora.n_hits, ora.n_misses, ora.n_taken
         )
         assert stream.consumers[0].lines() == ora.miss_lines
+
+
+# -- every window array at the width its values need -----------------------
+
+
+def _array_bytes(obj) -> int:
+    """Bytes held by the NumPy arrays among ``obj``'s fields."""
+    return sum(v.nbytes for v in vars(obj).values() if isinstance(v, np.ndarray))
+
+
+def test_window_arrays_hold_the_width_their_values_need(one_window):
+    """Counted from array sizes, so free of allocator and timing noise: a
+    context holds 14 B per event plus 4 B per instruction, a layout's
+    expansion 10 B per event plus 4 B per taken event, and fetch starts
+    and the line accesses fed to the counters take 4 B each."""
+    program, layout, trace, _, _ = one_window
+    (ctx,) = iter_chunk_contexts(trace, program)
+    n_events = ctx.ids.shape[0]
+    assert _array_bytes(ctx) <= 14 * n_events + 4 * ctx.total
+    chunk = expand_chunk(ctx, layout)
+    assert _array_bytes(chunk) <= 10 * n_events + 4 * chunk.n_taken
+    lengths = FetchLengths(chunk, 32)
+    assert lengths.starts().itemsize == 4
+    fetch_log, tc_log = LineLog(), LineLog()
+    for stream in (
+        FetchStream(layout.name, consumers=[fetch_log]),
+        TraceCacheStream(layout.name, consumers=[tc_log]),
+    ):
+        stream.feed(chunk, lengths)
+    assert fetch_log.chunks[0].itemsize == tc_log.chunks[0].itemsize == 4
+
+
+#: Bytes of Python objects (the generator frames, the store's file and
+#: directory) a context generator may hold beyond its arrays: far below
+#: one byte per event of the 100,000-event windows below.
+GENERATOR_SLACK_BYTES = 32 * 1024
+
+
+def test_context_generator_holds_no_window_temporaries(tmp_path):
+    """After ``next()`` the generator holds only the yielded context and
+    the two decoded chunks the stored trace's reader already holds for its
+    peek: the window in hand and the next one."""
+    rng = np.random.default_rng(5)
+    program = random_program(rng)
+    window = 100_000
+    events = rng.integers(0, program.n_blocks, size=3 * window, dtype=np.int32)
+    events[window // 2] = SEPARATOR
+    store = write_trace(BlockTrace(events), tmp_path / "t.trace", window)
+    tracemalloc.start()
+    try:
+        contexts = iter_chunk_contexts(store, program, window)
+        before = tracemalloc.get_traced_memory()[0]
+        ctx = next(contexts)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    two_chunks = 2 * events[:window].nbytes
+    extra = held - _array_bytes(ctx) - two_chunks
+    assert extra <= GENERATOR_SLACK_BYTES, f"{extra} bytes held beyond the context and chunks"

@@ -1,9 +1,13 @@
+import itertools
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.simulators import CacheConfig, count_misses
+from repro.simulators import CacheConfig, count_misses, icache, miss_counter
+from repro.validate.oracles import oracle_victim
 
 
 def reference_misses(lines, n_sets, assoc, victim_lines=0):
@@ -125,3 +129,28 @@ def test_victim_never_worse_than_plain():
     plain = count_misses(lines, CacheConfig(size_bytes=8 * 32))
     rescued = count_misses(lines, CacheConfig(size_bytes=8 * 32, victim_lines=16))
     assert rescued <= plain
+
+
+@given(
+    lines=st.lists(st.integers(min_value=0, max_value=39), min_size=1, max_size=200),
+    cuts=st.lists(st.integers(min_value=1, max_value=7), min_size=1, max_size=8),
+    victim=st.sampled_from([1, 2, 4, 16]),
+    slice_len=st.sampled_from([1, 2, 3]),
+)
+@settings(max_examples=150, deadline=None)
+def test_victim_swap_loop_in_short_slices_matches_oracle(lines, cuts, victim, slice_len):
+    """The swap loop walks each chunk's compressed accesses in slices of
+    ``_VICTIM_SLICE``; at 1-3 accesses per slice and 1-7 lines per chunk
+    the misses, the per-set primary lines and the buffer's LRU order all
+    equal the oracle's."""
+    config = CacheConfig(size_bytes=4 * 32, victim_lines=victim)
+    counter = miss_counter(config)
+    bounds = list(itertools.accumulate(itertools.islice(itertools.cycle(cuts), len(lines))))
+    with mock.patch.object(icache, "_VICTIM_SLICE", slice_len):
+        for start, stop in zip([0, *bounds], bounds):
+            counter.feed(np.asarray(lines[start:stop], dtype=np.int32))
+    final: dict = {}
+    assert counter.misses == oracle_victim(lines, config, final=final)
+    state = counter.state_dict()
+    assert state["victim"] == final["victim"]
+    assert state["last"].tolist() == [final["primary"].get(s, -1) for s in range(4)]

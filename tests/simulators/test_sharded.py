@@ -209,6 +209,37 @@ def test_victim_buffer_resident_straddles_boundary():
     )
 
 
+def test_victim_relay_state_has_no_primary_slot():
+    """The relayed victim state is each set's last line and the LRU buffer:
+    the primary slot always holds the last line, so no separate copy is
+    carried. Relayed across the shard boundary it matches one fused pass,
+    and a checkpointed payload that still carries an equal "primary"
+    entry relays to the same end state."""
+    program = _program()
+    layout = Layout.original(program)
+    trace = BlockTrace(np.asarray([0, 1, 2, 3, 0, 1, 2, 3], dtype=np.int32))
+
+    def make_pairs():
+        victim = miss_counter(CacheConfig(size_bytes=64, line_bytes=32, victim_lines=2))
+        return [(layout, FetchStream(layout.name, consumers=[victim]))]
+
+    ckpt = DictCheckpoint()
+    ref, got, _, _ = _run_both(
+        trace, program, make_pairs, chunk_events=CHUNK, shards=2, checkpoint=ckpt
+    )
+    assert _eq(ref, got)
+    relayed = ckpt.data[("relay", 0, 0)]["state"]["counters"][0]
+    assert sorted(relayed) == ["capacity", "kind", "last", "misses", "victim"]
+    assert relayed["victim"], "corpus never carried the victim buffer across the boundary"
+
+    relayed["primary"] = relayed["last"].copy()
+    del ckpt.data[("relay", 0, 1)]
+    pairs = make_pairs()
+    report = run_sharded(trace, program, pairs, chunk_events=CHUNK, shards=2, checkpoint=ckpt)
+    assert report.computed == [("relay", 0, 1)]
+    assert _eq(ref, _snapshot(pairs))
+
+
 def test_trace_cache_entry_built_before_boundary_hits_after():
     """Trace-cache entries installed in shard 0 (including the one under
     construction when the window ends) must be visible to shard 1."""

@@ -142,3 +142,27 @@ def test_smallest_geometry_matches_oracle():
     )
     assert stream.consumers[0].lines() == ora.miss_lines
     assert stream.state_dict()["entries"] == [ora.entries.get(0)]
+
+
+def test_widest_outcome_mask_matches_oracle():
+    """The walk keeps a trace's branch outcomes as the bits of an int32:
+    at the widest branch limit, 32, traces whose 32nd branch is taken
+    still equal the oracle's, and a wider limit is rejected rather than
+    losing bits."""
+    with pytest.raises(ValueError):
+        TraceCacheConfig(branch_limit=33)
+    b = ProgramBuilder()
+    b.add_procedure("f", "executor", sizes=[1] * 35, kinds=[BlockKind.BRANCH] * 35)
+    p = b.build()
+    layout = Layout.original(p)
+    trace = BlockTrace(list(range(35)) * 6)
+    config = TraceCacheConfig(64, 64, 32)
+    stream = TraceCacheStream(layout.name, config, consumers=[LineLog()])
+    run_fused(trace, p, [(layout, stream)])
+    ora = oracle_trace_cache(trace, p, layout, config)
+    assert any(k == 32 and mask >> 31 for _, mask, k, _ in ora.entries.values())
+    assert ora.n_hits > 0
+    assert (stream.n_instructions, stream.n_hits, stream.n_misses, stream.n_taken) == (
+        ora.n_instructions, ora.n_hits, ora.n_misses, ora.n_taken
+    )
+    assert stream.consumers[0].lines() == ora.miss_lines
