@@ -10,7 +10,11 @@ Two phases, each at a tiny scale with one injected failure:
 2. a failing worker: with ``jobs=2`` the suite's pass runs its shard jobs
    on a worker pool, and the last family shard job fails there. The
    failure must name that shard job; the resumed run must reuse the shard
-   jobs checkpointed before it and match a from-scratch run.
+   jobs checkpointed before it and match a from-scratch run;
+3. a flaky one-worker pass: with ``jobs=1`` the suite's pass is a single
+   shard job, which fails once with a transient ``OSError``. The run must
+   complete, match a from-scratch run, and its manifest must show one
+   ``retry`` event naming that job and one ``shard-job`` event.
 
 Run: ``PYTHONPATH=src python .github/scripts/fault_smoke.py``
 """
@@ -38,8 +42,10 @@ SETTINGS = WorkloadSettings(scale=0.0005)
 GRID = PRIMARY_ROWS[:2]
 FAIL_TASK = ("row", GRID[1])
 FAIL_JOB = ("family", 1)  # the last family shard job: jobs=2 plans two shards
+ONE_JOB = ("relay", 0, 0)  # the only job of a one-worker, one-shard pass
 REAL_UNIT = suite_mod._unit_for
 REAL_FAMILY = sharded_mod._family_shard
+REAL_RELAY = sharded_mod._relay_shard
 
 
 def flatten(s):
@@ -149,10 +155,46 @@ def failing_worker(workload) -> None:
     )
 
 
+def flaky_one_job_pass(workload) -> None:
+    failed = []
+
+    def flaky(trace, program, layouts, chunk_events, plan, specs, shard_idx, states):
+        if not failed:
+            failed.append(shard_idx)
+            raise OSError("injected CI transient failure")
+        return REAL_RELAY(trace, program, layouts, chunk_events, plan, specs, shard_idx, states)
+
+    # a fresh cache: earlier phases' task checkpoints would leave no pass
+    os.environ["REPRO_CACHE_DIR"] = tempfile.mkdtemp(prefix="repro-ci-cache-")
+    manifest = Path(tempfile.mkdtemp(prefix="repro-ci-manifest-")) / "one-job-retry.json"
+    sharded_mod._relay_shard = flaky
+    try:
+        result = suite_mod.compute_suite(workload, GRID, jobs=1, manifest=manifest)
+    finally:
+        sharded_mod._relay_shard = REAL_RELAY
+    if not failed:
+        sys.exit("FAIL: the injected transient failure never fired")
+    fresh = suite_mod.compute_suite(workload, GRID, jobs=1, resume=False)
+    if flatten(result) != flatten(fresh):
+        sys.exit("FAIL: the retried one-job pass differs from an uninterrupted run")
+
+    data = json.loads(manifest.read_text())
+    retries = [e["task"] for e in data["events"] if e["type"] == "retry"]
+    shard_jobs = [e["job"] for e in data["events"] if e["type"] == "shard-job"]
+    if data["status"] != "completed":
+        sys.exit(f"FAIL: manifest status {data['status']!r}")
+    if retries != [suite_mod._task_label(("shard", ONE_JOB))]:
+        sys.exit(f"FAIL: expected one retry event naming {ONE_JOB!r}, got {retries}")
+    if shard_jobs != [list(ONE_JOB)]:
+        sys.exit(f"FAIL: expected one shard-job event for {ONE_JOB!r}, got {shard_jobs}")
+    print(f"flaky one-job pass OK: {ONE_JOB!r} retried once, manifest at {manifest}")
+
+
 def main() -> None:
     workload = get_workload(SETTINGS)
     failing_task(workload)
     failing_worker(workload)
+    flaky_one_job_pass(workload)
     print("fault-tolerance smoke OK")
 
 

@@ -57,8 +57,9 @@ ARTIFACT_VERSIONS: dict[str, int] = {
     "suite": 2,
     "suite-task": 2,  # per-task suite checkpoints (crash/interrupt resume)
     # shard-job checkpoints of a sharded suite run (--shards); v2: family
-    # payloads cover only fetch streams whose counters are all direct-mapped
-    "suite-shard": 3,
+    # payloads cover only fetch streams whose counters are all direct-mapped;
+    # v4: a relay step carries a list of streams, {"states": [...]}
+    "suite-shard": 4,
     "trace": 1,  # chunked trace files (repro.profiling.tracestore format v1)
     "serve-result": 2,  # repro.serve job results for uploaded-trace jobs
 }

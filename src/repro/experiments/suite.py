@@ -13,23 +13,25 @@ the trace, made in the calling process: each task contributes
 incremental fetch/trace-cache streams with attached i-cache miss
 counters, so the trace is decoded and expanded once per pass instead of
 once per simulation. A task's payload does not depend on which tasks
-share its pass, so checkpoints from any run mix. With one worker and one
-shard the pass is :func:`repro.simulators.run_fused`; otherwise it is
+share its pass, so checkpoints from any run mix. The pass is always one
 :func:`repro.simulators.run_sharded`, whose shard jobs run on ``jobs``
 fork workers of the shared job scheduler
-(:func:`repro.util.scheduler.run_jobs`) and whose stitched streams are
-bit-identical to the fused pass.
+(:func:`repro.util.scheduler.run_jobs`) and whose results are
+bit-identical to one fused pass; one shard on one worker is a single
+job, that fused pass itself.
 
 The engine is fault-tolerant and resumable:
 
 * every completed task's payload is checkpointed through the artifact
   cache (kind ``suite-task``, keyed by the workload settings and task),
-  and every shard job of a sharded pass as well (kind ``suite-shard``),
+  and every shard job of a multi-job pass as well (kind ``suite-shard``),
   so a crashed, killed, or partially-failed run resumes by recomputing
   only what is missing — and produces bit-identical results;
 * failures that can succeed on retry (memory pressure, I/O hiccups; see
   :func:`repro.util.scheduler.is_transient`) are retried with exponential
-  backoff, bounded by ``retries``;
+  backoff, bounded by ``retries``: a task's stream construction before
+  the pass, so the retried task still joins it, and a shard job by the
+  scheduler;
 * a permanent failure names the task, or the shard job, that failed
   (:class:`SuiteTaskError`) and leaves completed work checkpointed;
 * ``task_timeout`` bounds how long a parallel pass may go with no shard
@@ -44,21 +46,17 @@ The engine is fault-tolerant and resumable:
 
 from __future__ import annotations
 
+import time
 import weakref
 from dataclasses import dataclass, field
 from pathlib import Path
+from types import SimpleNamespace
 
 from repro.cache import cache_enabled, default_cache
 from repro.experiments.config import CACHE_CFA_GRID, KB
 from repro.experiments.harness import get_workload, layouts_for, training_profile
 from repro.experiments.runlog import RunLog
-from repro.simulators import (
-    CacheConfig,
-    FetchStream,
-    TraceCacheStream,
-    miss_counter,
-    run_fused,
-)
+from repro.simulators import CacheConfig, FetchStream, TraceCacheStream, miss_counter
 from repro.simulators.sharded import (
     ShardError,
     ShardTimeoutError,
@@ -67,7 +65,7 @@ from repro.simulators.sharded import (
 )
 from repro.tpcd.workload import Workload, WorkloadSettings
 from repro.util.progress import Progress
-from repro.util.scheduler import run_jobs
+from repro.util.scheduler import backoff, is_transient
 
 __all__ = [
     "CellMetrics",
@@ -271,64 +269,73 @@ def _run_group(
     workload: Workload, tasks, grid, cache_sizes, *, shards: int | None = None,
     jobs: int = 1, retries: int = 0, task_timeout: float | None = None,
     runlog: RunLog | None = None, cache=None,
+    on_retry=lambda task, exc, attempt: None,
 ):
     """Evaluate ``tasks`` in one pass over the trace; returns
     ``(payloads, errors)`` keyed by task.
 
-    With ``jobs <= 1`` and at most one shard the pass is one
-    :func:`run_fused`; otherwise it is one :func:`run_sharded` over
-    ``shards`` spans (default: ``jobs``) on ``jobs`` workers, whose shard
-    jobs ``cache`` checkpoints and ``runlog`` records. Payloads are
-    finalized with the same arithmetic either way, so results are
-    bit-identical for any shard/worker combination.
+    The pass is one :func:`run_sharded` over ``shards`` spans (default:
+    ``jobs``) on ``jobs`` workers, whose shard jobs ``cache`` checkpoints
+    and ``runlog`` records; one shard on one worker is a single fused
+    pass. Payloads are finalized with the same arithmetic either way, so
+    results are bit-identical for any shard/worker combination.
 
-    A failure while building one task's streams (layout construction) is
-    isolated to that task; a failure during the pass fails every task
+    A failure while building one task's streams (layout construction)
+    that can succeed on retry is retried up to ``retries`` times before
+    the pass, so the task still joins it; any other such failure is
+    isolated to that task. A failure during the pass fails every task
     whose streams made it into the pass (none of them can be trusted).
+    ``on_retry(task, exc, attempt)`` hears of every retry, a shard job's
+    as task ``("shard", job key)``.
     """
     payloads: dict[_Task, dict] = {}
     errors: dict[_Task, BaseException] = {}
     memo: dict = {}
     units = []
     for task in tasks:
-        try:
-            pairs, finalize = _unit_for(workload, task, grid, cache_sizes, memo)
-        except Exception as exc:
-            errors[task] = exc
-            continue
-        units.append((task, pairs, finalize))
+        for attempt in range(1, retries + 2):
+            try:
+                units.append((task, *_unit_for(workload, task, grid, cache_sizes, memo)))
+                break
+            except Exception as exc:
+                if attempt > retries or not is_transient(exc):
+                    errors[task] = exc
+                    break
+                on_retry(task, exc, attempt)
+                time.sleep(backoff(attempt))
     if not units:
         return payloads, errors
     trace = workload.test_trace
     pairs = [pair for _, unit_pairs, _ in units for pair in unit_pairs]
     event = runlog.event if runlog is not None else lambda kind, **fields: None
     try:
-        if jobs <= 1 and shards in (None, 1):
-            run_fused(trace, workload.program, pairs)
-        else:
-            plan = plan_shards(len(trace), shards=jobs if shards is None else shards)
-            event(
-                "shard-plan", shards=plan.n_shards, chunk_events=plan.chunk_events,
-                bounds=list(plan.bounds),
+        plan = plan_shards(len(trace), shards=jobs if shards is None else shards)
+        event(
+            "shard-plan", shards=plan.n_shards, chunk_events=plan.chunk_events,
+            bounds=list(plan.bounds),
+        )
+        checkpoint = None
+        if cache is not None:
+            # the prefix pins everything a shard payload depends on —
+            # workload settings, cache sizes, the exact task set (stream
+            # composition; suite streams always start cold) and the shard
+            # plan — so resumed runs only ever reuse payloads bit-identical
+            # to a fresh computation
+            in_pass = tuple(task for task, _, _ in units)
+            prefix = (workload.settings, tuple(cache_sizes), in_pass, plan.signature())
+            checkpoint = SimpleNamespace(
+                load=lambda key: cache.load("suite-shard", prefix + (key,)),
+                store=lambda key, payload: cache.store("suite-shard", prefix + (key,), payload),
             )
-            checkpoint = None
-            if cache is not None:
-                # the prefix pins everything a shard payload depends on —
-                # workload settings, cache sizes, the exact task set (stream
-                # composition; suite streams always start cold) and the shard
-                # plan — so resumed runs only ever reuse payloads bit-identical
-                # to a fresh computation
-                in_pass = tuple(task for task, _, _ in units)
-                prefix = (workload.settings, tuple(cache_sizes), in_pass, plan.signature())
-                checkpoint = _CacheCheckpoint(cache, "suite-shard", lambda key: prefix + (key,))
-            report = run_sharded(
-                trace, workload.program, pairs,
-                shards=plan, jobs=jobs, retries=retries,
-                task_timeout=task_timeout, checkpoint=checkpoint,
-                on_job=lambda key, source: event("shard-job", job=list(key), source=source),
-            )
-            if report.degraded:
-                event("pool-broken", error=repr(report.pool_error), remaining=report.remaining)
+        report = run_sharded(
+            trace, workload.program, pairs,
+            shards=plan, jobs=jobs, retries=retries,
+            task_timeout=task_timeout, checkpoint=checkpoint,
+            on_job=lambda key, source: event("shard-job", job=list(key), source=source),
+            on_retry=lambda key, exc, attempt: on_retry(("shard", key), exc, attempt),
+        )
+        if report.degraded:
+            event("pool-broken", error=repr(report.pool_error), remaining=report.remaining)
     except Exception as exc:
         for task, _, _ in units:
             errors[task] = exc
@@ -416,22 +423,6 @@ def _check_shards(shards: int | None) -> None:
         raise ValueError(f"shards must be >= 1, got {shards}")
 
 
-class _CacheCheckpoint:
-    """The scheduler's ``load``/``store`` checkpoint protocol over one
-    artifact-cache kind; ``address`` maps a job key to its cache key."""
-
-    def __init__(self, cache, kind: str, address) -> None:
-        self._cache = cache
-        self._kind = kind
-        self._address = address
-
-    def load(self, key):
-        return self._cache.load(self._kind, self._address(key))
-
-    def store(self, key, payload) -> None:
-        self._cache.store(self._kind, self._address(key), payload)
-
-
 def compute_suite(
     workload: Workload,
     grid: tuple[tuple[int, int], ...] = CACHE_CFA_GRID,
@@ -448,22 +439,22 @@ def compute_suite(
     """Evaluate all layouts over the grid on the Test-set trace.
 
     Every missing (layout x geometry) task joins one pass over the trace,
-    made in the calling process. With ``jobs=1`` and at most one shard
-    the pass is one fused pass (:func:`repro.simulators.run_fused`).
-    Otherwise it is one shard-parallel pass
-    (:func:`repro.simulators.run_sharded`) over ``shards`` trace spans
-    (default: ``jobs``) whose shard jobs fan out over ``jobs`` worker
-    processes (fork platforms only); the shard job is then the unit the
-    pool retries, times out on and checkpoints. Results are bit-identical
-    for every ``jobs``/``shards`` combination. ``shards`` below 1 is a
-    :class:`ValueError`.
+    made in the calling process: one :func:`repro.simulators.run_sharded`
+    over ``shards`` trace spans (default: ``jobs``) whose shard jobs fan
+    out over ``jobs`` worker processes (fork platforms only). One shard
+    on one worker is a single job, one fused pass. The shard job is the
+    unit the pass retries, times out on and checkpoints. Results are
+    bit-identical for every ``jobs``/``shards`` combination. ``shards``
+    below 1 is a :class:`ValueError`.
 
-    With ``resume=True`` (the default) each completed task and shard job
-    is checkpointed in the artifact cache and an interrupted or failed
-    run picks up where it left off; ``retries`` bounds retry of transient
-    failures, ``task_timeout`` bounds how long a parallel pass may sit
-    with no shard job completing, and ``manifest`` names a JSON file to
-    receive the structured run log (written on success *and* failure).
+    With ``resume=True`` (the default) each completed task and the shard
+    jobs of a multi-job pass are checkpointed in the artifact cache, and
+    an interrupted or failed run picks up where it left off; ``retries``
+    bounds retry of transient failures (of a task's stream construction,
+    before the pass, and of a shard job), ``task_timeout`` bounds how
+    long a parallel pass may sit with no shard job completing, and
+    ``manifest`` names a JSON file to receive the structured run log
+    (written on success *and* failure).
     """
     _check_shards(shards)
     tc_rows = grid if tc_rows is None else tc_rows
@@ -484,54 +475,60 @@ def compute_suite(
         cache=cache,
     )
 
-    def on_done(task: _Task, payload: dict, seconds: float, attempts: int, source: str) -> None:
+    attempts: dict = {}  # a retried task's or shard job's attempt count
+
+    def done(task: _Task, seconds: float, source: str) -> None:
         label = _task_label(task)
-        runlog.task_done(label, task[0], seconds=seconds, attempts=attempts, source=source)
+        n = attempts.get(task, 1) if source == "computed" else 0
+        runlog.task_done(label, task[0], seconds=seconds, attempts=n, source=source)
         prog.step(f"{label} [checkpoint]" if source == "checkpoint" else label)
 
     def on_retry(task: _Task, exc: BaseException, attempt: int) -> None:
         label = _task_label(task)
+        attempts[task] = attempt + 1
         runlog.task_retry(label, exc, attempt)
         prog.fail(f"{label}: {exc!r} (attempt {attempt}, retrying)")
 
-    def on_failed(task: _Task, exc: BaseException, attempts: int) -> RuntimeError:
+    def failed(task: _Task, exc: BaseException) -> RuntimeError:
         if isinstance(exc, ShardTimeoutError):  # the pass stalled on its pool
             labels = [repr(key) for key in exc.keys]
             runlog.event("stall", tasks=labels, timeout=exc.timeout)
             prog.fail(f"stalled {exc.timeout:.1f}s waiting on: {', '.join(labels)}")
             return SuiteTimeoutError(labels, exc.timeout)
-        if isinstance(exc, ShardError):  # a sharded pass names its shard job
+        if isinstance(exc, ShardError):  # the pass names its shard job
             task, exc = ("shard", exc.key), exc.cause
         label = _task_label(task)
-        runlog.task_failed(label, task[0], exc, attempts)
+        runlog.task_failed(label, task[0], exc, attempts.get(task, 1))
         prog.fail(f"{label}: {exc!r}")
         return SuiteTaskError(task, label, exc)
 
-    def run(batch: list, inputs: dict):
-        return _run_group(
-            workload, batch, grid, cache_sizes,
-            shards=shards, jobs=jobs, retries=retries, task_timeout=task_timeout,
-            runlog=runlog, cache=cache if checkpointing else None,
-        )
-
-    checkpoint = None
-    if checkpointing:
-        checkpoint = _CacheCheckpoint(
-            cache, "suite-task", lambda task: _task_key(settings, cache_sizes, task)
-        )
+    results: dict[_Task, dict] = {}
     try:
         if tasks:
             # profile once in the parent: workers inherit it copy-on-write
             training_profile(workload)
-        # one batch: every missing task joins the one pass
-        results = run_jobs(
-            tasks, run,
-            limit=max(1, len(tasks)), retries=retries,
-            checkpoint=checkpoint,
-            on_done=on_done,
-            on_retry=on_retry,
-            on_failed=on_failed,
-        )
+        for task in tasks if checkpointing else ():
+            payload = cache.load("suite-task", _task_key(settings, cache_sizes, task))
+            if payload is not None:
+                results[task] = payload
+                done(task, 0.0, "checkpoint")
+        todo = [task for task in tasks if task not in results]
+        if todo:  # every missing task joins the one pass
+            t0 = time.perf_counter()
+            payloads, errors = _run_group(
+                workload, todo, grid, cache_sizes,
+                shards=shards, jobs=jobs, retries=retries, task_timeout=task_timeout,
+                runlog=runlog, cache=cache if checkpointing else None, on_retry=on_retry,
+            )
+            share = (time.perf_counter() - t0) / len(todo)
+            for task, payload in payloads.items():  # in task order
+                results[task] = payload
+                if checkpointing:
+                    cache.store("suite-task", _task_key(settings, cache_sizes, task), payload)
+                done(task, share, "computed")
+            if errors:
+                task, exc = next(iter(errors.items()))
+                raise failed(task, exc) from exc
     except BaseException as exc:
         runlog.finish(status="failed", error=repr(exc))
         if manifest is not None:

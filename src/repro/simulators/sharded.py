@@ -29,6 +29,11 @@ exactly: direct-mapped counters stitch, everything else relays whole.
   state, and its counters' states), so the chain is exact by
   construction. Distinct chains still run concurrently with each other
   and with the family jobs.
+* **One shard on one worker:** nothing runs side by side, so every
+  stream, stitched kind included, relays in a single chain of one job:
+  one fused pass over twins of all the streams, seeded with the caller's
+  state. Its one payload is the caller's whole result, so the job is
+  never checkpointed.
 
 Shard jobs and relay steps run on the shared job scheduler
 (:func:`repro.util.scheduler.run_jobs`): each is a checkpoint/retry unit
@@ -199,15 +204,13 @@ def _load_state(stream, state: dict) -> None:
     stream.load_state(state["stream"])
 
 
-def _classify(pairs):
-    """Split ``(layout, stream)`` pairs into the distinct layouts, the
-    ``(layout index, stream)`` entries of the parallel family jobs and
-    those of the sequential relay chains; unknown stream/consumer types
-    are rejected rather than silently simulated wrong."""
+def _index_layouts(pairs):
+    """The distinct layouts of ``pairs`` and one ``(layout index, stream)``
+    entry per pair; unknown stream/consumer types are rejected rather
+    than silently simulated wrong."""
     layouts: list = []
     index: dict[int, int] = {}
-    family: list[tuple] = []
-    chains: list[tuple] = []
+    entries: list[tuple] = []
     for layout, stream in pairs:
         li = index.get(id(layout))
         if li is None:
@@ -224,13 +227,16 @@ def _classify(pairs):
                 raise TypeError(
                     f"run_sharded cannot shard consumer type {type(consumer).__name__}"
                 )
-        if isinstance(stream, FetchStream) and all(
-            isinstance(c, _DirectMappedCounter) for c in stream.consumers
-        ):
-            family.append((li, stream))
-        else:
-            chains.append((li, stream))
-    return layouts, family, chains
+        entries.append((li, stream))
+    return layouts, entries
+
+
+def _stitched(stream) -> bool:
+    """A fetch stream with only direct-mapped counters runs in the family
+    jobs; every other stream relays whole."""
+    return isinstance(stream, FetchStream) and all(
+        isinstance(c, _DirectMappedCounter) for c in stream.consumers
+    )
 
 
 # -- shard workers -------------------------------------------------------
@@ -263,27 +269,30 @@ def _family_shard(trace, program, layouts, chunk_events, plan, family_specs, sha
     ]
 
 
-def _relay_shard(trace, program, layouts, chunk_events, plan, spec, shard_idx, state):
-    """One relay step: simulate a shard seeded with the previous shard's
-    end state; returns the new end state."""
-    li, line_bytes, tc_config, cspecs = spec
+def _relay_shard(trace, program, layouts, chunk_events, plan, specs, shard_idx, states):
+    """One relay step: simulate a shard with every stream of a chain seeded
+    with its end state after the previous shard; returns the new end
+    states."""
     start, stop = plan.span(shard_idx)
-    counters = [counter_from_spec(cs) for cs in cspecs]
-    if tc_config is None:
-        stream = FetchStream(layouts[li].name, line_bytes=line_bytes, consumers=counters)
-    else:
-        stream = TraceCacheStream(
-            layouts[li].name,
-            TraceCacheConfig(*tc_config),
-            line_bytes=line_bytes,
-            consumers=counters,
-        )
-    _load_state(stream, state)
+    pairs = []
+    for (li, line_bytes, tc_config, cspecs), state in zip(specs, states):
+        counters = [counter_from_spec(cs) for cs in cspecs]
+        if tc_config is None:
+            stream = FetchStream(layouts[li].name, line_bytes=line_bytes, consumers=counters)
+        else:
+            stream = TraceCacheStream(
+                layouts[li].name,
+                TraceCacheConfig(*tc_config),
+                line_bytes=line_bytes,
+                consumers=counters,
+            )
+        _load_state(stream, state)
+        pairs.append((layouts[li], stream))
     run_fused(
-        trace, program, [(layouts[li], stream)],
+        trace, program, pairs,
         chunk_events=chunk_events, start_event=start, stop_event=stop,
     )
-    return {"state": _state(stream)}
+    return {"states": [_state(stream) for _, stream in pairs]}
 
 
 # -- journal reconciliation ----------------------------------------------
@@ -317,8 +326,9 @@ def _reconcile(family, chains, n_shards: int, payloads: dict) -> None:
             stream.n_taken += int(p["n_taken"])
             for counter, journal in zip(stream.consumers, p["journals"]):
                 _stitch_dm(counter, journal)
-    for ci, (_, stream) in enumerate(chains):
-        _load_state(stream, payloads[("relay", ci, n_shards - 1)]["state"])
+    for ci, chain in enumerate(chains):
+        for (_, stream), state in zip(chain, payloads[("relay", ci, n_shards - 1)]["states"]):
+            _load_state(stream, state)
 
 
 def _predecessor(key: tuple) -> tuple | None:
@@ -342,7 +352,8 @@ def run_sharded(
     retries: int = 0,
     task_timeout: float | None = None,
     checkpoint=None,
-    on_job=None,
+    on_job=lambda key, source: None,
+    on_retry=lambda key, exc, attempt: None,
 ) -> ShardReport:
     """Feed every ``(layout, stream)`` pair shard-parallel over ``trace``.
 
@@ -352,21 +363,24 @@ def run_sharded(
     shard count (default: ``jobs``; below 1 is a :class:`ValueError`) or
     a precomputed :class:`ShardPlan`; ``jobs > 1`` fans the shard jobs and
     relay steps over a fork-based process pool (platforms without
-    ``fork``, and ``jobs=1``, run in-process).
+    ``fork``, and ``jobs=1``, run in-process). One shard with ``jobs <= 1``
+    is one job, a single fused pass.
 
     ``checkpoint``, when given, must expose ``load(key) -> payload|None``
     and ``store(key, payload)``; keys are ``("family", shard)`` and
     ``("relay", chain, shard)`` tuples. The caller is responsible for
     scoping the store to this exact trace, stream composition, initial
     stream state, and shard plan (``ShardPlan.signature()``); the suite
-    engine scopes by workload settings, task keys and plan. ``on_job``
-    receives ``(key, source)`` for every job satisfied, with ``source``
-    ``"checkpoint"`` or ``"computed"``. Failures that can succeed on retry
+    engine scopes by workload settings, task keys and plan. A one-job
+    plan neither loads nor stores. ``on_job`` receives ``(key, source)``
+    for every job satisfied, with ``source`` ``"checkpoint"`` or
+    ``"computed"``. Failures that can succeed on retry
     (:func:`repro.util.scheduler.is_transient`) retry up to ``retries``
-    times with backoff; ``task_timeout`` bounds how long a parallel run
-    may go with no job completing (:class:`ShardTimeoutError`); a dead
-    worker pool degrades to in-process execution of the remaining jobs,
-    and the report records why it died and how many jobs it left.
+    times with backoff, each announced to ``on_retry(key, exc, attempt)``;
+    ``task_timeout`` bounds how long a parallel run may go with no job
+    completing (:class:`ShardTimeoutError`); a dead worker pool degrades
+    to in-process execution of the remaining jobs, and the report records
+    why it died and how many jobs it left.
     """
     n_events = len(trace)
     if isinstance(shards, ShardPlan):
@@ -378,30 +392,31 @@ def run_sharded(
     report = ShardReport(plan=plan)
     if not pairs:
         return report
-    layouts, family, chains = _classify(pairs)
+    layouts, entries = _index_layouts(pairs)
     n_shards = plan.n_shards
+    if n_shards == 1 and jobs <= 1:  # nothing runs side by side: one chain
+        family, chains, checkpoint = [], [entries], None
+    else:
+        family = [entry for entry in entries if _stitched(entry[1])]
+        chains = [[entry] for entry in entries if not _stitched(entry[1])]
     family_specs = tuple(_spec(li, stream) for li, stream in family)
-    chain_specs = tuple(_spec(li, stream) for li, stream in chains)
-    seeds = [_state(stream) for _, stream in chains]
+    chain_specs = [tuple(_spec(li, stream) for li, stream in chain) for chain in chains]
+    seeds = [[_state(stream) for _, stream in chain] for chain in chains]
 
-    def run_job(batch: list, inputs: dict):
-        (key,) = batch
+    def run_job(key: tuple, previous):
         if key[0] == "family":
-            payload = _family_shard(
+            return _family_shard(
                 trace, program, layouts, chunk_events, plan, family_specs, key[1]
             )
-        else:
-            _, ci, s = key
-            state = inputs[key]["state"] if s else seeds[ci]
-            payload = _relay_shard(
-                trace, program, layouts, chunk_events, plan, chain_specs[ci], s, state
-            )
-        return {key: payload}, {}
+        _, ci, s = key
+        states = previous["states"] if s else seeds[ci]
+        return _relay_shard(
+            trace, program, layouts, chunk_events, plan, chain_specs[ci], s, states
+        )
 
-    def done(key: tuple, payload, seconds: float, attempts: int, source: str) -> None:
+    def done(key: tuple, payload, source: str) -> None:
         (report.checkpointed if source == "checkpoint" else report.computed).append(key)
-        if on_job is not None:
-            on_job(key, source)
+        on_job(key, source)
 
     def pool_broken(exc: BaseException, remaining: list) -> None:
         report.pool_error = exc
@@ -414,7 +429,8 @@ def run_sharded(
         jobs=jobs, retries=retries, timeout=task_timeout,
         after=_predecessor, checkpoint=checkpoint,
         on_done=done,
-        on_failed=lambda key, exc, attempts: ShardError(key, exc),
+        on_retry=on_retry,
+        on_failed=ShardError,
         on_stall=lambda running, timeout: ShardTimeoutError(sorted(running), timeout),
         on_pool_broken=pool_broken,
     )

@@ -1,12 +1,12 @@
 """One fault-tolerant job scheduler for the simulation engines.
 
-The suite engine (:func:`repro.experiments.suite.compute_suite`) runs its
-tasks, as one batch in the calling process, and the sharded engine
-(:func:`repro.simulators.run_sharded`) its shard jobs and relay chains
-through :func:`run_jobs`, which alone owns checkpoint restore and store,
-retry of the failures that can succeed on retry (:func:`is_transient`)
-with backoff, the stall timeout of a process pool, and the fallback to
-in-parent execution when the pool dies.
+The sharded engine (:func:`repro.simulators.run_sharded`), which makes
+every pass of the evaluation suite, runs its shard jobs and relay steps
+through :func:`run_jobs`, one key per job. It alone owns checkpoint
+restore and store, retry of the failures that can succeed on retry
+(:func:`is_transient`) with :func:`backoff`, the stall timeout of a
+process pool, and the fallback to in-parent execution when the pool
+dies. The suite retries its stream construction by the same two rules.
 
 Pool workers receive the job function through the pool initializer.
 Under ``fork`` initializer arguments are inherited, not pickled, so the
@@ -24,7 +24,7 @@ from collections.abc import Callable, Hashable, Sequence
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 
-__all__ = ["is_transient", "run_jobs"]
+__all__ = ["backoff", "is_transient", "run_jobs"]
 
 _RETRY_BACKOFF_SECONDS = 0.05
 
@@ -59,7 +59,8 @@ def is_transient(exc: BaseException) -> bool:
     )
 
 
-def _backoff(attempt: int) -> float:
+def backoff(attempt: int) -> float:
+    """Seconds to wait before retry ``attempt`` (1, 2, ...): doubling."""
     return _RETRY_BACKOFF_SECONDS * (2 ** (attempt - 1))
 
 
@@ -73,65 +74,47 @@ def _init_worker(run: Callable) -> None:
     _job = run
 
 
-def _work(batch: list, inputs: dict):
-    return _job(batch, inputs)
-
-
-def _no_predecessor(key) -> None:
-    return None
-
-
-def _ignore(*args) -> None:
-    return None
-
-
-def _stall_error(keys: list, timeout: float) -> TimeoutError:
-    return TimeoutError(f"no job completed in {timeout:.1f}s; still running: {keys!r}")
+def _work(key, previous):
+    return _job(key, previous)
 
 
 def run_jobs(
     keys: Sequence[Hashable],
     run: Callable,
     *,
+    after: Callable,
+    on_done: Callable,
+    on_retry: Callable,
     on_failed: Callable,
-    on_stall: Callable = _stall_error,
-    limit: int = 1,
+    on_stall: Callable,
+    on_pool_broken: Callable,
     jobs: int = 1,
     retries: int = 0,
     timeout: float | None = None,
-    after: Callable = _no_predecessor,
     checkpoint=None,
-    on_done: Callable = _ignore,
-    on_retry: Callable = _ignore,
-    on_pool_broken: Callable = _ignore,
 ) -> dict:
     """Compute a payload for every key of ``keys``; returns ``{key: payload}``.
 
-    ``run(batch, inputs)`` computes the keys of ``batch`` (a list) and
-    returns ``(payloads, errors)``, two dicts keyed by job key; ``inputs``
-    maps each key of the batch whose ``after(key)`` is not ``None`` to that
-    predecessor's payload. A ``run`` that raises fails every key of its
-    batch. Keys must be listed after their predecessors.
+    ``run(key, previous)`` computes one key's payload, where ``previous``
+    is the payload of its predecessor ``after(key)``, or ``None`` when
+    ``after(key)`` is ``None``. Keys must be listed after their
+    predecessors.
 
-    Keys run in contiguous batches of at most ``limit``: in order in the
-    calling process, or, with ``jobs > 1`` where the platform can fork,
-    on a pool of up to ``jobs`` workers. A failed key is retried up to
-    ``retries`` times when :func:`is_transient` allows it; the failed keys
-    of one batch retry together after a backoff.
+    Keys run one at a time in order in the calling process, or, with
+    ``jobs > 1`` where the platform can fork, on a pool of up to ``jobs``
+    workers. A failed key is retried after a backoff, up to ``retries``
+    times, when :func:`is_transient` allows it.
 
     ``checkpoint``, when given, exposes ``load(key) -> payload | None``
     and ``store(key, payload)``. The callbacks:
 
-    * ``on_done(key, payload, seconds, attempts, source)`` for every key
-      satisfied, with ``source`` ``"checkpoint"`` (``seconds`` and
-      ``attempts`` 0) or ``"computed"``. A computed key's ``seconds`` is
-      its share of its batch's wall time in the calling process, and the
-      time from its batch's submission to its arrival on the pool;
+    * ``on_done(key, payload, source)`` for every key satisfied, with
+      ``source`` ``"checkpoint"`` or ``"computed"``;
     * ``on_retry(key, exc, attempt)`` before a transient failure retries;
-    * ``on_failed(key, exc, attempts)`` returns the exception to raise for
-      a permanent failure, ``on_stall(keys, timeout)`` the one to raise
-      when no pool batch completes in ``timeout`` seconds (``keys`` are
-      those still running; by default a :class:`TimeoutError`);
+    * ``on_failed(key, exc)`` returns the exception to raise for a
+      permanent failure, ``on_stall(keys, timeout)`` the one to raise when
+      no pool job completes in ``timeout`` seconds (``keys`` are those
+      still running);
     * ``on_pool_broken(exc, remaining)`` before the ``remaining`` keys of
       a dead pool run in the calling process.
     """
@@ -141,53 +124,38 @@ def run_jobs(
             payload = checkpoint.load(key)
             if payload is not None:
                 results[key] = payload
-                on_done(key, payload, 0.0, 0, "checkpoint")
+                on_done(key, payload, "checkpoint")
     todo = [key for key in keys if key not in results]
     attempts = dict.fromkeys(todo, 0)
 
-    def ready(batch: list) -> bool:
-        return all(after(key) is None or after(key) in results for key in batch)
+    def previous(key):
+        before = after(key)
+        return None if before is None else results[before]
 
-    def inputs(batch: list) -> dict:
-        return {key: results[after(key)] for key in batch if after(key) is not None}
-
-    def deliver(batch: list, payloads: dict, errors: dict, seconds: Callable) -> list:
-        """Record one finished batch; returns its keys to run again."""
-        for key in batch:
-            if key in payloads:
-                results[key] = payloads[key]
-                if checkpoint is not None:
-                    checkpoint.store(key, payloads[key])
-                on_done(key, payloads[key], seconds(key), attempts[key], "computed")
-        retry = []
-        for key, exc in errors.items():
-            if attempts[key] <= retries and is_transient(exc):
-                on_retry(key, exc, attempts[key])
-                retry.append(key)
-            else:
-                raise on_failed(key, exc, attempts[key]) from exc
-        if retry:
-            time.sleep(_backoff(max(attempts[key] for key in retry)))
-        return retry
-
-    def batches(keys: list) -> list:
-        return [keys[i : i + limit] for i in range(0, len(keys), limit)]
+    def settle(key, payload, exc) -> bool:
+        """Record one finished attempt; returns whether to run it again."""
+        if exc is None:
+            results[key] = payload
+            if checkpoint is not None:
+                checkpoint.store(key, payload)
+            on_done(key, payload, "computed")
+            return False
+        if attempts[key] > retries or not is_transient(exc):
+            raise on_failed(key, exc) from exc
+        on_retry(key, exc, attempts[key])
+        time.sleep(backoff(attempts[key]))
+        return True
 
     def in_parent(keys: list) -> None:
-        queue = batches(keys)
-        while queue:
-            batch = queue.pop(0)
-            for key in batch:
+        for key in keys:
+            again = True
+            while again:
                 attempts[key] += 1
-            t0 = time.perf_counter()
-            try:
-                payloads, errors = run(batch, inputs(batch))
-            except Exception as exc:
-                payloads, errors = {}, dict.fromkeys(batch, exc)
-            share = (time.perf_counter() - t0) / len(batch)
-            retry = deliver(batch, payloads, errors, lambda key: share)
-            if retry:
-                queue.insert(0, retry)
+                try:
+                    payload, exc = run(key, previous(key)), None
+                except Exception as error:
+                    payload, exc = None, error
+                again = settle(key, payload, exc)
 
     def on_pool(keys: list, n_workers: int) -> list:
         """Run ``keys`` on a fork pool; returns those a dead pool left undone."""
@@ -197,37 +165,32 @@ def run_jobs(
             initializer=_init_worker,
             initargs=(run,),
         )
-        waiting = batches(keys)
+        waiting = list(keys)
         in_flight: dict = {}
-        submitted: dict = {}
         try:
             while waiting or in_flight:
                 blocked = []
-                for batch in waiting:
-                    if not ready(batch):
-                        blocked.append(batch)
+                for key in waiting:
+                    before = after(key)
+                    if before is not None and before not in results:
+                        blocked.append(key)
                         continue
-                    in_flight[pool.submit(_work, batch, inputs(batch))] = batch
-                    for key in batch:
-                        attempts[key] += 1
-                        submitted[key] = time.perf_counter()
+                    attempts[key] += 1
+                    in_flight[pool.submit(_work, key, previous(key))] = key
                 waiting = blocked
                 done, _ = wait(in_flight, timeout=timeout, return_when=FIRST_COMPLETED)
                 if not done:
-                    running = [key for batch in in_flight.values() for key in batch]
-                    raise on_stall(running, timeout)
+                    raise on_stall(list(in_flight.values()), timeout)
                 for future in done:
-                    batch = in_flight.pop(future)
+                    key = in_flight.pop(future)
                     try:
-                        payloads, errors = future.result()
+                        payload, exc = future.result(), None
                     except BrokenProcessPool:
                         raise
-                    except Exception as exc:  # the job raised, or its result did not unpickle
-                        payloads, errors = {}, dict.fromkeys(batch, exc)
-                    arrived = time.perf_counter()
-                    retry = deliver(batch, payloads, errors, lambda key: arrived - submitted[key])
-                    if retry:
-                        waiting.insert(0, retry)
+                    except Exception as error:  # the job raised, or its result did not unpickle
+                        payload, exc = None, error
+                    if settle(key, payload, exc):
+                        waiting.insert(0, key)
             return []
         except BrokenProcessPool as exc:
             remaining = [key for key in keys if key not in results]

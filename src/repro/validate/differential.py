@@ -150,8 +150,10 @@ def diff_fetch_case(case: GeneratedCase) -> list[Divergence]:
     check(
         "fetch.sharded.family_job_ran",
         any(key[0] == "family" for key in report.computed),
-        True,
+        report.plan.n_shards > 1,
     )
+    if report.plan.n_shards == 1:  # one shard on one worker is one job
+        check("fetch.sharded.one_shard_jobs", report.n_jobs, 1)
     paths = [("fused", fused_stream)] + [("sharded", stream) for stream in sharded_streams]
     for path, result in paths:
         check(f"fetch.{path}.n_instructions", result.n_instructions, ora.n_instructions)

@@ -23,7 +23,8 @@ production to the oracles, so the laws get bit-exact semantics for free):
   any window-aligned partition of the *trace* (any shard count from the
   degenerate single shard up to one shard per window, serial or with
   worker processes) equals one fused pass, counters and carried state
-  alike, on both the journal-stitched and the relayed path.
+  alike, on both the journal-stitched and the relayed path; one shard on
+  one worker runs as one job.
 
 Every law is exercised both at a tiny simulation window (so fetch and
 fill windows truncate at chunk boundaries many times per trace) and at a
@@ -478,7 +479,10 @@ def law_shard_split(rng: np.random.Generator, chunk_events: int) -> list[str]:
             shards=shards,
             jobs=jobs,
         )
-        if not any(key[0] == "family" for key in report.computed):
+        if report.plan.n_shards == 1 and jobs == 1:
+            if report.n_jobs != 1:
+                violations.append(f"one shard on one worker ran {report.n_jobs} jobs, not one")
+        elif not any(key[0] == "family" for key in report.computed):
             violations.append(
                 f"sharded (shards={shards}, jobs={jobs}) ran no family job: "
                 f"the journal stitch went untested"

@@ -7,9 +7,10 @@ every access); workload and profile stay warm in the in-memory layers.
 Per-task failures are injected at the ``_unit_for`` seam — the engine
 builds each task's streams through it, in the calling process, so a
 raising unit stands in for any per-task failure while the rest of the
-pass proceeds. Failures on the worker pool are injected into the shard
-jobs of the sharded pass (``_family_shard``, ``_relay_shard``), which a
-suite with ``jobs > 1`` runs there.
+pass proceeds. Failures of the pass are injected into its shard jobs
+(``_family_shard``, ``_relay_shard``), which a suite with ``jobs > 1``
+runs on the worker pool and a ``jobs=1`` suite runs in-process (one
+relay job when there is one shard).
 """
 
 import dataclasses
@@ -33,6 +34,7 @@ from repro.experiments.suite import (
     compute_suite,
 )
 from repro.simulators import FetchStream, ShardError, miss_counter, run_sharded
+from repro.simulators import fused as fused_mod
 from repro.simulators import sharded as sharded_mod
 from repro.tpcd.workload import WorkloadSettings
 from repro.util.progress import Progress
@@ -207,6 +209,30 @@ def test_transient_failure_retries_then_succeeds(workload, tmp_path, monkeypatch
     assert retried["attempts"] == 2
 
 
+def test_retried_unit_joins_the_one_pass(workload, tmp_path, monkeypatch):
+    """A task whose streams fail to build once is retried before the pass
+    and joins it: a ``jobs=1`` suite makes one pass over the trace."""
+    marker = tmp_path / "failed-once"
+    passes = []
+    real_contexts = fused_mod.iter_chunk_contexts
+
+    def counting(trace, *args, **kwargs):
+        passes.append(trace)
+        return real_contexts(trace, *args, **kwargs)
+
+    def flaky(wl, task, grid, cache_sizes, layout_memo=None):
+        if task == FAIL_TASK and not marker.exists():
+            marker.write_text("x")
+            raise OSError("injected transient failure")
+        return REAL_UNIT(wl, task, grid, cache_sizes, layout_memo)
+
+    monkeypatch.setattr(fused_mod, "iter_chunk_contexts", counting)
+    monkeypatch.setattr(suite_mod, "_unit_for", flaky)
+    compute_suite(workload, GRID, jobs=1)
+    assert marker.exists()
+    assert len(passes) == 1 and passes[0] is workload.test_trace
+
+
 def test_deterministic_failure_is_not_retried(workload, tmp_path, monkeypatch):
     attempts = []
 
@@ -230,15 +256,21 @@ def test_deterministic_failure_is_not_retried(workload, tmp_path, monkeypatch):
 def test_hanging_parallel_task_raises_timeout_naming_it(workload, tmp_path, monkeypatch):
     """A shard job that hangs on the pool (``jobs=2``, no ``shards``) stalls
     the pass once every other job is done: the run fails with a timeout
-    naming that job."""
+    naming that job. Every other job returns a stub at once (the stall
+    aborts the pass before anything reads them), so the 2.5 s bound is
+    far above anything it waits on."""
     release = tmp_path / "release"  # cross-process: workers are forks
 
     def hanging(trace, program, layouts, chunk_events, plan, specs, shard_idx):
         if shard_idx == plan.n_shards - 1:
             _wait_for(release.exists)  # bounded, and released below
-        return REAL_FAMILY(trace, program, layouts, chunk_events, plan, specs, shard_idx)
+        return []
+
+    def stub(trace, program, layouts, chunk_events, plan, specs, shard_idx, states):
+        return {"states": []}
 
     monkeypatch.setattr(sharded_mod, "_family_shard", hanging)
+    monkeypatch.setattr(sharded_mod, "_relay_shard", stub)
     manifest = tmp_path / "stall.json"
     try:
         with pytest.raises(SuiteTimeoutError) as excinfo:
@@ -395,12 +427,43 @@ def test_sharded_transient_failure_retries_then_succeeds(
         return REAL_FAMILY(trace, program, layouts, chunk_events, plan, specs, shard_idx)
 
     monkeypatch.setattr(sharded_mod, "_family_shard", flaky)
-    result = compute_suite(workload, GRID, jobs=1, shards=2, retries=2)
+    manifest = tmp_path / "shard-retry.json"
+    result = compute_suite(workload, GRID, jobs=1, shards=2, retries=2, manifest=manifest)
     assert marker.exists()
 
     monkeypatch.setattr(sharded_mod, "_family_shard", REAL_FAMILY)
     fresh = compute_suite(workload, GRID, jobs=1, resume=False)
     assert _flatten(result) == _flatten(fresh)
+    data = json.loads(manifest.read_text())
+    retries = [e for e in data["events"] if e["type"] == "retry"]
+    assert [e["task"] for e in retries] == [suite_mod._task_label(("shard", ("family", 0)))]
+
+
+def test_one_job_pass_retries_its_job(workload, tmp_path, monkeypatch):
+    """With one worker and one shard the pass is one relay job; a transient
+    failure of it retries the job, and the manifest names it."""
+    marker = tmp_path / "failed-once"
+
+    def flaky(trace, program, layouts, chunk_events, plan, specs, shard_idx, states):
+        if not marker.exists():
+            marker.write_text("x")
+            raise OSError("injected transient shard failure")
+        return REAL_RELAY(trace, program, layouts, chunk_events, plan, specs, shard_idx, states)
+
+    monkeypatch.setattr(sharded_mod, "_relay_shard", flaky)
+    manifest = tmp_path / "one-job-retry.json"
+    result = compute_suite(workload, GRID, jobs=1, manifest=manifest)
+    assert marker.exists()
+
+    monkeypatch.setattr(sharded_mod, "_relay_shard", REAL_RELAY)
+    fresh = compute_suite(workload, GRID, jobs=1, resume=False)
+    assert _flatten(result) == _flatten(fresh)
+    data = json.loads(manifest.read_text())
+    job = ("relay", 0, 0)
+    retries = [e for e in data["events"] if e["type"] == "retry"]
+    assert [e["task"] for e in retries] == [suite_mod._task_label(("shard", job))]
+    shard_jobs = [e for e in data["events"] if e["type"] == "shard-job"]
+    assert shard_jobs == [{"type": "shard-job", "job": list(job), "source": "computed"}]
 
 
 def test_sharded_dead_worker_pool_degrades_and_stays_identical(

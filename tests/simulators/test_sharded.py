@@ -228,7 +228,7 @@ def test_victim_relay_state_has_no_primary_slot():
         trace, program, make_pairs, chunk_events=CHUNK, shards=2, checkpoint=ckpt
     )
     assert _eq(ref, got)
-    relayed = ckpt.data[("relay", 0, 0)]["state"]["counters"][0]
+    relayed = ckpt.data[("relay", 0, 0)]["states"][0]["counters"][0]
     assert sorted(relayed) == ["capacity", "kind", "last", "misses", "victim"]
     assert relayed["victim"], "corpus never carried the victim buffer across the boundary"
 
@@ -327,7 +327,10 @@ def test_sharded_equals_fused_for_any_partition(seed, shards):
         chunk_events=case.chunk_events, shards=shards,
     )
     assert _eq(ref, got)
-    assert _ran_family(report)
+    if report.plan.n_shards == 1:  # one shard on one worker: one job
+        assert report.n_jobs == 1
+    else:
+        assert _ran_family(report)
     # and invariant to the partition itself, not only equal to fused:
     # a second, different shard count must produce the same snapshot
     other = max(1, (shards % 4) + 1)
@@ -501,6 +504,35 @@ def test_checkpoint_resume_recomputes_only_missing_jobs():
     )
     assert sorted(third.computed) == sorted(dropped)
     assert _eq(reference, _snapshot(pairs3))
+
+
+def test_one_shard_on_one_worker_is_one_unstored_job():
+    """With nothing to run side by side, every stream relays in one chain:
+    one job, one fused pass, and no checkpoint (its payload is the
+    caller's whole result). On two workers the same one-shard plan keeps
+    its family job and one relay chain per relayed stream."""
+    case = random_case(RESUME_SEED)
+    ckpt = DictCheckpoint()
+    pairs = _case_pairs(case)
+    report = run_sharded(
+        case.trace, case.program, pairs,
+        chunk_events=RESUME_CHUNK, shards=1, checkpoint=ckpt,
+    )
+    assert report.plan.n_shards == 1
+    assert report.computed == [("relay", 0, 0)] and report.checkpointed == []
+    assert ckpt.data == {} and ckpt.loads == 0
+    fused = _case_pairs(case)
+    run_fused(case.trace, case.program, fused, chunk_events=RESUME_CHUNK)
+    assert _eq(_snapshot(fused), _snapshot(pairs))
+
+    pool_pairs = _case_pairs(case)
+    pooled = run_sharded(
+        case.trace, case.program, pool_pairs,
+        chunk_events=RESUME_CHUNK, shards=1, jobs=2, checkpoint=ckpt,
+    )
+    assert sorted(pooled.computed) == [("family", 0), ("relay", 0, 0), ("relay", 1, 0)]
+    assert sorted(ckpt.data) == sorted(pooled.computed)
+    assert _eq(_snapshot(fused), _snapshot(pool_pairs))
 
 
 def test_permanent_failure_names_job_and_preserves_checkpoints(monkeypatch):
