@@ -5,14 +5,17 @@ Boots ``python -m repro.serve`` as a real subprocess, points
 server down over HTTP, and asserts the benchmark report demonstrates the
 service contract: zero failed jobs, cross-tenant cache dedupe observed,
 backpressure answered with 429, and the served results byte-identical to
-the batch engine. ``BENCH_service.json`` is left behind for the CI
-artifact upload.
+the batch engine. The load test's report goes to ``REPORT`` when given
+(CI names one for its artifact upload), else into a new temporary
+directory, so a local run never rewrites the committed
+``BENCH_service.json``.
 
-Run: PYTHONPATH=src python .github/scripts/serve_smoke.py
+Run: PYTHONPATH=src python .github/scripts/serve_smoke.py [REPORT]
 """
 
 from __future__ import annotations
 
+import argparse
 import json
 import os
 import re
@@ -24,11 +27,19 @@ import urllib.request
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parents[2]
-REPORT = REPO / "BENCH_service.json"
 BOOT_TIMEOUT = 60.0
 
 
 def main() -> int:
+    parser = argparse.ArgumentParser(description="Service smoke: boot, load, check.")
+    parser.add_argument(
+        "report", nargs="?", type=Path, default=None,
+        help="load-test report path (default: in a new temporary directory)",
+    )
+    report_path = parser.parse_args().report
+    if report_path is None:
+        report_path = Path(tempfile.mkdtemp(prefix="serve-smoke-report-")) / "BENCH_service.json"
+    report_path = report_path.resolve()
     env = dict(os.environ)
     env["PYTHONPATH"] = str(REPO / "src") + (
         os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
@@ -66,7 +77,7 @@ def main() -> int:
                 "--connect", f"127.0.0.1:{port}",
                 "--tenants", "4", "--jobs-per-tenant", "1",
                 "--scale", "0.0002", "--grid", "quick",
-                "--output", str(REPORT),
+                "--output", str(report_path),
             ],
             env=env,
             cwd=REPO,
@@ -87,7 +98,7 @@ def main() -> int:
             server.kill()
             server.wait()
 
-    report = json.loads(REPORT.read_text())
+    report = json.loads(report_path.read_text())
     checks = {
         "all jobs completed": report["jobs"]["failed"] == 0
         and report["jobs"]["completed"] == report["jobs"]["submitted"] > 0,
@@ -101,7 +112,7 @@ def main() -> int:
         print(f"[smoke] {'ok' if ok else 'FAIL'}: {name}")
     if not all(checks.values()):
         return 1
-    print(f"[smoke] report at {REPORT}")
+    print(f"[smoke] report at {report_path}")
     return 0
 
 

@@ -41,13 +41,17 @@ from repro.tpcd.workload import WorkloadSettings  # noqa: E402
 SETTINGS = WorkloadSettings(scale=0.0005)
 GRID = PRIMARY_ROWS[:1]
 #: Bound on the fused group's tracemalloc peak over the same group without
-#: its trace-cache tasks. The walk over per-event arrays measures 1.003,
-#: and keeping one more int32 array per instruction alive in it 1.049.
+#: its trace-cache tasks. The walk, which keeps only its per-event and
+#: per-branch tables alive, measures 1.000 (128.6 MiB either way); keeping
+#: its three per-branch temporaries alive too measured 1.076, and one more
+#: int32 array per instruction 1.049.
 TRACE_CACHE_PEAK_RATIO = 1.04
 #: The fused group's tracemalloc peak per instruction of the trace's
-#: largest window, measured with int32 window arrays (int64 ones measured
-#: 36.34). A pass may exceed it by ``PEAK_SLACK``.
-PEAK_BYTES_PER_WINDOW_INSTRUCTION = 18.82
+#: largest window, measured with int32 window arrays and i-cache counters
+#: that model each feed in 2^16-access slices (int64 window arrays measured
+#: 36.34, counters sorting a whole window at once 18.82). A pass may exceed
+#: it by ``PEAK_SLACK``.
+PEAK_BYTES_PER_WINDOW_INSTRUCTION = 15.70
 PEAK_SLACK = 1.1
 
 

@@ -11,6 +11,12 @@
 
 from repro.baselines.original import original_layout
 from repro.baselines.pettis_hansen import pettis_hansen_layout
-from repro.baselines.torrellas import torrellas_layout
+from repro.baselines.torrellas import TorrellasSequences, torrellas_layout, torrellas_sequences
 
-__all__ = ["original_layout", "pettis_hansen_layout", "torrellas_layout"]
+__all__ = [
+    "original_layout",
+    "pettis_hansen_layout",
+    "TorrellasSequences",
+    "torrellas_layout",
+    "torrellas_sequences",
+]

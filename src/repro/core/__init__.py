@@ -12,13 +12,14 @@ Three stages:
    packed into the Conflict Free Area of a logical cache array, remaining
    sequences around it, cold code filling the rest (Figure 4).
 
-:func:`repro.core.stc.stc_layout` runs the full pipeline.
+:func:`repro.core.stc.stc_layout` runs the full pipeline;
+:func:`~repro.core.stc.stc_sequences` is its geometry-independent half.
 """
 
 from repro.core.seeds import auto_seeds, ops_seeds
 from repro.core.tracebuild import TraceParams, build_sequences
 from repro.core.mapping import CacheGeometry, map_sequences
-from repro.core.stc import STCParams, stc_layout
+from repro.core.stc import STCParams, STCSequences, stc_layout, stc_sequences
 
 __all__ = [
     "auto_seeds",
@@ -28,5 +29,7 @@ __all__ = [
     "CacheGeometry",
     "map_sequences",
     "STCParams",
+    "STCSequences",
     "stc_layout",
+    "stc_sequences",
 ]

@@ -2,6 +2,13 @@
 
 Profile -> seeds -> greedy sequences -> CFA mapping, in one call. This is
 the ``auto`` / ``ops`` layout of the paper's evaluation (Tables 3 and 4).
+
+Only the last step sees the cache size. Both passes' sequences
+(:func:`stc_sequences`) depend on the profile, the parameters and the CFA
+size alone: the first pass is fitted to the CFA budget, and the second
+continues its visited state. A grid's rows that share a CFA size can
+therefore share one :class:`STCSequences` and map it per cache geometry
+(:meth:`STCSequences.layout`), which is all :func:`stc_layout` does.
 """
 
 from __future__ import annotations
@@ -16,7 +23,7 @@ from repro.core.mapping import CacheGeometry, map_sequences
 from repro.core.seeds import auto_seeds, ops_seeds
 from repro.core.tracebuild import TraceParams, build_sequences
 
-__all__ = ["STCParams", "stc_layout"]
+__all__ = ["STCParams", "STCSequences", "stc_layout", "stc_sequences"]
 
 
 @dataclass(frozen=True)
@@ -60,6 +67,37 @@ class STCParams:
         return max(1, int(self.exec_fraction * int(cfg.block_count.sum())))
 
 
+@dataclass(frozen=True)
+class STCSequences:
+    """Both passes' sequences: the geometry-independent half of a layout.
+
+    ``pass1`` are the CFA candidates the first pass fitted to
+    ``cfa_bytes``, ``pass2`` the relaxed pass's sequences. Mapping them
+    (:meth:`layout`) is the only step that reads the cache size.
+    """
+
+    name: str
+    cfa_bytes: int
+    pass1: list[list[int]]
+    pass2: list[list[int]]
+
+    def layout(self, program: Program, geometry: CacheGeometry) -> Layout:
+        """Map the sequences onto ``geometry``, whose CFA must be the one
+        the first pass was fitted to."""
+        if geometry.cfa_bytes != self.cfa_bytes:
+            raise ValueError(
+                f"sequences were fitted to a {self.cfa_bytes}-byte CFA, "
+                f"not {geometry.cfa_bytes} bytes"
+            )
+        return map_sequences(
+            program,
+            self.pass2,
+            geometry,
+            name=self.name,
+            cfa_sequences=self.pass1,
+        )
+
+
 def stc_layout(
     program: Program,
     cfg: WeightedCFG,
@@ -73,8 +111,18 @@ def stc_layout(
     first pass's visited state) whose sequences fill the non-CFA areas of
     the logical cache array; cold code fills the remaining address space.
     """
+    return stc_sequences(program, cfg, geometry.cfa_bytes, params).layout(program, geometry)
+
+
+def stc_sequences(
+    program: Program,
+    cfg: WeightedCFG,
+    cfa_bytes: int,
+    params: STCParams = STCParams(),
+) -> STCSequences:
+    """Both passes of :func:`stc_layout` for a CFA of ``cfa_bytes``."""
     seeds = auto_seeds(program, cfg) if params.seed_mode == "auto" else ops_seeds(program, cfg)
-    pass1, visited = _fit_first_pass(program, cfg, seeds, geometry, params)
+    pass1, visited = _fit_first_pass(program, cfg, seeds, cfa_bytes, params)
     # the relaxed pass places "the rest of the sequences": beyond the chosen
     # seeds it may start from any executed function entry, so code the ops
     # seeds cannot reach (the paper's stated ops weakness) still gets
@@ -90,30 +138,24 @@ def stc_layout(
         visited,
         explore_from_visited=True,
     )
-    return map_sequences(
-        program,
-        pass2,
-        geometry,
-        name=params.seed_mode,
-        cfa_sequences=pass1,
-    )
+    return STCSequences(params.seed_mode, cfa_bytes, pass1, pass2)
 
 
 def _fit_first_pass(
     program: Program,
     cfg: WeightedCFG,
     seeds: list[int],
-    geometry: CacheGeometry,
+    budget: int,
     params: STCParams,
 ) -> tuple[list[list[int]], set[int]]:
-    """Build the CFA pass, fitting its Exec threshold to the CFA budget.
+    """Build the CFA pass, fitting its Exec threshold to the CFA budget
+    (``budget`` bytes).
 
     The sequence footprint shrinks monotonically as the Exec threshold
     rises, so a log-scale bisection finds the loosest threshold whose
     sequences total at most the CFA size (i.e. the fullest CFA whose
     contents are all admitted whole).
     """
-    budget = geometry.cfa_bytes
     if budget == 0:
         return [], set()
 

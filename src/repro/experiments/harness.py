@@ -6,11 +6,11 @@ import argparse
 import os
 import weakref
 
-from repro.baselines import original_layout, pettis_hansen_layout, torrellas_layout
+from repro.baselines import original_layout, pettis_hansen_layout, torrellas_sequences
 from repro.cache import default_cache
 from repro.cfg.layout import Layout
 from repro.cfg.weighted import WeightedCFG
-from repro.core import CacheGeometry, STCParams, stc_layout
+from repro.core import CacheGeometry, STCParams, stc_sequences
 from repro.experiments.config import KB
 from repro.profiling import profile_trace
 from repro.profiling.tracestore import TraceFormatError, TraceStore
@@ -20,6 +20,7 @@ __all__ = [
     "WorkloadSettings",
     "get_workload",
     "training_profile",
+    "build_layout",
     "layouts_for",
     "standard_parser",
     "suite_parser",
@@ -100,23 +101,44 @@ def layouts_for(
     *,
     names: tuple[str, ...] = ("orig", "P&H", "Torr", "auto", "ops"),
 ) -> dict[str, Layout]:
-    """Build the evaluation layouts for one cache/CFA geometry.
+    """Build the evaluation layouts for one cache/CFA geometry
+    (:func:`build_layout` of each name)."""
+    return {name: build_layout(workload, name, cache_kb, cfa_kb) for name in names}
+
+
+def build_layout(
+    workload: Workload, name: str, cache_kb: int, cfa_kb: int, memo: dict | None = None
+) -> Layout:
+    """Build the evaluation layout ``name`` for one cache/CFA geometry.
 
     ``orig`` and ``P&H`` ignore the geometry (the paper notes P&H does not
     consider the target cache); ``Torr``/``auto``/``ops`` are geometry-
-    dependent.
+    dependent, but only in their last step. Their sequences depend on the
+    profile, and the STC's on the CFA size too, never on the cache size:
+    ``memo``, a dict the caller keeps for one pass, holds them between
+    calls (keyed by layout kind, parameters and CFA bytes), so the rows of
+    a grid build each of them once.
     """
     program = workload.program
     cfg = training_profile(workload)
     geometry = CacheGeometry(cache_bytes=cache_kb * KB, cfa_bytes=cfa_kb * KB)
-    builders = {
-        "orig": lambda: original_layout(program),
-        "P&H": lambda: pettis_hansen_layout(program, cfg),
-        "Torr": lambda: torrellas_layout(program, cfg, geometry),
-        "auto": lambda: stc_layout(program, cfg, geometry, STCParams(seed_mode="auto")),
-        "ops": lambda: stc_layout(program, cfg, geometry, STCParams(seed_mode="ops")),
-    }
-    return {name: builders[name]() for name in names}
+    if name == "orig":
+        return original_layout(program)
+    if name == "P&H":
+        return pettis_hansen_layout(program, cfg)
+    memo = {} if memo is None else memo
+    if name == "Torr":
+        key = ("sequences", "Torr")
+        if key not in memo:
+            memo[key] = torrellas_sequences(program, cfg)
+    elif name in ("auto", "ops"):
+        params = STCParams(seed_mode=name)
+        key = ("sequences", params, geometry.cfa_bytes)
+        if key not in memo:
+            memo[key] = stc_sequences(program, cfg, geometry.cfa_bytes, params)
+    else:
+        raise KeyError(name)
+    return memo[key].layout(program, geometry)
 
 
 def shard_count(text: str) -> int:

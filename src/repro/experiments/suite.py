@@ -54,7 +54,7 @@ from types import SimpleNamespace
 
 from repro.cache import cache_enabled, default_cache
 from repro.experiments.config import CACHE_CFA_GRID, KB
-from repro.experiments.harness import get_workload, layouts_for, training_profile
+from repro.experiments.harness import build_layout, get_workload, training_profile
 from repro.experiments.runlog import RunLog
 from repro.simulators import CacheConfig, FetchStream, TraceCacheStream, miss_counter
 from repro.simulators.sharded import (
@@ -179,7 +179,9 @@ def _unit_for(workload: Workload, task: _Task, grid, cache_sizes, layout_memo=No
     contributions to the pass, ``finalize()`` assembles the task payload
     from the stream counters afterwards. ``layout_memo`` shares layout
     objects across the units of one pass, which lets the fused driver
-    share their per-window expansion as well.
+    share their per-window expansion as well, and the layouts'
+    geometry-independent sequences across the grid's rows
+    (:func:`~repro.experiments.harness.build_layout`).
     """
     kind, arg = task
     memo = layout_memo if layout_memo is not None else {}
@@ -187,7 +189,7 @@ def _unit_for(workload: Workload, task: _Task, grid, cache_sizes, layout_memo=No
     def layout_of(name: str, cache_kb: int, cfa_kb: int):
         key = (name, cache_kb, cfa_kb)
         if key not in memo:
-            memo[key] = layouts_for(workload, cache_kb, cfa_kb, names=(name,))[name]
+            memo[key] = build_layout(workload, name, cache_kb, cfa_kb, memo)
         return memo[key]
 
     if kind == "base":

@@ -125,25 +125,27 @@ class TraceCacheStream:
         self.n_instructions += n
         self.n_taken += chunk.n_taken
         branch_ev = chunk.branch_ev
-        branch_pos = ctx.last_idx[branch_ev]
-        nb = int(branch_pos.size)
+        nb = int(np.count_nonzero(branch_ev))
         # next-branch index of every position of an event: a branch ends
         # its event, so this is the exclusive prefix count of branch events
         branches_before = np.cumsum(branch_ev, dtype=np.int32)
         branches_before -= branch_ev
 
         # outcome bitmask of the next `blimit` branches from every branch
-        # index (including nb = "past the last branch"), zero-padded
-        taken_at = chunk.taken_ev[branch_ev].astype(np.int32)
-        padded = np.concatenate((taken_at, np.zeros(blimit, dtype=np.int32)))
+        # index (including nb = "past the last branch"), zero-padded. Each
+        # per-branch table is built one temporary at a time, so only the
+        # tables and `branches_before` stay alive through the walk.
+        padded = np.zeros(nb + blimit, dtype=np.int32)
+        padded[:nb] = chunk.taken_ev[branch_ev]
         mask_by_branch = np.zeros(nb + 1, dtype=np.int32)
         for j in range(blimit):
             mask_by_branch |= padded[j : j + nb + 1] << j
+        del padded
         # position of the `blimit`-th branch at or after each branch index;
         # the out-of-range sentinel makes the fill window width-limited
         third_by_branch = np.full(nb + 1, n + width, dtype=np.int32)
         if nb >= blimit:
-            third_by_branch[: nb - blimit + 1] = branch_pos[blimit - 1 :]
+            third_by_branch[: nb - blimit + 1] = ctx.last_idx[branch_ev][blimit - 1 :]
 
         # zero-copy memoryviews: the loop touches only the positions it
         # visits, so materializing full Python lists would cost more than

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from repro.baselines import torrellas_layout
+from repro.baselines import torrellas_layout, torrellas_sequences
 from repro.cfg import BlockKind, ProgramBuilder, WeightedCFG
 from repro.core import CacheGeometry
 
@@ -57,3 +57,12 @@ def test_zero_cfa_degenerates_to_sequences(world):
     layout.validate(program)
     # the chain stays together
     assert layout.address[0] < layout.address[7]
+
+
+def test_shared_sequences_map_like_a_layout_built_alone(world):
+    program, cfg = world
+    sequences = torrellas_sequences(program, cfg, exec_threshold=1)
+    for cache, cfa in ((128, 0), (128, 32), (128, 64), (256, 96)):
+        geometry = CacheGeometry(cache_bytes=cache, cfa_bytes=cfa)
+        alone = torrellas_layout(program, cfg, geometry, exec_threshold=1)
+        assert np.array_equal(sequences.layout(program, geometry).address, alone.address)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from repro.cfg import BlockKind, ProgramBuilder, WeightedCFG
-from repro.core import CacheGeometry, STCParams, stc_layout
+from repro.core import CacheGeometry, STCParams, stc_layout, stc_sequences
 from repro.core.stc import _fit_first_pass
 from repro.core.seeds import auto_seeds
 
@@ -82,8 +82,7 @@ def test_sequentiality_improves_over_original():
 def test_fit_first_pass_respects_budget():
     program, cfg = build_world()
     seeds = auto_seeds(program, cfg)
-    geometry = CacheGeometry(cache_bytes=512, cfa_bytes=64)
-    seqs, visited = _fit_first_pass(program, cfg, seeds, geometry, STCParams())
+    seqs, visited = _fit_first_pass(program, cfg, seeds, 64, STCParams())
     total = sum(int(program.block_size[b]) * 4 for s in seqs for b in s)
     assert total <= 64
     assert visited == {b for s in seqs for b in s}
@@ -92,17 +91,15 @@ def test_fit_first_pass_respects_budget():
 def test_fit_first_pass_zero_cfa():
     program, cfg = build_world()
     seeds = auto_seeds(program, cfg)
-    geometry = CacheGeometry(cache_bytes=512, cfa_bytes=0)
-    seqs, visited = _fit_first_pass(program, cfg, seeds, geometry, STCParams())
+    seqs, visited = _fit_first_pass(program, cfg, seeds, 0, STCParams())
     assert seqs == [] and visited == set()
 
 
 def test_manual_cfa_threshold_override():
     program, cfg = build_world()
     seeds = auto_seeds(program, cfg)
-    geometry = CacheGeometry(cache_bytes=512, cfa_bytes=64)
     params = STCParams(cfa_exec_threshold=1)
-    seqs, _ = _fit_first_pass(program, cfg, seeds, geometry, params)
+    seqs, _ = _fit_first_pass(program, cfg, seeds, 64, params)
     # threshold 1 admits everything executed; pass-1 may exceed the budget
     total = sum(int(program.block_size[b]) * 4 for s in seqs for b in s)
     assert total > 64
@@ -119,3 +116,17 @@ def test_ops_mode_uses_op_seeds():
 def test_invalid_seed_mode():
     with pytest.raises(ValueError):
         STCParams(seed_mode="banana")
+
+
+def test_sequences_map_onto_every_cache_size_of_their_cfa():
+    program, cfg = build_world()
+    params = STCParams(seed_mode="ops")
+    sequences = stc_sequences(program, cfg, 64, params)
+    for cache in (256, 512, 1024):
+        geometry = CacheGeometry(cache_bytes=cache, cfa_bytes=64)
+        alone = stc_layout(program, cfg, geometry, params)
+        shared = sequences.layout(program, geometry)
+        assert shared.name == alone.name == "ops"
+        assert np.array_equal(shared.address, alone.address)
+    with pytest.raises(ValueError, match="64-byte CFA"):
+        sequences.layout(program, CacheGeometry(cache_bytes=512, cfa_bytes=128))
