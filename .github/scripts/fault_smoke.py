@@ -106,7 +106,7 @@ def failing_task(workload) -> None:
 def failing_worker(workload) -> None:
     parent = os.getpid()
 
-    def boom(trace, program, layouts, chunk_events, plan, specs, shard_idx):
+    def boom(trace, program, chunk_events, plan, family, shard_idx):
         if ("family", shard_idx) == FAIL_JOB:
             # fail once another shard job is checkpointed, so the resume
             # has something to reuse
@@ -114,7 +114,7 @@ def failing_worker(workload) -> None:
             while not shard_checkpoints() and time.monotonic() < deadline:
                 time.sleep(0.05)
             raise ValueError(f"injected CI worker failure (in pid {os.getpid()})")
-        return REAL_FAMILY(trace, program, layouts, chunk_events, plan, specs, shard_idx)
+        return REAL_FAMILY(trace, program, chunk_events, plan, family, shard_idx)
 
     # a fresh cache: the first phase's task checkpoints would leave no pass
     os.environ["REPRO_CACHE_DIR"] = tempfile.mkdtemp(prefix="repro-ci-cache-")
@@ -158,11 +158,11 @@ def failing_worker(workload) -> None:
 def flaky_one_job_pass(workload) -> None:
     failed = []
 
-    def flaky(trace, program, layouts, chunk_events, plan, specs, shard_idx, states):
+    def flaky(trace, program, chunk_events, plan, chain, shard_idx, states):
         if not failed:
             failed.append(shard_idx)
             raise OSError("injected CI transient failure")
-        return REAL_RELAY(trace, program, layouts, chunk_events, plan, specs, shard_idx, states)
+        return REAL_RELAY(trace, program, chunk_events, plan, chain, shard_idx, states)
 
     # a fresh cache: earlier phases' task checkpoints would leave no pass
     os.environ["REPRO_CACHE_DIR"] = tempfile.mkdtemp(prefix="repro-ci-cache-")

@@ -77,19 +77,8 @@ def build_pairs(case):
 
 
 def snapshot_bytes(pairs) -> bytes:
-    """Canonical pickle of every counter and every piece of stream state."""
-    out = []
-    for _, stream in pairs:
-        entry = {"counters": [c.state_dict() for c in stream.consumers]}
-        if isinstance(stream, TraceCacheStream):
-            entry["sig"] = (
-                stream.n_instructions, stream.n_hits, stream.n_misses, stream.n_taken
-            )
-            entry["state"] = stream.state_dict()
-        else:
-            entry["sig"] = (stream.n_instructions, stream.n_fetches, stream.n_taken)
-        out.append(entry)
-    return pickle.dumps(out, protocol=4)
+    """Canonical pickle of every stream's state, counters included."""
+    return pickle.dumps([stream.state_dict() for _, stream in pairs], protocol=4)
 
 
 class DictCheckpoint:
@@ -111,10 +100,10 @@ def main() -> None:
 
     # 1. injected permanent failure: the run must raise naming the shard
     # job and leave everything that completed in the checkpoint store
-    def boom(trace, program, layouts, chunk_events, plan, specs, shard_idx):
+    def boom(trace, program, chunk_events, plan, family, shard_idx):
         if shard_idx == FAIL_SHARD:
             raise ValueError("injected CI shard failure")
-        return REAL_FAMILY(trace, program, layouts, chunk_events, plan, specs, shard_idx)
+        return REAL_FAMILY(trace, program, chunk_events, plan, family, shard_idx)
 
     ckpt = DictCheckpoint()
     sharded_mod._family_shard = boom

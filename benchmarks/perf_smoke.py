@@ -8,7 +8,9 @@ the on-disk trace-format footprint/decode throughput, and the process's
 peak RSS — to ``BENCH_suite.json`` at the repo root so regressions show
 up in review.
 
-Run: ``PYTHONPATH=src python benchmarks/perf_smoke.py [--scale 0.001] [--jobs N]``
+Run: ``PYTHONPATH=src python benchmarks/perf_smoke.py [--scale 0.001] [--jobs N]
+[--shards N] [--out PATH]``. With ``--shards`` above 1 the script exits 1
+when the sharded suite is not identical to the serial one.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import dataclasses
 import json
 import pathlib
 import resource
+import sys
 import time
 
 from repro.cache import default_cache
@@ -123,18 +126,20 @@ def _measure_sharded(workload, grid, serial_suite, serial_seconds, shards, jobs)
     cache.clear("suite-task")
     cache.clear("suite-shard")
     job_seconds: list[tuple[str, float]] = []
+    chain_index: dict[int, int] = {}  # id of a chain's list -> first-seen index
     real_family, real_relay = sharded_mod._family_shard, sharded_mod._relay_shard
 
-    def timed_family(trace, program, layouts, chunk_events, plan, specs, shard_idx):
+    def timed_family(trace, program, chunk_events, plan, family, shard_idx):
         t0 = time.perf_counter()
-        out = real_family(trace, program, layouts, chunk_events, plan, specs, shard_idx)
+        out = real_family(trace, program, chunk_events, plan, family, shard_idx)
         job_seconds.append((f"family:{shard_idx}", time.perf_counter() - t0))
         return out
 
-    def timed_relay(trace, program, layouts, chunk_events, plan, spec, shard_idx, state):
+    def timed_relay(trace, program, chunk_events, plan, chain, shard_idx, states):
         t0 = time.perf_counter()
-        out = real_relay(trace, program, layouts, chunk_events, plan, spec, shard_idx, state)
-        job_seconds.append((f"chain:{hash(spec) & 0xFFFF:04x}", time.perf_counter() - t0))
+        out = real_relay(trace, program, chunk_events, plan, chain, shard_idx, states)
+        index = chain_index.setdefault(id(chain), len(chain_index))
+        job_seconds.append((f"chain:{index}", time.perf_counter() - t0))
         return out
 
     sharded_mod._family_shard = timed_family
@@ -270,6 +275,9 @@ def main(argv=None) -> None:
     out.write_text(json.dumps(record, indent=2) + "\n")
     print(json.dumps(record, indent=2))
     print(f"wrote {out}")
+    sharded = [r["sharded"] for r in (record, record.get("scale_up")) if r and r["sharded"]]
+    if not all(r["identical_to_serial"] for r in sharded):
+        sys.exit("FAIL: the sharded suite differs from the serial one")
 
 
 if __name__ == "__main__":

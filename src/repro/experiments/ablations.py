@@ -42,12 +42,19 @@ class AblationPoint:
     run_length: float
 
 
-def _evaluate(workload: Workload, layout, cache_kb: int) -> tuple[float, float, float]:
-    counter = miss_counter(CacheConfig(size_bytes=cache_kb * KB))
-    stream = FetchStream(layout.name, consumers=[counter])
-    run_fused(workload.test_trace, workload.program, [(layout, stream)])
-    misses = counter.misses
-    return stream.miss_rate(misses), stream.ipc(misses), stream.instructions_between_taken
+def _evaluate(workload: Workload, layouts: list, cache_kb: int) -> list[tuple[float, float, float]]:
+    """(miss rate, IPC, instructions between taken branches) of each
+    layout, all fed in one fused pass."""
+    counters = [miss_counter(CacheConfig(size_bytes=cache_kb * KB)) for _ in layouts]
+    pairs = [
+        (layout, FetchStream(layout.name, consumers=[counter]))
+        for layout, counter in zip(layouts, counters)
+    ]
+    run_fused(workload.test_trace, workload.program, pairs)
+    return [
+        (stream.miss_rate(c.misses), stream.ipc(c.misses), stream.instructions_between_taken)
+        for (_, stream), c in zip(pairs, counters)
+    ]
 
 
 def cfa_sweep(
@@ -58,17 +65,19 @@ def cfa_sweep(
 ) -> list[AblationPoint]:
     """Miss rate / bandwidth across CFA sizes at a fixed cache size."""
     cfg = training_profile(workload)
-    out = []
-    for cfa_kb in cfa_kbs:
-        layout = stc_layout(
+    layouts = [
+        stc_layout(
             workload.program,
             cfg,
             CacheGeometry(cache_bytes=cache_kb * KB, cfa_bytes=cfa_kb * KB),
             STCParams(seed_mode=seed_mode),
         )
-        miss, ipc, run = _evaluate(workload, layout, cache_kb)
-        out.append(AblationPoint(f"{cache_kb}/{cfa_kb}", miss, ipc, run))
-    return out
+        for cfa_kb in cfa_kbs
+    ]
+    return [
+        AblationPoint(f"{cache_kb}/{cfa_kb}", *metrics)
+        for cfa_kb, metrics in zip(cfa_kbs, _evaluate(workload, layouts, cache_kb))
+    ]
 
 
 def threshold_sweep(
@@ -81,20 +90,18 @@ def threshold_sweep(
     """Sensitivity to the sequence builder's two thresholds (ops seeds)."""
     cfg = training_profile(workload)
     geometry = CacheGeometry(cache_bytes=cache_kb * KB, cfa_bytes=cfa_kb * KB)
-    out = []
-    for bt in branch_thresholds:
-        layout = stc_layout(
-            workload.program, cfg, geometry, STCParams(seed_mode="ops", branch_threshold=bt)
-        )
-        miss, ipc, run = _evaluate(workload, layout, cache_kb)
-        out.append(AblationPoint(f"branch={bt}", miss, ipc, run))
-    for ef in exec_fractions:
-        layout = stc_layout(
-            workload.program, cfg, geometry, STCParams(seed_mode="ops", exec_fraction=ef)
-        )
-        miss, ipc, run = _evaluate(workload, layout, cache_kb)
-        out.append(AblationPoint(f"exec={ef:g}", miss, ipc, run))
-    return out
+    points = [
+        (f"branch={bt}", STCParams(seed_mode="ops", branch_threshold=bt))
+        for bt in branch_thresholds
+    ]
+    points += [
+        (f"exec={ef:g}", STCParams(seed_mode="ops", exec_fraction=ef)) for ef in exec_fractions
+    ]
+    layouts = [stc_layout(workload.program, cfg, geometry, params) for _, params in points]
+    return [
+        AblationPoint(label, *metrics)
+        for (label, _), metrics in zip(points, _evaluate(workload, layouts, cache_kb))
+    ]
 
 
 def seed_comparison(
@@ -108,19 +115,17 @@ def seed_comparison(
 
     cfg = training_profile(workload)
     geometry = CacheGeometry(cache_bytes=cache_kb * KB, cfa_bytes=cfa_kb * KB)
+    modes = ("auto", "ops")
+    layouts = [stc_layout(workload.program, cfg, geometry, STCParams(seed_mode=m)) for m in modes]
     out = []
-    for mode in ("auto", "ops"):
-        layout = stc_layout(workload.program, cfg, geometry, STCParams(seed_mode=mode))
-        miss, ipc, run = _evaluate(workload, layout, cache_kb)
+    for mode, metrics in zip(modes, _evaluate(workload, layouts, cache_kb)):
         seeds = auto_seeds(workload.program, cfg) if mode == "auto" else ops_seeds(workload.program, cfg)
         sequences = build_sequences(cfg, seeds, TraceParams(exec_threshold=4, branch_threshold=0.08))
         mean_len = sum(map(len, sequences)) / len(sequences) if sequences else 0.0
         out.append(
             AblationPoint(
                 f"{mode} ({len(seeds)} seeds, {len(sequences)} seqs, mean {mean_len:.1f} blocks)",
-                miss,
-                ipc,
-                run,
+                *metrics,
             )
         )
     return out

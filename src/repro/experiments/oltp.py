@@ -43,20 +43,21 @@ def compute(
         "dss-trained": stc_layout(program, dss_profile, geometry, STCParams(seed_mode="auto")),
         "oltp-trained": stc_layout(program, oltp_profile, geometry, STCParams(seed_mode="auto")),
     }
-    rows = []
-    for name, layout in layouts.items():
-        counter = miss_counter(CacheConfig(size_bytes=cache_kb * KB))
-        stream = FetchStream(layout.name, consumers=[counter])
-        run_fused(workload.oltp_trace, program, [(layout, stream)])
-        rows.append(
-            [
-                name,
-                stream.miss_rate(counter.misses),
-                stream.ipc(counter.misses),
-                stream.instructions_between_taken,
-            ]
-        )
-    return rows
+    counters = {name: miss_counter(CacheConfig(size_bytes=cache_kb * KB)) for name in layouts}
+    streams = {
+        name: FetchStream(layout.name, consumers=[counters[name]])
+        for name, layout in layouts.items()
+    }
+    run_fused(workload.oltp_trace, program, [(layouts[name], streams[name]) for name in layouts])
+    return [
+        [
+            name,
+            stream.miss_rate(counters[name].misses),
+            stream.ipc(counters[name].misses),
+            stream.instructions_between_taken,
+        ]
+        for name, stream in streams.items()
+    ]
 
 
 def render(rows: list[list]) -> str:

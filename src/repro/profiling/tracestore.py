@@ -27,10 +27,12 @@ Every structural problem — bad magic, unknown version, truncated file,
 CRC mismatch, short chunk — raises :class:`TraceFormatError`, which cache
 loaders treat as corruption (rebuild) rather than a crash.
 
-Writes are atomic: :class:`TraceWriter` streams into ``<path>.tmp`` and
+Writes are atomic: :class:`TraceWriter` streams into a temporary of its
+own next to ``path`` (``tempfile.mkstemp``, ``<name>.<random>.tmp``) and
 renames over ``path`` only when ``close()`` has written a complete,
 self-consistent file, so a killed writer can never leave a half-written
-trace behind at the final path.
+trace behind at the final path, and two writers of one path never write
+into each other's temporary.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ from __future__ import annotations
 import mmap
 import os
 import struct
+import tempfile
 import zlib
 from collections import deque
 from collections.abc import Iterator
@@ -110,9 +113,12 @@ class TraceWriter:
         if chunk_events <= 0:
             raise ValueError("chunk_events must be positive")
         self._path = Path(path)
-        self._tmp = self._path.with_name(self._path.name + ".tmp")
         self._path.parent.mkdir(parents=True, exist_ok=True)
-        self._fh = open(self._tmp, "wb")
+        fd, tmp = tempfile.mkstemp(
+            dir=self._path.parent, prefix=self._path.name + ".", suffix=".tmp"
+        )
+        self._tmp = Path(tmp)
+        self._fh = os.fdopen(fd, "wb")
         self._fh.write(b"\0" * _HEADER.size)  # placeholder; rewritten on close
         self._chunk_events = chunk_events
         self._pending: deque[np.ndarray] = deque()

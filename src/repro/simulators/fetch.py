@@ -460,18 +460,18 @@ class FetchStream:
         return self.n_instructions / self.n_taken if self.n_taken else float("inf")
 
     def state_dict(self) -> dict:
-        """Complete carried state (the three counts), picklable.
-
-        Consumers are excluded: the sharded relay carries their states
-        next to this one.
-        """
+        """Complete carried state, picklable: the three counts and each
+        consumer's ``state_dict()``."""
         return {
             "n_instructions": self.n_instructions,
             "n_fetches": self.n_fetches,
             "n_taken": self.n_taken,
+            "counters": [c.state_dict() for c in self.consumers],
         }
 
     def load_state(self, state: dict) -> None:
         self.n_instructions = int(state["n_instructions"])
         self.n_fetches = int(state["n_fetches"])
         self.n_taken = int(state["n_taken"])
+        for consumer, cstate in zip(self.consumers, state["counters"], strict=True):
+            consumer.load_state(cstate)

@@ -50,8 +50,6 @@ import numpy as np
 __all__ = [
     "CacheConfig",
     "count_misses",
-    "counter_from_spec",
-    "counter_spec",
     "miss_counter",
 ]
 
@@ -362,28 +360,3 @@ class _VictimCounter(_MissCounter):
         self._capacity = int(state["capacity"])
         self.misses = int(state["misses"])
 
-
-# -- sharding construction protocol --------------------------------------
-
-
-def counter_spec(counter: _MissCounter) -> tuple:
-    """A picklable recipe for building a cold twin of ``counter``."""
-    if isinstance(counter, _DirectMappedCounter):
-        return ("dm", counter._tags.shape[0])
-    if isinstance(counter, _TwoWayLRUCounter):
-        return ("lru2", counter._w0.shape[0])
-    if isinstance(counter, _VictimCounter):
-        return ("victim", counter._last.shape[0], counter._capacity)
-    raise TypeError(f"not a miss counter: {type(counter).__name__}")
-
-
-def counter_from_spec(spec: tuple) -> _MissCounter:
-    """Build a cold counter from a :func:`counter_spec` recipe."""
-    kind = spec[0]
-    if kind == "dm":
-        return _DirectMappedCounter(spec[1])
-    if kind == "lru2":
-        return _TwoWayLRUCounter(spec[1])
-    if kind == "victim":
-        return _VictimCounter(spec[1], spec[2])
-    raise ValueError(f"unknown counter spec {spec!r}")

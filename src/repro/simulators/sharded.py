@@ -24,16 +24,16 @@ exactly: direct-mapped counters stitch, everything else relays whole.
 * **Relayed whole:** every other stream, that is a fetch stream with any
   2-way or victim counter and every
   :class:`~repro.simulators.tracecache.TraceCacheStream`, runs as its
-  own sequential *relay chain*: shard ``k`` is simulated seeded with
-  shard ``k-1``'s pickled end state (the stream's counts and carried
-  state, and its counters' states), so the chain is exact by
-  construction. Distinct chains still run concurrently with each other
-  and with the family jobs.
+  own sequential *relay chain*. A relay step copies the caller's streams
+  (``copy.deepcopy``; fork workers inherit them with the job), loads
+  shard ``k-1``'s end states into the copies, simulates shard ``k`` and
+  returns each copy's ``state_dict()``, counters included, as its
+  payload, so the chain is exact by construction. Distinct chains still
+  run concurrently with each other and with the family jobs.
 * **One shard on one worker:** nothing runs side by side, so every
   stream, stitched kind included, relays in a single chain of one job:
-  one fused pass over twins of all the streams, seeded with the caller's
-  state. Its one payload is the caller's whole result, so the job is
-  never checkpointed.
+  one fused pass over copies of all the streams. Its one payload is the
+  caller's whole result, so the job is never checkpointed.
 
 Shard jobs and relay steps run on the shared job scheduler
 (:func:`repro.util.scheduler.run_jobs`): each is a checkpoint/retry unit
@@ -47,6 +47,7 @@ interleaving of checkpoint resumes.
 
 from __future__ import annotations
 
+import copy
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
@@ -54,14 +55,7 @@ from repro.cfg.program import Program
 from repro.profiling.trace import DEFAULT_CHUNK_EVENTS
 from repro.simulators.fetch import FetchStream
 from repro.simulators.fused import run_fused
-from repro.simulators.icache import (
-    _DirectMappedCounter,
-    _TwoWayLRUCounter,
-    _VictimCounter,
-    counter_from_spec,
-    counter_spec,
-)
-from repro.simulators.tracecache import TraceCacheConfig, TraceCacheStream
+from repro.simulators.icache import _DirectMappedCounter
 from repro.util.scheduler import run_jobs
 
 __all__ = [
@@ -175,62 +169,6 @@ class ShardReport:
 # -- stream classification -----------------------------------------------
 
 
-def _spec(layout_index: int, stream) -> tuple:
-    """A picklable recipe for a cold twin of a caller stream."""
-    tc_config = None
-    if isinstance(stream, TraceCacheStream):
-        cfg = stream.config
-        tc_config = (cfg.n_entries, cfg.trace_instructions, cfg.branch_limit)
-    return (
-        layout_index,
-        stream.line_bytes,
-        tc_config,
-        tuple(counter_spec(c) for c in stream.consumers),
-    )
-
-
-def _state(stream) -> dict:
-    """A relayed stream's complete carried state, counters included."""
-    return {
-        "counters": [c.state_dict() for c in stream.consumers],
-        "stream": stream.state_dict(),
-    }
-
-
-def _load_state(stream, state: dict) -> None:
-    """Restore a relayed stream from a :func:`_state` snapshot."""
-    for counter, cstate in zip(stream.consumers, state["counters"]):
-        counter.load_state(cstate)
-    stream.load_state(state["stream"])
-
-
-def _index_layouts(pairs):
-    """The distinct layouts of ``pairs`` and one ``(layout index, stream)``
-    entry per pair; unknown stream/consumer types are rejected rather
-    than silently simulated wrong."""
-    layouts: list = []
-    index: dict[int, int] = {}
-    entries: list[tuple] = []
-    for layout, stream in pairs:
-        li = index.get(id(layout))
-        if li is None:
-            li = index[id(layout)] = len(layouts)
-            layouts.append(layout)
-        if not isinstance(stream, (FetchStream, TraceCacheStream)):
-            raise TypeError(
-                f"run_sharded cannot shard stream type {type(stream).__name__}"
-            )
-        for consumer in stream.consumers:
-            if not isinstance(
-                consumer, (_DirectMappedCounter, _TwoWayLRUCounter, _VictimCounter)
-            ):
-                raise TypeError(
-                    f"run_sharded cannot shard consumer type {type(consumer).__name__}"
-                )
-        entries.append((li, stream))
-    return layouts, entries
-
-
 def _stitched(stream) -> bool:
     """A fetch stream with only direct-mapped counters runs in the family
     jobs; every other stream relays whole."""
@@ -241,58 +179,55 @@ def _stitched(stream) -> bool:
 
 # -- shard workers -------------------------------------------------------
 
-def _family_shard(trace, program, layouts, chunk_events, plan, family_specs, shard_idx):
-    """Cold fused pass of every family stream over one shard span, its
-    direct-mapped counters recording their journals."""
+
+def _family_shard(trace, program, chunk_events, plan, family, shard_idx):
+    """Cold fused pass of a twin of every family stream over one shard
+    span, its direct-mapped counters recording their journals."""
     start, stop = plan.span(shard_idx)
-    streams = []
-    pairs = []
-    for li, line_bytes, _, cspecs in family_specs:
-        consumers = [
-            _DirectMappedCounter(n_sets, record_journal=True) for _, n_sets in cspecs
-        ]
-        stream = FetchStream(layouts[li].name, line_bytes=line_bytes, consumers=consumers)
-        streams.append(stream)
-        pairs.append((layouts[li], stream))
+    twins = [
+        (
+            layout,
+            FetchStream(
+                stream.layout_name,
+                line_bytes=stream.line_bytes,
+                consumers=[
+                    _DirectMappedCounter(c._tags.shape[0], record_journal=True)
+                    for c in stream.consumers
+                ],
+            ),
+        )
+        for layout, stream in family
+    ]
     run_fused(
-        trace, program, pairs,
+        trace, program, twins,
         chunk_events=chunk_events, start_event=start, stop_event=stop,
     )
     return [
         {
-            "n_instructions": stream.n_instructions,
-            "n_fetches": stream.n_fetches,
-            "n_taken": stream.n_taken,
-            "journals": [c.shard_journal() for c in stream.consumers],
+            "n_instructions": twin.n_instructions,
+            "n_fetches": twin.n_fetches,
+            "n_taken": twin.n_taken,
+            "journals": [c.shard_journal() for c in twin.consumers],
         }
-        for stream in streams
+        for _, twin in twins
     ]
 
 
-def _relay_shard(trace, program, layouts, chunk_events, plan, specs, shard_idx, states):
-    """One relay step: simulate a shard with every stream of a chain seeded
-    with its end state after the previous shard; returns the new end
-    states."""
+def _relay_shard(trace, program, chunk_events, plan, chain, shard_idx, states):
+    """One relay step over one shard span: copies of a chain's caller
+    streams, after shard 0 loaded with ``states`` (their end states after
+    the previous shard), are fed the span; returns the copies'
+    ``state_dict()``s."""
     start, stop = plan.span(shard_idx)
-    pairs = []
-    for (li, line_bytes, tc_config, cspecs), state in zip(specs, states):
-        counters = [counter_from_spec(cs) for cs in cspecs]
-        if tc_config is None:
-            stream = FetchStream(layouts[li].name, line_bytes=line_bytes, consumers=counters)
-        else:
-            stream = TraceCacheStream(
-                layouts[li].name,
-                TraceCacheConfig(*tc_config),
-                line_bytes=line_bytes,
-                consumers=counters,
-            )
-        _load_state(stream, state)
-        pairs.append((layouts[li], stream))
+    streams = copy.deepcopy([stream for _, stream in chain])
+    if shard_idx:
+        for stream, state in zip(streams, states, strict=True):
+            stream.load_state(state)
     run_fused(
-        trace, program, pairs,
+        trace, program, [(layout, stream) for (layout, _), stream in zip(chain, streams)],
         chunk_events=chunk_events, start_event=start, stop_event=stop,
     )
-    return {"states": [_state(stream) for _, stream in pairs]}
+    return [stream.state_dict() for stream in streams]
 
 
 # -- journal reconciliation ----------------------------------------------
@@ -327,8 +262,8 @@ def _reconcile(family, chains, n_shards: int, payloads: dict) -> None:
             for counter, journal in zip(stream.consumers, p["journals"]):
                 _stitch_dm(counter, journal)
     for ci, chain in enumerate(chains):
-        for (_, stream), state in zip(chain, payloads[("relay", ci, n_shards - 1)]["states"]):
-            _load_state(stream, state)
+        for (_, stream), state in zip(chain, payloads[("relay", ci, n_shards - 1)], strict=True):
+            stream.load_state(state)
 
 
 def _predecessor(key: tuple) -> tuple | None:
@@ -364,7 +299,8 @@ def run_sharded(
     a precomputed :class:`ShardPlan`; ``jobs > 1`` fans the shard jobs and
     relay steps over a fork-based process pool (platforms without
     ``fork``, and ``jobs=1``, run in-process). One shard with ``jobs <= 1``
-    is one job, a single fused pass.
+    is one job, a single fused pass. A stream or consumer without
+    ``load_state`` is a :class:`TypeError`.
 
     ``checkpoint``, when given, must expose ``load(key) -> payload|None``
     and ``store(key, payload)``; keys are ``("family", shard)`` and
@@ -392,27 +328,23 @@ def run_sharded(
     report = ShardReport(plan=plan)
     if not pairs:
         return report
-    layouts, entries = _index_layouts(pairs)
+    for _, stream in pairs:
+        consumers = getattr(stream, "consumers", ())
+        for role, obj in [("stream", stream)] + [("consumer", c) for c in consumers]:
+            if not hasattr(obj, "load_state"):
+                raise TypeError(f"run_sharded cannot shard {role} type {type(obj).__name__}")
     n_shards = plan.n_shards
     if n_shards == 1 and jobs <= 1:  # nothing runs side by side: one chain
-        family, chains, checkpoint = [], [entries], None
+        family, chains, checkpoint = [], [list(pairs)], None
     else:
-        family = [entry for entry in entries if _stitched(entry[1])]
-        chains = [[entry] for entry in entries if not _stitched(entry[1])]
-    family_specs = tuple(_spec(li, stream) for li, stream in family)
-    chain_specs = [tuple(_spec(li, stream) for li, stream in chain) for chain in chains]
-    seeds = [[_state(stream) for _, stream in chain] for chain in chains]
+        family = [pair for pair in pairs if _stitched(pair[1])]
+        chains = [[pair] for pair in pairs if not _stitched(pair[1])]
 
     def run_job(key: tuple, previous):
         if key[0] == "family":
-            return _family_shard(
-                trace, program, layouts, chunk_events, plan, family_specs, key[1]
-            )
+            return _family_shard(trace, program, chunk_events, plan, family, key[1])
         _, ci, s = key
-        states = previous["states"] if s else seeds[ci]
-        return _relay_shard(
-            trace, program, layouts, chunk_events, plan, chain_specs[ci], s, states
-        )
+        return _relay_shard(trace, program, chunk_events, plan, chains[ci], s, previous)
 
     def done(key: tuple, payload, source: str) -> None:
         (report.checkpointed if source == "checkpoint" else report.computed).append(key)

@@ -232,18 +232,15 @@ class TraceCacheStream:
         return self.n_instructions / cycles if cycles else 0.0
 
     def state_dict(self) -> dict:
-        """Complete carried state (counters + entry array), picklable.
-
-        Consumers are excluded: the sharded relay carries their states
-        next to this one, as it does for a relayed
-        :class:`~repro.simulators.fetch.FetchStream`.
-        """
+        """Complete carried state, picklable: the counts, the entry array
+        and each consumer's ``state_dict()``."""
         return {
             "n_instructions": self.n_instructions,
             "n_hits": self.n_hits,
             "n_misses": self.n_misses,
             "n_taken": self.n_taken,
             "entries": list(self._entries),
+            "counters": [c.state_dict() for c in self.consumers],
         }
 
     def load_state(self, state: dict) -> None:
@@ -257,3 +254,5 @@ class TraceCacheStream:
         self.n_misses = int(state["n_misses"])
         self.n_taken = int(state["n_taken"])
         self._entries = entries
+        for consumer, cstate in zip(self.consumers, state["counters"], strict=True):
+            consumer.load_state(cstate)

@@ -12,11 +12,12 @@ its relayed path run) — and the oracles of
 :mod:`repro.validate.oracles`, then compares every counter
 exactly: instruction/fetch/taken counts, the miss count of each cache
 organization (fused and sharded, against the oracle), and the full
-line-access stream of the fused pass, recorded by a :class:`LineLog`
-consumer. For the trace cache it also compares the entry table each
-driver carries out of the pass (``state_dict()["entries"]``, what a
-relay or a resumed run starts from) with the oracle's. Any mismatch
-becomes a :class:`Divergence` carrying the case's reproduction seed.
+line-access stream of the fused pass and of the relayed sharded stream,
+each recorded by a :class:`LineLog` consumer. For the trace cache it
+also compares the entry table each driver carries out of the pass
+(``state_dict()["entries"]``, what a relay or a resumed run starts from)
+with the oracle's. Any mismatch becomes a :class:`Divergence` carrying
+the case's reproduction seed.
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ class LineLog:
 
     Attached to a fetch or trace-cache stream like any miss counter, it
     keeps every chunk, so a check can compare the whole line stream with
-    an oracle's.
+    an oracle's. Its state is its chunks, so it relays like a counter.
     """
 
     def __init__(self) -> None:
@@ -61,6 +62,12 @@ class LineLog:
 
     def feed(self, lines: np.ndarray) -> None:
         self.chunks.append(lines)
+
+    def state_dict(self) -> dict:
+        return {"chunks": list(self.chunks)}
+
+    def load_state(self, state: dict) -> None:
+        self.chunks = list(state["chunks"])
 
     def lines(self) -> list[int]:
         """The recorded stream as one list."""
@@ -124,13 +131,15 @@ def diff_fetch_case(case: GeneratedCase) -> list[Divergence]:
         chunk_events=case.chunk_events,
     )
     # the sharded leg takes both paths of run_sharded: the stream with only
-    # the direct-mapped counters is journal-stitched, the other relays whole
+    # the direct-mapped counters is journal-stitched, the other (its line
+    # log included) relays whole
     sharded_counters = [miss_counter(config) for config in case.cache_configs]
     stitched = [c for c in sharded_counters if c.kind == "dm"]
     relayed = [c for c in sharded_counters if c.kind != "dm"]
+    sharded_log = LineLog()
     sharded_streams = [
         FetchStream(case.layout.name, line_bytes=line_bytes, consumers=group)
-        for group in (stitched, relayed)
+        for group in (stitched, [*relayed, sharded_log])
     ]
     report = run_sharded(
         case.trace,
@@ -160,6 +169,7 @@ def diff_fetch_case(case: GeneratedCase) -> list[Divergence]:
         check(f"fetch.{path}.n_fetches", result.n_fetches, ora.n_fetches)
         check(f"fetch.{path}.n_taken", result.n_taken, ora.n_taken)
     check("fetch.fused.lines", log.lines(), ora.lines)
+    check("fetch.sharded.lines", sharded_log.lines(), ora.lines)
 
     for config, counter, sharded in zip(case.cache_configs, counters, sharded_counters):
         label = _config_label(config)
@@ -196,11 +206,12 @@ def diff_trace_cache_case(case: GeneratedCase) -> list[Divergence]:
         chunk_events=case.chunk_events,
     )
     sharded_counters = [miss_counter(config) for config in case.cache_configs]
+    sharded_log = LineLog()
     sharded_stream = TraceCacheStream(
         case.layout.name,
         case.tc_config,
         line_bytes=line_bytes,
-        consumers=sharded_counters,
+        consumers=[*sharded_counters, sharded_log],
     )
     run_sharded(
         case.trace,
@@ -224,6 +235,7 @@ def diff_trace_cache_case(case: GeneratedCase) -> list[Divergence]:
         check(f"tc.{path}.n_taken", result.n_taken, ora.n_taken)
         check(f"tc.{path}.entries", _entry_table(result), ora.entries)
     check("tc.fused.miss_lines", log.lines(), ora.miss_lines)
+    check("tc.sharded.miss_lines", sharded_log.lines(), ora.miss_lines)
 
     for config, counter, sharded in zip(case.cache_configs, counters, sharded_counters):
         label = _config_label(config)

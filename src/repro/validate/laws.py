@@ -18,7 +18,7 @@ production to the oracles, so the laws get bit-exact semantics for free):
   how much other sequence code the trace interleaves;
 * **fused group split** — :func:`~repro.simulators.fused.run_fused` over
   any partition of the (layout, stream) pairs equals a solo pass of each
-  stream, stream for stream;
+  stream, stream for stream, carried state included;
 * **shard split** — :func:`~repro.simulators.sharded.run_sharded` over
   any window-aligned partition of the *trace* (any shard count from the
   degenerate single shard up to one shard per window, serial or with
@@ -98,6 +98,18 @@ def _counters(trace, program, layout, configs, tc_config, *, line_bytes, chunk_e
 
 def _diff_keys(a: dict, b: dict) -> list[str]:
     return [key for key in a if a[key] != b.get(key)]
+
+
+def _state_equal(a, b) -> bool:
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(_state_equal(a[k], b[k]) for k in a)
+    if isinstance(a, np.ndarray):
+        return a.shape == b.shape and bool((a == b).all())
+    if isinstance(a, (list, tuple)):
+        return len(a) == len(b) and all(_state_equal(x, y) for x, y in zip(a, b))
+    return a == b
 
 
 # -- law 1: trace concatenation ≡ chunked/stored simulation ----------------
@@ -281,25 +293,6 @@ def law_cfa_conflict_free(rng: np.random.Generator, chunk_events: int) -> list[s
 # -- law 4: fused group results ≡ per-task results for any split -----------
 
 
-def _fetch_signature(stream: FetchStream, counters) -> tuple:
-    return (
-        stream.n_instructions,
-        stream.n_fetches,
-        stream.n_taken,
-        tuple(counter.misses for counter in counters),
-    )
-
-
-def _tc_signature(stream: TraceCacheStream, counters) -> tuple:
-    return (
-        stream.n_instructions,
-        stream.n_hits,
-        stream.n_misses,
-        stream.n_taken,
-        tuple(counter.misses for counter in counters),
-    )
-
-
 def law_fused_group_split(rng: np.random.Generator, chunk_events: int) -> list[str]:
     program = random_program(rng)
     trace = random_trace(rng, program)
@@ -309,95 +302,56 @@ def law_fused_group_split(rng: np.random.Generator, chunk_events: int) -> list[s
     line_bytes = configs[0].line_bytes
 
     def build_pairs():
-        """Fresh (layout, stream, counters, kind) tuples for one variant."""
-        units = []
+        """Fresh (layout, stream) pairs for one variant."""
+        pairs = []
         for layout in layouts:
-            fetch_counters = [miss_counter(config) for config in configs]
-            units.append(
-                (
-                    layout,
-                    FetchStream(layout.name, line_bytes=line_bytes, consumers=fetch_counters),
-                    fetch_counters,
-                    "fetch",
-                )
+            counters = [miss_counter(config) for config in configs]
+            pairs.append(
+                (layout, FetchStream(layout.name, line_bytes=line_bytes, consumers=counters))
             )
-            tc_counters = [miss_counter(config) for config in configs]
-            units.append(
+            counters = [miss_counter(config) for config in configs]
+            pairs.append(
                 (
                     layout,
                     TraceCacheStream(
-                        layout.name, tc_config, line_bytes=line_bytes, consumers=tc_counters
+                        layout.name, tc_config, line_bytes=line_bytes, consumers=counters
                     ),
-                    tc_counters,
-                    "tc",
                 )
             )
-        return units
-
-    def signatures(units) -> list[tuple]:
-        return [
-            _fetch_signature(stream, counters)
-            if kind == "fetch"
-            else _tc_signature(stream, counters)
-            for _, stream, counters, kind in units
-        ]
+        return pairs
 
     # reference: every stream fed in its own pass
     solo = build_pairs()
-    for layout, stream, _, _ in solo:
-        run_fused(trace, program, [(layout, stream)], chunk_events=chunk_events)
-    reference = signatures(solo)
+    for pair in solo:
+        run_fused(trace, program, [pair], chunk_events=chunk_events)
 
     # all streams in one fused pass
     fused_all = build_pairs()
-    run_fused(
-        trace,
-        program,
-        [(layout, stream) for layout, stream, _, _ in fused_all],
-        chunk_events=chunk_events,
-    )
+    run_fused(trace, program, fused_all, chunk_events=chunk_events)
 
     # a random partition of the streams, one fused pass per group
     split = build_pairs()
     order = rng.permutation(len(split)).tolist()
     n_groups = int(rng.integers(1, len(split) + 1))
     groups: list[list] = [[] for _ in range(n_groups)]
-    for slot, unit_index in enumerate(order):
-        groups[slot % n_groups].append(split[unit_index])
+    for slot, pair_index in enumerate(order):
+        groups[slot % n_groups].append(split[pair_index])
     for group in groups:
         if group:
-            run_fused(
-                trace,
-                program,
-                [(layout, stream) for layout, stream, _, _ in group],
-                chunk_events=chunk_events,
-            )
+            run_fused(trace, program, group, chunk_events=chunk_events)
 
     violations: list[str] = []
-    for label, units in (("all-in-one", fused_all), ("split", split)):
-        for unit, reference_sig, sig in zip(solo, reference, signatures(units)):
-            if sig != reference_sig:
-                _, stream, _, kind = unit
+    for label, pairs in (("all-in-one", fused_all), ("split", split)):
+        for (_, reference), (_, stream) in zip(solo, pairs):
+            if not _state_equal(stream.state_dict(), reference.state_dict()):
                 violations.append(
-                    f"fused {label} {kind} stream {stream.layout_name!r}: "
-                    f"{sig} != solo {reference_sig}"
+                    f"fused {label} {type(stream).__name__} {stream.layout_name!r}: "
+                    f"state differs from its solo pass"
                 )
     return violations
 
 
 # -- law 5: sharded trace-split results ≡ one fused pass -------------------
-
-
-def _state_equal(a, b) -> bool:
-    if type(a) is not type(b):
-        return False
-    if isinstance(a, dict):
-        return a.keys() == b.keys() and all(_state_equal(a[k], b[k]) for k in a)
-    if isinstance(a, np.ndarray):
-        return a.shape == b.shape and bool((a == b).all())
-    if isinstance(a, (list, tuple)):
-        return len(a) == len(b) and all(_state_equal(x, y) for x, y in zip(a, b))
-    return a == b
 
 
 def law_shard_split(rng: np.random.Generator, chunk_events: int) -> list[str]:
@@ -413,71 +367,37 @@ def law_shard_split(rng: np.random.Generator, chunk_events: int) -> list[str]:
     tc_config = random_trace_cache_config(rng)
     line_bytes = configs[0].line_bytes
 
-    def build_units():
-        units = []
+    def build_pairs():
+        pairs = []
         for layout in layouts:
             # a stream with only the direct-mapped counter (configs[0]) is
             # journal-stitched; the one with every configuration relays whole
-            dm_counters = [miss_counter(configs[0])]
-            fetch_counters = [miss_counter(config) for config in configs]
-            for counters in (dm_counters, fetch_counters):
-                units.append(
-                    (
-                        layout,
-                        FetchStream(layout.name, line_bytes=line_bytes, consumers=counters),
-                        counters,
-                        "fetch",
-                    )
+            for counters in ([miss_counter(configs[0])], [miss_counter(c) for c in configs]):
+                pairs.append(
+                    (layout, FetchStream(layout.name, line_bytes=line_bytes, consumers=counters))
                 )
-            tc_counters = [miss_counter(config) for config in configs]
-            units.append(
+            counters = [miss_counter(config) for config in configs]
+            pairs.append(
                 (
                     layout,
                     TraceCacheStream(
-                        layout.name, tc_config, line_bytes=line_bytes, consumers=tc_counters
+                        layout.name, tc_config, line_bytes=line_bytes, consumers=counters
                     ),
-                    tc_counters,
-                    "tc",
                 )
             )
-        return units
+        return pairs
 
-    def observe(units) -> list[tuple]:
-        out = []
-        for _, stream, counters, kind in units:
-            sig = (
-                _fetch_signature(stream, counters)
-                if kind == "fetch"
-                else _tc_signature(stream, counters)
-            )
-            states = [counter.state_dict() for counter in counters]
-            if kind == "tc":
-                states.append(stream.state_dict())
-            out.append((sig, states))
-        return out
-
-    fused = build_units()
-    run_fused(
-        trace,
-        program,
-        [(layout, stream) for layout, stream, _, _ in fused],
-        chunk_events=chunk_events,
-    )
-    reference = observe(fused)
+    fused = build_pairs()
+    run_fused(trace, program, fused, chunk_events=chunk_events)
 
     n_windows = max(1, -(-len(trace) // chunk_events))
     shard_counts = sorted({1, int(rng.integers(1, n_windows + 2)), n_windows})
     violations: list[str] = []
     for shards in shard_counts:
         jobs = int(rng.integers(1, 3))
-        sharded = build_units()
+        sharded = build_pairs()
         report = run_sharded(
-            trace,
-            program,
-            [(layout, stream) for layout, stream, _, _ in sharded],
-            chunk_events=chunk_events,
-            shards=shards,
-            jobs=jobs,
+            trace, program, sharded, chunk_events=chunk_events, shards=shards, jobs=jobs
         )
         if report.plan.n_shards == 1 and jobs == 1:
             if report.n_jobs != 1:
@@ -487,19 +407,11 @@ def law_shard_split(rng: np.random.Generator, chunk_events: int) -> list[str]:
                 f"sharded (shards={shards}, jobs={jobs}) ran no family job: "
                 f"the journal stitch went untested"
             )
-        for unit, (ref_sig, ref_states), (sig, states) in zip(
-            fused, reference, observe(sharded)
-        ):
-            _, stream, _, kind = unit
-            if sig != ref_sig:
+        for (_, reference), (_, stream) in zip(fused, sharded):
+            if not _state_equal(stream.state_dict(), reference.state_dict()):
                 violations.append(
-                    f"sharded (shards={shards}, jobs={jobs}) {kind} stream "
-                    f"{stream.layout_name!r}: {sig} != fused {ref_sig}"
-                )
-            elif not _state_equal(states, ref_states):
-                violations.append(
-                    f"sharded (shards={shards}, jobs={jobs}) {kind} stream "
-                    f"{stream.layout_name!r}: carried state diverged from fused"
+                    f"sharded (shards={shards}, jobs={jobs}) {type(stream).__name__} "
+                    f"{stream.layout_name!r}: state diverged from fused"
                 )
     return violations
 

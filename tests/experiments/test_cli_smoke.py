@@ -114,14 +114,33 @@ def test_table4_cli_quick(capsys):
     assert "Table 4" in capsys.readouterr().out
 
 
-def test_ablations_cli(capsys):
+def _count_passes(monkeypatch, module) -> list[int]:
+    """Spy on ``module.run_fused``: one entry per pass, its stream count."""
+    passes = []
+    real = module.run_fused
+
+    def spy(trace, program, pairs, **kwargs):
+        passes.append(len(pairs))
+        return real(trace, program, pairs, **kwargs)
+
+    monkeypatch.setattr(module, "run_fused", spy)
+    return passes
+
+
+def test_ablations_cli(capsys, monkeypatch):
+    """One pass per sweep: 7 CFA sizes, 9 thresholds, 2 seed modes."""
+    passes = _count_passes(monkeypatch, ablations)
     ablations.main(SCALE_ARGS)
     assert "Ablation" in capsys.readouterr().out
+    assert passes == [7, 9, 2]
 
 
-def test_oltp_cli(capsys):
+def test_oltp_cli(capsys, monkeypatch):
+    """The three layouts share one pass over the OLTP trace."""
+    passes = _count_passes(monkeypatch, oltp)
     oltp.main(["--dss-scale", "0.0002", "--warehouses", "1", "--transactions", "25"])
     assert "OLTP" in capsys.readouterr().out
+    assert passes == [3]
 
 
 def test_headline_cli(capsys):

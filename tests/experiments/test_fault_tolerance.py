@@ -152,13 +152,13 @@ def test_parallel_failure_cancels_pending_and_resume_completes(
     the run naming that job; the shard jobs checkpointed before it are
     reused by the resume."""
 
-    def boom(trace, program, layouts, chunk_events, plan, specs, shard_idx):
+    def boom(trace, program, chunk_events, plan, family, shard_idx):
         if shard_idx == plan.n_shards - 1:
             # fail once another shard job is checkpointed, so the resume
             # has something to reuse
             _wait_for(_shard_checkpoint_files)
             raise ValueError("injected parallel failure")
-        return REAL_FAMILY(trace, program, layouts, chunk_events, plan, specs, shard_idx)
+        return REAL_FAMILY(trace, program, chunk_events, plan, family, shard_idx)
 
     monkeypatch.setattr(sharded_mod, "_family_shard", boom)
     manifest = tmp_path / "fail.json"
@@ -261,13 +261,13 @@ def test_hanging_parallel_task_raises_timeout_naming_it(workload, tmp_path, monk
     far above anything it waits on."""
     release = tmp_path / "release"  # cross-process: workers are forks
 
-    def hanging(trace, program, layouts, chunk_events, plan, specs, shard_idx):
+    def hanging(trace, program, chunk_events, plan, family, shard_idx):
         if shard_idx == plan.n_shards - 1:
             _wait_for(release.exists)  # bounded, and released below
         return []
 
-    def stub(trace, program, layouts, chunk_events, plan, specs, shard_idx, states):
-        return {"states": []}
+    def stub(trace, program, chunk_events, plan, chain, shard_idx, states):
+        return []
 
     monkeypatch.setattr(sharded_mod, "_family_shard", hanging)
     monkeypatch.setattr(sharded_mod, "_relay_shard", stub)
@@ -291,10 +291,10 @@ def test_dead_worker_pool_degrades_to_serial(workload, tmp_path, monkeypatch):
     pool; the pass finishes its remaining shard jobs in-process."""
     parent = os.getpid()
 
-    def killer(trace, program, layouts, chunk_events, plan, spec, shard_idx, state):
+    def killer(trace, program, chunk_events, plan, chain, shard_idx, states):
         if shard_idx == plan.n_shards - 1 and os.getpid() != parent:
             os._exit(3)  # hard worker death: no exception crosses the pipe
-        return REAL_RELAY(trace, program, layouts, chunk_events, plan, spec, shard_idx, state)
+        return REAL_RELAY(trace, program, chunk_events, plan, chain, shard_idx, states)
 
     monkeypatch.setattr(sharded_mod, "_relay_shard", killer)
     manifest = tmp_path / "pool.json"
@@ -392,10 +392,10 @@ def test_every_suite_cache_kind_has_a_version(workload, tmp_path, monkeypatch):
 def test_sharded_failure_resumes_recomputing_only_missing_shards(
     workload, tmp_path, monkeypatch
 ):
-    def boom(trace, program, layouts, chunk_events, plan, specs, shard_idx):
+    def boom(trace, program, chunk_events, plan, family, shard_idx):
         if shard_idx == plan.n_shards - 1:
             raise ValueError("injected mid-shard failure")
-        return REAL_FAMILY(trace, program, layouts, chunk_events, plan, specs, shard_idx)
+        return REAL_FAMILY(trace, program, chunk_events, plan, family, shard_idx)
 
     monkeypatch.setattr(sharded_mod, "_family_shard", boom)
     with pytest.raises(SuiteTaskError) as excinfo:
@@ -420,11 +420,11 @@ def test_sharded_transient_failure_retries_then_succeeds(
 ):
     marker = tmp_path / "failed-once"  # cross-process: workers are forks
 
-    def flaky(trace, program, layouts, chunk_events, plan, specs, shard_idx):
+    def flaky(trace, program, chunk_events, plan, family, shard_idx):
         if shard_idx == 0 and not marker.exists():
             marker.write_text("x")
             raise OSError("injected transient shard failure")
-        return REAL_FAMILY(trace, program, layouts, chunk_events, plan, specs, shard_idx)
+        return REAL_FAMILY(trace, program, chunk_events, plan, family, shard_idx)
 
     monkeypatch.setattr(sharded_mod, "_family_shard", flaky)
     manifest = tmp_path / "shard-retry.json"
@@ -444,11 +444,11 @@ def test_one_job_pass_retries_its_job(workload, tmp_path, monkeypatch):
     failure of it retries the job, and the manifest names it."""
     marker = tmp_path / "failed-once"
 
-    def flaky(trace, program, layouts, chunk_events, plan, specs, shard_idx, states):
+    def flaky(trace, program, chunk_events, plan, chain, shard_idx, states):
         if not marker.exists():
             marker.write_text("x")
             raise OSError("injected transient shard failure")
-        return REAL_RELAY(trace, program, layouts, chunk_events, plan, specs, shard_idx, states)
+        return REAL_RELAY(trace, program, chunk_events, plan, chain, shard_idx, states)
 
     monkeypatch.setattr(sharded_mod, "_relay_shard", flaky)
     manifest = tmp_path / "one-job-retry.json"
@@ -471,10 +471,10 @@ def test_sharded_dead_worker_pool_degrades_and_stays_identical(
 ):
     parent = os.getpid()
 
-    def killer(trace, program, layouts, chunk_events, plan, specs, shard_idx):
+    def killer(trace, program, chunk_events, plan, family, shard_idx):
         if shard_idx == 0 and os.getpid() != parent:
             os._exit(3)  # hard worker death: no exception crosses the pipe
-        return REAL_FAMILY(trace, program, layouts, chunk_events, plan, specs, shard_idx)
+        return REAL_FAMILY(trace, program, chunk_events, plan, family, shard_idx)
 
     monkeypatch.setattr(sharded_mod, "_family_shard", killer)
     manifest = tmp_path / "shard-pool.json"
@@ -567,7 +567,7 @@ def test_only_failures_that_can_succeed_are_retried(
             ),
         ]
 
-        def failing(trace, program, layouts, chunk_events, plan, specs, shard_idx):
+        def failing(trace, program, chunk_events, plan, family, shard_idx):
             attempts.append(shard_idx == 0)
             raise exc
 

@@ -293,8 +293,24 @@ def test_abort_leaves_no_file(tmp_path):
         with TraceWriter(path) as writer:
             writer.append_events(np.arange(10, dtype=np.int32))
             raise RuntimeError("boom")
-    assert not path.exists()
-    assert not path.with_name(path.name + ".tmp").exists()
+    assert list(tmp_path.iterdir()) == []  # neither the trace nor its temporary
+
+
+def test_two_writers_of_one_path_both_close(tmp_path):
+    """Two writers of one path, as two processes building one workload
+    into a shared cache: each streams into its own temporary, both close,
+    and the trace left at the path verifies and reads back whole."""
+    path = tmp_path / "t.trace"
+    events = np.arange(10, dtype=np.int32)
+    first, second = TraceWriter(path, chunk_events=4), TraceWriter(path, chunk_events=4)
+    first.append_events(events)
+    second.append_events(events)
+    first.close()
+    second.close()
+    store = TraceStore(path)
+    store.verify(deep=True)
+    np.testing.assert_array_equal(store.materialize().events, events)
+    assert [p.name for p in tmp_path.iterdir()] == ["t.trace"]
 
 
 def test_stats_report_compression(tmp_path):

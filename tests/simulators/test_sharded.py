@@ -46,6 +46,7 @@ from repro.simulators import (
 )
 from repro.simulators import sharded as sharded_mod
 from repro.validate.generators import random_case
+from repro.validate.laws import _state_equal
 
 # -- helpers -------------------------------------------------------------
 
@@ -59,31 +60,8 @@ def _program(n_blocks=8, size=8, kind=BlockKind.BRANCH):
 
 
 def _snapshot(pairs):
-    """Every observable: counters and carried state of each stream."""
-    out = []
-    for _, stream in pairs:
-        entry = {"counters": [c.state_dict() for c in stream.consumers]}
-        if isinstance(stream, FetchStream):
-            entry["sig"] = (stream.n_instructions, stream.n_fetches, stream.n_taken)
-        else:
-            entry["sig"] = (
-                stream.n_instructions, stream.n_hits, stream.n_misses, stream.n_taken
-            )
-            entry["state"] = stream.state_dict()
-        out.append(entry)
-    return out
-
-
-def _eq(a, b):
-    if type(a) is not type(b):
-        return False
-    if isinstance(a, dict):
-        return a.keys() == b.keys() and all(_eq(a[k], b[k]) for k in a)
-    if isinstance(a, np.ndarray):
-        return a.shape == b.shape and bool((a == b).all())
-    if isinstance(a, (list, tuple)):
-        return len(a) == len(b) and all(_eq(x, y) for x, y in zip(a, b))
-    return a == b
+    """Every observable: each stream's state, counters included."""
+    return [stream.state_dict() for _, stream in pairs]
 
 
 def _run_both(trace, program, make_pairs, *, chunk_events, shards, jobs=1, **kwargs):
@@ -170,7 +148,7 @@ def test_icache_set_run_straddles_boundary():
     ref, got, _, report = _run_both(
         trace, program, make_pairs, chunk_events=CHUNK, shards=2
     )
-    assert _eq(ref, got)
+    assert _state_equal(ref, got)
     assert sorted(report.computed) == [
         ("family", 0), ("family", 1), ("relay", 0, 0), ("relay", 0, 1),
     ]
@@ -200,7 +178,7 @@ def test_victim_buffer_resident_straddles_boundary():
     ref, got, _, _ = _run_both(
         trace, program, make_pairs, chunk_events=CHUNK, shards=2
     )
-    assert _eq(ref, got)
+    assert _state_equal(ref, got)
     naive = _naive_cold_sum(
         trace, program, make_pairs, chunk_events=CHUNK, bounds=BOUNDS
     )
@@ -227,8 +205,8 @@ def test_victim_relay_state_has_no_primary_slot():
     ref, got, _, _ = _run_both(
         trace, program, make_pairs, chunk_events=CHUNK, shards=2, checkpoint=ckpt
     )
-    assert _eq(ref, got)
-    relayed = ckpt.data[("relay", 0, 0)]["states"][0]["counters"][0]
+    assert _state_equal(ref, got)
+    relayed = ckpt.data[("relay", 0, 0)][0]["counters"][0]
     assert sorted(relayed) == ["capacity", "kind", "last", "misses", "victim"]
     assert relayed["victim"], "corpus never carried the victim buffer across the boundary"
 
@@ -237,7 +215,7 @@ def test_victim_relay_state_has_no_primary_slot():
     pairs = make_pairs()
     report = run_sharded(trace, program, pairs, chunk_events=CHUNK, shards=2, checkpoint=ckpt)
     assert report.computed == [("relay", 0, 1)]
-    assert _eq(ref, _snapshot(pairs))
+    assert _state_equal(ref, _snapshot(pairs))
 
 
 def test_trace_cache_entry_built_before_boundary_hits_after():
@@ -261,12 +239,12 @@ def test_trace_cache_entry_built_before_boundary_hits_after():
     ref, got, _, _ = _run_both(
         trace, program, make_pairs, chunk_events=CHUNK, shards=2
     )
-    assert _eq(ref, got)
-    assert ref[0]["sig"][1] > 0, "corpus produced no trace-cache hits at all"
+    assert _state_equal(ref, got)
+    assert ref[0]["n_hits"] > 0, "corpus produced no trace-cache hits at all"
     naive = _naive_cold_sum(
         trace, program, make_pairs, chunk_events=CHUNK, bounds=BOUNDS
     )
-    fused_hits = ref[0]["sig"][1]
+    fused_hits = ref[0]["n_hits"]
     assert naive[0][-1] != fused_hits, (
         "corpus never carried trace-cache entries across the boundary"
     )
@@ -287,7 +265,7 @@ def test_fetch_group_at_boundary_truncates_identically():
     ref, got, _, _ = _run_both(
         trace, program, make_pairs, chunk_events=CHUNK, shards=2
     )
-    assert _eq(ref, got)
+    assert _state_equal(ref, got)
 
 
 # -- property: any partition, any case, equal to fused -------------------
@@ -326,7 +304,7 @@ def test_sharded_equals_fused_for_any_partition(seed, shards):
         case.trace, case.program, make_pairs,
         chunk_events=case.chunk_events, shards=shards,
     )
-    assert _eq(ref, got)
+    assert _state_equal(ref, got)
     if report.plan.n_shards == 1:  # one shard on one worker: one job
         assert report.n_jobs == 1
     else:
@@ -339,7 +317,7 @@ def test_sharded_equals_fused_for_any_partition(seed, shards):
             case.trace, case.program, make_pairs,
             chunk_events=case.chunk_events, shards=other,
         )
-        assert _eq(got, got2)
+        assert _state_equal(got, got2)
     n_windows = max(1, -(-len(case.trace) // case.chunk_events))
     assert report.plan.n_shards == min(max(1, shards), n_windows)
 
@@ -364,7 +342,7 @@ def test_sharded_parallel_workers_match_serial():
         case.trace, case.program, make_pairs,
         chunk_events=case.chunk_events, shards=4, jobs=2,
     )
-    assert _eq(ref, got)
+    assert _state_equal(ref, got)
     assert _ran_family(report)
 
 
@@ -412,13 +390,21 @@ def test_mismatched_plan_is_rejected():
 
 
 def test_unknown_stream_type_is_rejected():
+    """A stream or a consumer without ``load_state`` cannot relay."""
     case = random_case(4)
 
     class Alien:
         line_bytes = 32
 
-    with pytest.raises(TypeError, match="cannot shard"):
+    class AlienConsumer:
+        def feed(self, lines):
+            pass
+
+    with pytest.raises(TypeError, match="cannot shard stream type Alien"):
         run_sharded(case.trace, case.program, [(case.layout, Alien())], shards=2)
+    stream = FetchStream(case.layout.name, consumers=[AlienConsumer()])
+    with pytest.raises(TypeError, match="cannot shard consumer type AlienConsumer"):
+        run_sharded(case.trace, case.program, [(case.layout, stream)], shards=2)
 
 
 # -- fault tolerance at shard granularity --------------------------------
@@ -487,7 +473,7 @@ def test_checkpoint_resume_recomputes_only_missing_jobs():
     )
     assert second.computed == []
     assert sorted(second.checkpointed) == sorted(first.computed)
-    assert _eq(reference, _snapshot(pairs2))
+    assert _state_equal(reference, _snapshot(pairs2))
 
     # punch two holes — a family shard and a mid-chain relay step: only
     # those exact jobs recompute (later relay steps are reused, their
@@ -503,7 +489,7 @@ def test_checkpoint_resume_recomputes_only_missing_jobs():
         chunk_events=RESUME_CHUNK, shards=4, checkpoint=ckpt,
     )
     assert sorted(third.computed) == sorted(dropped)
-    assert _eq(reference, _snapshot(pairs3))
+    assert _state_equal(reference, _snapshot(pairs3))
 
 
 def test_one_shard_on_one_worker_is_one_unstored_job():
@@ -523,7 +509,7 @@ def test_one_shard_on_one_worker_is_one_unstored_job():
     assert ckpt.data == {} and ckpt.loads == 0
     fused = _case_pairs(case)
     run_fused(case.trace, case.program, fused, chunk_events=RESUME_CHUNK)
-    assert _eq(_snapshot(fused), _snapshot(pairs))
+    assert _state_equal(_snapshot(fused), _snapshot(pairs))
 
     pool_pairs = _case_pairs(case)
     pooled = run_sharded(
@@ -532,17 +518,17 @@ def test_one_shard_on_one_worker_is_one_unstored_job():
     )
     assert sorted(pooled.computed) == [("family", 0), ("relay", 0, 0), ("relay", 1, 0)]
     assert sorted(ckpt.data) == sorted(pooled.computed)
-    assert _eq(_snapshot(fused), _snapshot(pool_pairs))
+    assert _state_equal(_snapshot(fused), _snapshot(pool_pairs))
 
 
 def test_permanent_failure_names_job_and_preserves_checkpoints(monkeypatch):
     case = random_case(RESUME_SEED)
     real = sharded_mod._family_shard
 
-    def boom(trace, program, layouts, chunk_events, plan, specs, shard_idx):
+    def boom(trace, program, chunk_events, plan, family, shard_idx):
         if shard_idx == 2:
             raise ValueError("injected deterministic failure")
-        return real(trace, program, layouts, chunk_events, plan, specs, shard_idx)
+        return real(trace, program, chunk_events, plan, family, shard_idx)
 
     monkeypatch.setattr(sharded_mod, "_family_shard", boom)
     ckpt = DictCheckpoint()
@@ -566,7 +552,7 @@ def test_permanent_failure_names_job_and_preserves_checkpoints(monkeypatch):
     assert ("family", 0) in report.checkpointed
     fused = _case_pairs(case)
     run_fused(case.trace, case.program, fused, chunk_events=RESUME_CHUNK)
-    assert _eq(_snapshot(fused), _snapshot(pairs))
+    assert _state_equal(_snapshot(fused), _snapshot(pairs))
 
 
 def test_transient_failure_retries_then_succeeds(monkeypatch):
@@ -574,11 +560,11 @@ def test_transient_failure_retries_then_succeeds(monkeypatch):
     real = sharded_mod._relay_shard
     failed = []
 
-    def flaky(trace, program, layouts, chunk_events, plan, spec, shard_idx, state):
+    def flaky(trace, program, chunk_events, plan, chain, shard_idx, states):
         if not failed:
             failed.append(shard_idx)
             raise OSError("injected transient failure")
-        return real(trace, program, layouts, chunk_events, plan, spec, shard_idx, state)
+        return real(trace, program, chunk_events, plan, chain, shard_idx, states)
 
     monkeypatch.setattr(sharded_mod, "_relay_shard", flaky)
     pairs = _case_pairs(case)
@@ -589,13 +575,13 @@ def test_transient_failure_retries_then_succeeds(monkeypatch):
     assert failed, "injection never fired"
     fused = _case_pairs(case)
     run_fused(case.trace, case.program, fused, chunk_events=RESUME_CHUNK)
-    assert _eq(_snapshot(fused), _snapshot(pairs))
+    assert _state_equal(_snapshot(fused), _snapshot(pairs))
 
 
 def test_transient_failure_without_retries_raises(monkeypatch):
     case = random_case(RESUME_SEED)
 
-    def always(trace, program, layouts, chunk_events, plan, specs, shard_idx):
+    def always(trace, program, chunk_events, plan, family, shard_idx):
         raise OSError("injected transient failure")
 
     monkeypatch.setattr(sharded_mod, "_family_shard", always)
@@ -613,10 +599,10 @@ def test_dead_worker_pool_degrades_to_in_process(monkeypatch):
     parent = os.getpid()
     real = sharded_mod._family_shard
 
-    def killer(trace, program, layouts, chunk_events, plan, specs, shard_idx):
+    def killer(trace, program, chunk_events, plan, family, shard_idx):
         if shard_idx == 1 and os.getpid() != parent:
             os._exit(3)  # hard worker death: no exception crosses the pipe
-        return real(trace, program, layouts, chunk_events, plan, specs, shard_idx)
+        return real(trace, program, chunk_events, plan, family, shard_idx)
 
     monkeypatch.setattr(sharded_mod, "_family_shard", killer)
     pairs = _case_pairs(case)
@@ -629,7 +615,7 @@ def test_dead_worker_pool_degrades_to_in_process(monkeypatch):
     assert "BrokenProcessPool" in repr(report.pool_error)
     fused = _case_pairs(case)
     run_fused(case.trace, case.program, fused, chunk_events=RESUME_CHUNK)
-    assert _eq(_snapshot(fused), _snapshot(pairs))
+    assert _state_equal(_snapshot(fused), _snapshot(pairs))
 
 
 def test_hanging_job_on_the_pool_times_out_naming_it(tmp_path, monkeypatch):
@@ -639,12 +625,12 @@ def test_hanging_job_on_the_pool_times_out_naming_it(tmp_path, monkeypatch):
     real = sharded_mod._family_shard
     release = tmp_path / "release"  # cross-process: workers are forks
 
-    def hanging(trace, program, layouts, chunk_events, plan, specs, shard_idx):
+    def hanging(trace, program, chunk_events, plan, family, shard_idx):
         if shard_idx == 1:
             deadline = time.monotonic() + 60  # bounded, and released below
             while not release.exists() and time.monotonic() < deadline:
                 time.sleep(0.05)
-        return real(trace, program, layouts, chunk_events, plan, specs, shard_idx)
+        return real(trace, program, chunk_events, plan, family, shard_idx)
 
     monkeypatch.setattr(sharded_mod, "_family_shard", hanging)
     try:
@@ -687,7 +673,7 @@ def test_concurrent_parallel_calls_keep_their_own_context():
         pairs = _case_pairs(case)
         run_fused(case.trace, case.program, pairs, chunk_events=RESUME_CHUNK)
         expected.append(_snapshot(pairs))
-    assert not _eq(expected[0], expected[1])
+    assert not _state_equal(expected[0], expected[1])
     barrier = threading.Barrier(len(cases))
     snapshots: list[list] = [[] for _ in cases]
     errors = []
@@ -721,4 +707,4 @@ def test_concurrent_parallel_calls_keep_their_own_context():
     assert not errors, errors
     for want, got in zip(expected, snapshots):
         assert len(got) == rounds
-        assert all(_eq(want, snap) for snap in got)
+        assert all(_state_equal(want, snap) for snap in got)
