@@ -1,6 +1,6 @@
 """CI smoke for the fault-tolerant suite engine.
 
-Two phases, each at a tiny scale with one injected failure:
+Three phases, each at a tiny scale with one injected failure:
 
 1. a failing task: one task's streams fail to build, in the calling
    process. The failure must name the task and leave the completed tasks
@@ -16,20 +16,29 @@ Two phases, each at a tiny scale with one injected failure:
    complete, match a from-scratch run, and its manifest must show one
    ``retry`` event naming that job and one ``shard-job`` event.
 
+Everything the smoke writes (its caches, unless ``REPRO_CACHE_DIR`` names
+one for the first phase, and its manifests) goes under one temporary
+directory that is removed at exit.
+
 Run: ``PYTHONPATH=src python .github/scripts/fault_smoke.py``
 """
 
 from __future__ import annotations
 
+import atexit
 import dataclasses
 import json
 import os
+import shutil
 import sys
 import tempfile
 import time
 from pathlib import Path
 
-os.environ.setdefault("REPRO_CACHE_DIR", tempfile.mkdtemp(prefix="repro-ci-cache-"))
+ROOT = Path(tempfile.mkdtemp(prefix="repro-ci-fault-"))
+atexit.register(shutil.rmtree, ROOT, ignore_errors=True)
+if not os.environ.get("REPRO_CACHE_DIR"):
+    os.environ["REPRO_CACHE_DIR"] = str(ROOT / "cache")
 
 from repro.cache import default_cache  # noqa: E402
 from repro.experiments import suite as suite_mod  # noqa: E402
@@ -83,7 +92,7 @@ def failing_task(workload) -> None:
     finally:
         suite_mod._unit_for = REAL_UNIT
 
-    manifest = Path(tempfile.mkdtemp(prefix="repro-ci-manifest-")) / "resume.json"
+    manifest = ROOT / "resume.json"
     resumed = suite_mod.compute_suite(workload, GRID, jobs=2, manifest=manifest)
     fresh = suite_mod.compute_suite(workload, GRID, jobs=1, resume=False)
     if flatten(resumed) != flatten(fresh):
@@ -99,7 +108,7 @@ def failing_task(workload) -> None:
         sys.exit("FAIL: manifest has negative task timings")
     print(
         f"failing task OK: {sources.count('checkpoint')} checkpointed, "
-        f"{sources.count('computed')} recomputed, manifest at {manifest}"
+        f"{sources.count('computed')} recomputed"
     )
 
 
@@ -117,7 +126,7 @@ def failing_worker(workload) -> None:
         return REAL_FAMILY(trace, program, chunk_events, plan, family, shard_idx)
 
     # a fresh cache: the first phase's task checkpoints would leave no pass
-    os.environ["REPRO_CACHE_DIR"] = tempfile.mkdtemp(prefix="repro-ci-cache-")
+    os.environ["REPRO_CACHE_DIR"] = str(ROOT / "cache-worker")
     sharded_mod._family_shard = boom
     try:
         try:
@@ -134,7 +143,7 @@ def failing_worker(workload) -> None:
         sharded_mod._family_shard = REAL_FAMILY
     survived = len(shard_checkpoints())
 
-    manifest = Path(tempfile.mkdtemp(prefix="repro-ci-manifest-")) / "shard-resume.json"
+    manifest = ROOT / "shard-resume.json"
     resumed = suite_mod.compute_suite(workload, GRID, jobs=2, manifest=manifest)
     fresh = suite_mod.compute_suite(workload, GRID, jobs=1, resume=False)
     if flatten(resumed) != flatten(fresh):
@@ -151,7 +160,7 @@ def failing_worker(workload) -> None:
         )
     print(
         f"failing worker OK: {sources.count('checkpoint')} shard jobs checkpointed, "
-        f"{sources.count('computed')} recomputed, manifest at {manifest}"
+        f"{sources.count('computed')} recomputed"
     )
 
 
@@ -165,8 +174,8 @@ def flaky_one_job_pass(workload) -> None:
         return REAL_RELAY(trace, program, chunk_events, plan, chain, shard_idx, states)
 
     # a fresh cache: earlier phases' task checkpoints would leave no pass
-    os.environ["REPRO_CACHE_DIR"] = tempfile.mkdtemp(prefix="repro-ci-cache-")
-    manifest = Path(tempfile.mkdtemp(prefix="repro-ci-manifest-")) / "one-job-retry.json"
+    os.environ["REPRO_CACHE_DIR"] = str(ROOT / "cache-one-job")
+    manifest = ROOT / "one-job-retry.json"
     sharded_mod._relay_shard = flaky
     try:
         result = suite_mod.compute_suite(workload, GRID, jobs=1, manifest=manifest)
@@ -187,7 +196,7 @@ def flaky_one_job_pass(workload) -> None:
         sys.exit(f"FAIL: expected one retry event naming {ONE_JOB!r}, got {retries}")
     if shard_jobs != [list(ONE_JOB)]:
         sys.exit(f"FAIL: expected one shard-job event for {ONE_JOB!r}, got {shard_jobs}")
-    print(f"flaky one-job pass OK: {ONE_JOB!r} retried once, manifest at {manifest}")
+    print(f"flaky one-job pass OK: {ONE_JOB!r} retried once")
 
 
 def main() -> None:

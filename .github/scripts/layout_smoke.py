@@ -12,13 +12,17 @@ Run: ``PYTHONPATH=src python .github/scripts/layout_smoke.py``
 
 from __future__ import annotations
 
+import atexit
 import hashlib
 import os
+import shutil
 import sys
 import tempfile
 import time
 
-os.environ.setdefault("REPRO_CACHE_DIR", tempfile.mkdtemp(prefix="repro-ci-cache-"))
+if not os.environ.get("REPRO_CACHE_DIR"):  # a private cache, removed at exit
+    os.environ["REPRO_CACHE_DIR"] = tempfile.mkdtemp(prefix="repro-ci-cache-")
+    atexit.register(shutil.rmtree, os.environ["REPRO_CACHE_DIR"], ignore_errors=True)
 
 from repro.experiments.config import CACHE_CFA_GRID  # noqa: E402
 from repro.experiments.harness import WorkloadSettings, get_workload, layouts_for  # noqa: E402

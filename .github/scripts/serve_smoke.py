@@ -6,9 +6,11 @@ server down over HTTP, and asserts the benchmark report demonstrates the
 service contract: zero failed jobs, cross-tenant cache dedupe observed,
 backpressure answered with 429, and the served results byte-identical to
 the batch engine. The load test's report goes to ``REPORT`` when given
-(CI names one for its artifact upload), else into a new temporary
-directory, so a local run never rewrites the committed
-``BENCH_service.json``.
+(CI names one for its artifact upload). Everything else the smoke writes
+(the server's spool, the report when no ``REPORT`` is given, and the
+artifact cache unless ``REPRO_CACHE_DIR`` names one) goes under one
+temporary directory that is removed at exit, so a local run never
+rewrites the committed ``BENCH_service.json`` and leaves nothing behind.
 
 Run: PYTHONPATH=src python .github/scripts/serve_smoke.py [REPORT]
 """
@@ -34,21 +36,31 @@ def main() -> int:
     parser = argparse.ArgumentParser(description="Service smoke: boot, load, check.")
     parser.add_argument(
         "report", nargs="?", type=Path, default=None,
-        help="load-test report path (default: in a new temporary directory)",
+        help="load-test report path to keep (default: none; the report is removed at exit)",
     )
-    report_path = parser.parse_args().report
-    if report_path is None:
-        report_path = Path(tempfile.mkdtemp(prefix="serve-smoke-report-")) / "BENCH_service.json"
-    report_path = report_path.resolve()
+    report = parser.parse_args().report
+    with tempfile.TemporaryDirectory(prefix="serve-smoke-") as tmp:
+        root = Path(tmp)
+        status = smoke((report or root / "BENCH_service.json").resolve(), root)
+    if report is not None:
+        print(f"[smoke] report at {report}")
+    return status
+
+
+def smoke(report_path: Path, root: Path) -> int:
+    """Boot, load and check; the server's spool and, unless the caller
+    names one, its artifact cache live under ``root``."""
     env = dict(os.environ)
     env["PYTHONPATH"] = str(REPO / "src") + (
         os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
     )
-    spool = tempfile.mkdtemp(prefix="serve-smoke-")
+    if not env.get("REPRO_CACHE_DIR"):
+        env["REPRO_CACHE_DIR"] = str(root / "cache")
+    spool = root / "spool"
     server = subprocess.Popen(
         [
             sys.executable, "-m", "repro.serve",
-            "--port", "0", "--queue-limit", "8", "--workers", "2", "--spool", spool,
+            "--port", "0", "--queue-limit", "8", "--workers", "2", "--spool", str(spool),
         ],
         stdout=subprocess.PIPE,
         stderr=subprocess.STDOUT,
@@ -110,10 +122,7 @@ def main() -> int:
     }
     for name, ok in checks.items():
         print(f"[smoke] {'ok' if ok else 'FAIL'}: {name}")
-    if not all(checks.values()):
-        return 1
-    print(f"[smoke] report at {report_path}")
-    return 0
+    return 0 if all(checks.values()) else 1
 
 
 if __name__ == "__main__":

@@ -16,12 +16,16 @@ Run: ``PYTHONPATH=src python .github/scripts/shard_smoke.py``
 
 from __future__ import annotations
 
+import atexit
 import os
 import pickle
+import shutil
 import sys
 import tempfile
 
-os.environ.setdefault("REPRO_CACHE_DIR", tempfile.mkdtemp(prefix="repro-ci-cache-"))
+if not os.environ.get("REPRO_CACHE_DIR"):  # a private cache, removed at exit
+    os.environ["REPRO_CACHE_DIR"] = tempfile.mkdtemp(prefix="repro-ci-cache-")
+    atexit.register(shutil.rmtree, os.environ["REPRO_CACHE_DIR"], ignore_errors=True)
 
 from repro.simulators import (  # noqa: E402
     FetchStream,

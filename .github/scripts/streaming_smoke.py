@@ -21,14 +21,18 @@ Run: ``PYTHONPATH=src python .github/scripts/streaming_smoke.py``
 
 from __future__ import annotations
 
+import atexit
 import os
+import shutil
 import sys
 import tempfile
 import tracemalloc
 
 import numpy as np
 
-os.environ.setdefault("REPRO_CACHE_DIR", tempfile.mkdtemp(prefix="repro-ci-cache-"))
+if not os.environ.get("REPRO_CACHE_DIR"):  # a private cache, removed at exit
+    os.environ["REPRO_CACHE_DIR"] = tempfile.mkdtemp(prefix="repro-ci-cache-")
+    atexit.register(shutil.rmtree, os.environ["REPRO_CACHE_DIR"], ignore_errors=True)
 
 from repro.experiments import figure2, harness, prediction  # noqa: E402
 from repro.experiments import suite as suite_mod  # noqa: E402

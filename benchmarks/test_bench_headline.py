@@ -2,11 +2,14 @@
 
 from repro.experiments import headline
 from repro.experiments.config import CACHE_CFA_GRID
+from repro.experiments.suite import suite_for
 
 
 def test_bench_headline(benchmark, workload, publish):
     rows = benchmark.pedantic(
-        headline.compute, args=(workload, CACHE_CFA_GRID), rounds=1, iterations=1
+        lambda: headline.compute(suite_for(workload.settings, CACHE_CFA_GRID), CACHE_CFA_GRID),
+        rounds=1,
+        iterations=1,
     )
     publish("headline", headline.render(rows))
 

@@ -2,12 +2,12 @@
 
 from repro.experiments import table3
 from repro.experiments.config import CACHE_CFA_GRID, PRIMARY_ROWS
-from repro.experiments.suite import get_suite
+from repro.experiments.suite import suite_for
 
 
 def test_bench_table3(benchmark, workload, publish):
     suite = benchmark.pedantic(
-        get_suite, args=(workload, CACHE_CFA_GRID), rounds=1, iterations=1
+        suite_for, args=(workload.settings, CACHE_CFA_GRID), rounds=1, iterations=1
     )
     publish("table3", table3.render(suite, CACHE_CFA_GRID))
 

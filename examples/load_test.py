@@ -112,9 +112,9 @@ async def run_tenant(
             await asyncio.sleep(poll)
 
 
-async def backpressure_probe(args) -> dict:
+async def backpressure_probe(args, spool: Path) -> dict:
     """Burst distinct real jobs at a deliberately tiny server; count 429s."""
-    app = ServeApp(queue_limit=2, workers=1, engine_jobs=args.engine_jobs)
+    app = ServeApp(spool=spool, queue_limit=2, workers=1, engine_jobs=args.engine_jobs)
     await app.start()
     client = ServeClient("127.0.0.1", app.port, tenant="probe")
     burst = 2 + 1 + 4  # queue + worker + guaranteed overflow
@@ -142,7 +142,8 @@ async def backpressure_probe(args) -> dict:
     }
 
 
-async def amain(args) -> int:
+async def amain(args, scratch: Path) -> int:
+    """The four phases; the in-process servers' spools go under ``scratch``."""
     grid = GRIDS[args.grid]
     spec = {
         "scale": args.scale,
@@ -156,7 +157,8 @@ async def amain(args) -> int:
         host, port = host or "127.0.0.1", int(port)
     else:
         app = ServeApp(
-            queue_limit=args.queue_limit, workers=args.workers, engine_jobs=args.engine_jobs
+            spool=scratch / "serve", queue_limit=args.queue_limit, workers=args.workers,
+            engine_jobs=args.engine_jobs,
         )
         await app.start()
         host, port = "127.0.0.1", app.port
@@ -198,7 +200,7 @@ async def amain(args) -> int:
 
     probe = {"enabled": False}
     if not args.skip_backpressure:
-        probe = await backpressure_probe(args)
+        probe = await backpressure_probe(args, scratch / "probe")
 
     failed = [r for r in job_records if r["state"] != "completed"]
     digests = {r["result_digest"] for r in job_records if r["state"] == "completed"}
@@ -297,7 +299,9 @@ async def amain(args) -> int:
 
 
 def main(argv=None) -> int:
-    return asyncio.run(amain(build_parser().parse_args(argv)))
+    args = build_parser().parse_args(argv)
+    with tempfile.TemporaryDirectory(prefix="load-test-") as scratch:
+        return asyncio.run(amain(args, Path(scratch)))
 
 
 if __name__ == "__main__":

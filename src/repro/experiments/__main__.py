@@ -17,14 +17,15 @@ from repro.experiments.harness import (
     suite_options_from_args,
     suite_parser,
 )
-from repro.experiments.suite import get_suite
+from repro.experiments.suite import suite_for
 
 
 def main(argv=None) -> None:
     parser = suite_parser("Run the full reproduction: every table and figure.")
     parser.add_argument("--skip-extensions", action="store_true")
     args = parser.parse_args(argv)
-    workload = get_workload(settings_from_args(args))
+    settings = settings_from_args(args)
+    workload = get_workload(settings)
 
     print(figure3.render(figure3.compute()))
     print()
@@ -34,8 +35,8 @@ def main(argv=None) -> None:
     print()
     print(figure2.render(figure2.compute(workload)))
     print()
-    suite = get_suite(
-        workload,
+    suite = suite_for(
+        settings,
         CACHE_CFA_GRID,
         progress=True,
         jobs=resolve_jobs(args.jobs),
@@ -45,7 +46,7 @@ def main(argv=None) -> None:
     print()
     print(table4.render(suite, CACHE_CFA_GRID))
     print()
-    print(headline.render(headline.compute(workload, CACHE_CFA_GRID)))
+    print(headline.render(headline.compute(suite, CACHE_CFA_GRID)))
 
     if not args.skip_extensions:
         from repro.experiments import ablations, inlining, prediction

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import threading
 import weakref
 
 from repro.baselines import original_layout, pettis_hansen_layout, torrellas_sequences
@@ -38,6 +39,13 @@ _WORKLOADS: dict[WorkloadSettings, Workload] = {}
 _PROFILES: dict[WorkloadSettings, WeightedCFG] = {}
 #: Profiles for ad-hoc workloads, keyed by the live instance itself.
 _PROFILES_ADHOC: "weakref.WeakKeyDictionary[Workload, WeightedCFG]" = weakref.WeakKeyDictionary()
+#: Serializes every load-or-build of a workload or profile in the process,
+#: so concurrent callers (the service's worker threads) build each one
+#: once: trace capture must run alone, because the kernel tracer is
+#: process-global. A memo hit never takes the lock. Shard workers never
+#: call this module: a worker forked while another thread holds the lock
+#: inherits it locked.
+_BUILD_LOCK = threading.Lock()
 
 
 def _stored_traces_ok(workload: Workload) -> bool:
@@ -64,34 +72,37 @@ def get_workload(settings: WorkloadSettings = WorkloadSettings()) -> Workload:
     run at the same settings — in any process — skips database generation
     and trace capture entirely.
     """
-    if settings not in _WORKLOADS:
-        cache = default_cache()
-        workload = cache.load("workload", settings)
-        if not isinstance(workload, Workload) or not _stored_traces_ok(workload):
-            workload = settings.build()
-            cache.store("workload", settings, workload)
-        workload.settings = settings
-        _WORKLOADS[settings] = workload
-    return _WORKLOADS[settings]
+    workload = _WORKLOADS.get(settings)
+    if workload is not None:
+        return workload
+    with _BUILD_LOCK:
+        if settings not in _WORKLOADS:
+            cache = default_cache()
+            workload = cache.load("workload", settings)
+            if not isinstance(workload, Workload) or not _stored_traces_ok(workload):
+                workload = settings.build()
+                cache.store("workload", settings, workload)
+            workload.settings = settings
+            _WORKLOADS[settings] = workload
+        return _WORKLOADS[settings]
 
 
 def training_profile(workload: Workload) -> WeightedCFG:
     """The weighted CFG profiled from the Training set (cached)."""
     settings = workload.settings
-    if settings is None:
-        profile = _PROFILES_ADHOC.get(workload)
-        if profile is None:
-            profile = profile_trace(workload.training_trace, workload.program.n_blocks)
-            _PROFILES_ADHOC[workload] = profile
+    memo, key = (_PROFILES_ADHOC, workload) if settings is None else (_PROFILES, settings)
+    profile = memo.get(key)
+    if profile is not None:
         return profile
-    if settings not in _PROFILES:
-        cache = default_cache()
-        profile = cache.load("profile", settings)
-        if not isinstance(profile, WeightedCFG):
-            profile = profile_trace(workload.training_trace, workload.program.n_blocks)
-            cache.store("profile", settings, profile)
-        _PROFILES[settings] = profile
-    return _PROFILES[settings]
+    with _BUILD_LOCK:
+        if key not in memo:
+            profile = None if settings is None else default_cache().load("profile", settings)
+            if not isinstance(profile, WeightedCFG):
+                profile = profile_trace(workload.training_trace, workload.program.n_blocks)
+                if settings is not None:
+                    default_cache().store("profile", settings, profile)
+            memo[key] = profile
+        return memo[key]
 
 
 def layouts_for(

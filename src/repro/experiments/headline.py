@@ -12,29 +12,22 @@ from __future__ import annotations
 
 from repro.experiments.config import CACHE_CFA_GRID, PAPER_HEADLINE, PRIMARY_ROWS
 from repro.experiments.harness import (
-    get_workload,
     resolve_jobs,
     settings_from_args,
     suite_options_from_args,
     suite_parser,
 )
-from repro.experiments.suite import get_suite, suite_for
-from repro.tpcd.workload import Workload
+from repro.experiments.suite import SuiteResults, suite_for
 from repro.util.fmt import format_table
 
 __all__ = ["compute", "render", "main"]
 
 
 def compute(
-    workload: Workload,
-    grid: tuple[tuple[int, int], ...] = CACHE_CFA_GRID,
-    *,
-    progress: bool = False,
-    jobs: int = 1,
-    **suite_options,
+    suite: SuiteResults, grid: tuple[tuple[int, int], ...] = CACHE_CFA_GRID
 ) -> dict[str, tuple[float, float]]:
-    """``claim -> (measured, paper)``; reductions in percent."""
-    suite = get_suite(workload, grid, progress=progress, jobs=jobs, **suite_options)
+    """``claim -> (measured, paper)`` from ``suite`` over ``grid``;
+    reductions in percent."""
     ref_row = (64, 16) if (64, 16) in suite.cells else grid[-1]
     big_row = next(row for row in reversed(grid) if row in suite.cells)
     cache64 = next((row for row in grid if row[0] == 64), big_row)
@@ -88,16 +81,13 @@ def render(rows: dict[str, tuple[float, float]]) -> str:
 
 def main(argv=None) -> None:
     args = suite_parser(__doc__.splitlines()[0]).parse_args(argv)
-    # warm the suite via the disk-first path (skips the workload build on a
-    # warm artifact cache), then reuse it through the in-memory layer
-    suite_for(
+    suite = suite_for(
         settings_from_args(args),
         progress=True,
         jobs=resolve_jobs(args.jobs),
         **suite_options_from_args(args),
     )
-    workload = get_workload(settings_from_args(args))
-    print(render(compute(workload, progress=True)))
+    print(render(compute(suite)))
 
 
 if __name__ == "__main__":

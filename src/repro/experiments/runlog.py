@@ -22,6 +22,13 @@ Schema (``schema_version`` 1): a single JSON object with
   records, and at the end one ``disk-full`` record per errno in
   :data:`DISK_FULL_ERRNOS` that dropped stores during the run;
 * ``cache`` — :class:`repro.cache.CacheStats` deltas over the run.
+
+The manifest is also the run's only progress report: with ``echo`` on,
+the log prints one ``stderr`` line for each task record and event as it
+records it, stamped with the seconds since the run started, and a last
+line with the run's status; task lines count completed tasks as ``k/N``.
+A shard job shows up the moment it finishes, so a long pass is visible
+while it runs.
 """
 
 from __future__ import annotations
@@ -30,6 +37,7 @@ import dataclasses
 import json
 import platform
 import subprocess
+import sys
 import time
 from datetime import datetime, timezone
 from pathlib import Path
@@ -65,7 +73,8 @@ class RunLog:
     """Accumulates per-task records and events for one suite run.
 
     The log is cheap enough to keep unconditionally; serialization to a
-    manifest file only happens when the caller asks for one.
+    manifest file only happens when the caller asks for one, and
+    ``echo=True`` prints each record as it is made.
     """
 
     def __init__(
@@ -79,9 +88,12 @@ class RunLog:
         retries: int = 0,
         n_tasks: int = 0,
         cache: ArtifactCache | None = None,
+        echo: bool = False,
         clock=time.perf_counter,
     ) -> None:
         self._clock = clock
+        self._echo = echo
+        self._done = 0
         self._t0 = clock()
         self._cache = cache
         self._stats0 = cache.stats.snapshot() if cache is not None else None
@@ -118,6 +130,9 @@ class RunLog:
                 "attempts": attempts,
             }
         )
+        self._done += 1
+        tail = " [checkpoint]" if source == "checkpoint" else ""
+        self._print(f"{self._done}/{self.data['n_tasks']} {label}{tail}")
 
     def task_failed(self, label: str, kind: str, error: BaseException, attempts: int) -> None:
         self.data["tasks"].append(
@@ -136,6 +151,12 @@ class RunLog:
 
     def event(self, kind: str, **fields: Any) -> None:
         self.data["events"].append({"type": kind, **fields})
+        self._print(" ".join([kind, *(f"{name}={value}" for name, value in fields.items())]))
+
+    def _print(self, text: str) -> None:
+        if self._echo:
+            elapsed = self._clock() - self._t0
+            print(f"[{self.data['label']} +{elapsed:.2f}s] {text}", file=sys.stderr, flush=True)
 
     # -- serialization -----------------------------------------------------
 
@@ -151,6 +172,7 @@ class RunLog:
                 dropped = delta.get(f"store_errors.{name}", 0)
                 if dropped:
                     self.event("disk-full", errno=name, dropped_stores=dropped)
+        self._print(status)
 
     def write(self, path: Path | str) -> Path:
         """Serialize the manifest as JSON; parent directories are created."""

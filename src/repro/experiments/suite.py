@@ -3,9 +3,12 @@
 One pass over (layout x geometry) computes everything both tables need:
 fetch simulation per layout, vectorized miss counting per cache
 configuration, trace-cache simulations for the TC columns. Results are
-scalars, cached per workload settings — in memory and in the persistent
-artifact cache — so Table 3, Table 4 and the headline module share the
-work within and across processes.
+scalars. :func:`suite_for` is the one cached way to get them: it loads
+the suite from the persistent artifact cache (kind ``suite``, keyed by
+the workload settings and grid) and computes and stores it on a miss,
+so Table 3, Table 4 and the headline module share the work within and
+across processes. There is no in-memory suite layer: a hit unpickles a
+few kilobytes.
 
 The suite is decomposed into self-contained (layout x geometry) tasks,
 and the engine evaluates every missing task in *one* streaming pass over
@@ -41,13 +44,12 @@ The engine is fault-tolerant and resumable:
   execution of the remaining shard jobs;
 * a :class:`~repro.experiments.runlog.RunLog` manifest records per-task
   timing, checkpoint provenance, shard jobs, retries, failures and cache
-  counters.
+  counters, and with ``progress`` on prints each record as it is made.
 """
 
 from __future__ import annotations
 
 import time
-import weakref
 from dataclasses import dataclass, field
 from pathlib import Path
 from types import SimpleNamespace
@@ -64,7 +66,6 @@ from repro.simulators.sharded import (
     run_sharded,
 )
 from repro.tpcd.workload import Workload, WorkloadSettings
-from repro.util.progress import Progress
 from repro.util.scheduler import backoff, is_transient
 
 __all__ = [
@@ -73,7 +74,6 @@ __all__ = [
     "SuiteTaskError",
     "SuiteTimeoutError",
     "compute_suite",
-    "get_suite",
     "suite_cache_key",
     "suite_for",
 ]
@@ -456,7 +456,9 @@ def compute_suite(
     before the pass, and of a shard job), ``task_timeout`` bounds how
     long a parallel pass may sit with no shard job completing, and
     ``manifest`` names a JSON file to receive the structured run log
-    (written on success *and* failure).
+    (written on success *and* failure). ``progress`` prints that log to
+    ``stderr`` as it is recorded: every shard job as it finishes, then
+    every task.
     """
     _check_shards(shards)
     tc_rows = grid if tc_rows is None else tc_rows
@@ -465,7 +467,6 @@ def compute_suite(
     settings = workload.settings
     cache = default_cache()
     checkpointing = resume and settings is not None and cache_enabled()
-    prog = Progress("suite", total=len(tasks), enabled=progress)
     runlog = RunLog(
         "suite",
         settings=settings,
@@ -475,6 +476,7 @@ def compute_suite(
         retries=retries,
         n_tasks=len(tasks),
         cache=cache,
+        echo=progress,
     )
 
     attempts: dict = {}  # a retried task's or shard job's attempt count
@@ -483,25 +485,21 @@ def compute_suite(
         label = _task_label(task)
         n = attempts.get(task, 1) if source == "computed" else 0
         runlog.task_done(label, task[0], seconds=seconds, attempts=n, source=source)
-        prog.step(f"{label} [checkpoint]" if source == "checkpoint" else label)
 
     def on_retry(task: _Task, exc: BaseException, attempt: int) -> None:
         label = _task_label(task)
         attempts[task] = attempt + 1
         runlog.task_retry(label, exc, attempt)
-        prog.fail(f"{label}: {exc!r} (attempt {attempt}, retrying)")
 
     def failed(task: _Task, exc: BaseException) -> RuntimeError:
         if isinstance(exc, ShardTimeoutError):  # the pass stalled on its pool
             labels = [repr(key) for key in exc.keys]
             runlog.event("stall", tasks=labels, timeout=exc.timeout)
-            prog.fail(f"stalled {exc.timeout:.1f}s waiting on: {', '.join(labels)}")
             return SuiteTimeoutError(labels, exc.timeout)
         if isinstance(exc, ShardError):  # the pass names its shard job
             task, exc = ("shard", exc.key), exc.cause
         label = _task_label(task)
         runlog.task_failed(label, task[0], exc, attempts.get(task, 1))
-        prog.fail(f"{label}: {exc!r}")
         return SuiteTaskError(task, label, exc)
 
     results: dict[_Task, dict] = {}
@@ -536,7 +534,6 @@ def compute_suite(
         if manifest is not None:
             runlog.write(manifest)
         raise
-    prog.done()
     runlog.finish(status="completed")
     if manifest is not None:
         runlog.write(manifest)
@@ -544,9 +541,6 @@ def compute_suite(
 
 
 # -- caching -------------------------------------------------------------
-
-_SUITES: dict[tuple, SuiteResults] = {}
-_SUITES_ADHOC: "weakref.WeakKeyDictionary[Workload, dict]" = weakref.WeakKeyDictionary()
 
 
 def suite_cache_key(settings: WorkloadSettings, grid, tc_rows=None) -> tuple:
@@ -557,81 +551,6 @@ def suite_cache_key(settings: WorkloadSettings, grid, tc_rows=None) -> tuple:
     stores them under — a batch CLI run warms the service and vice versa.
     """
     return (settings, tuple(grid), tuple(grid if tc_rows is None else tc_rows))
-
-
-def _write_cached_manifest(manifest: Path | str, settings, source: str) -> None:
-    """A full-suite cache hit still documents the run when asked to."""
-    runlog = RunLog("suite", settings=settings, n_tasks=0, cache=default_cache())
-    runlog.event("suite-cache-hit", source=source)
-    runlog.finish(status="cached")
-    runlog.write(manifest)
-
-
-def _cached_suite(
-    settings: WorkloadSettings, grid, tc_rows, manifest, compute
-) -> SuiteResults:
-    """The suite for ``settings``: from memory, else from disk, else from
-    ``compute()``, whose result is stored in both. Each layer is read
-    once, so a computed suite counts exactly one ``suite`` cache miss."""
-    key = suite_cache_key(settings, grid, tc_rows)
-    if key not in _SUITES:
-        cache = default_cache()
-        suite = cache.load("suite", key)
-        if not isinstance(suite, SuiteResults):
-            suite = compute()
-            cache.store("suite", key, suite)
-        elif manifest is not None:
-            _write_cached_manifest(manifest, settings, "disk")
-        _SUITES[key] = suite
-    elif manifest is not None:
-        _write_cached_manifest(manifest, settings, "memory")
-    return _SUITES[key]
-
-
-def get_suite(
-    workload: Workload,
-    grid: tuple[tuple[int, int], ...] = CACHE_CFA_GRID,
-    *,
-    tc_rows: tuple[tuple[int, int], ...] | None = None,
-    progress: bool = False,
-    jobs: int = 1,
-    shards: int | None = None,
-    resume: bool = True,
-    task_timeout: float | None = None,
-    retries: int = 2,
-    manifest: Path | str | None = None,
-) -> SuiteResults:
-    """Cached :func:`compute_suite`.
-
-    Settings-stamped workloads key by their :class:`WorkloadSettings` (in
-    memory and in the artifact cache); ad-hoc workloads key by instance —
-    never by ``id()``, which the garbage collector reuses. ``shards`` and
-    ``jobs`` only affect how a miss is computed, never the cache key:
-    sharded results are bit-identical to fused ones.
-    """
-    _check_shards(shards)
-    tc_rows = grid if tc_rows is None else tc_rows
-    settings = workload.settings
-    fault_kwargs = dict(
-        shards=shards, resume=resume, task_timeout=task_timeout, retries=retries
-    )
-    if settings is None:
-        per_workload = _SUITES_ADHOC.setdefault(workload, {})
-        key = (grid, tc_rows)
-        if key not in per_workload:
-            per_workload[key] = compute_suite(
-                workload, grid, tc_rows=tc_rows, progress=progress, jobs=jobs,
-                manifest=manifest, **fault_kwargs,
-            )
-        return per_workload[key]
-
-    return _cached_suite(
-        settings, grid, tc_rows, manifest,
-        lambda: compute_suite(
-            workload, grid, tc_rows=tc_rows, progress=progress, jobs=jobs,
-            manifest=manifest, **fault_kwargs,
-        ),
-    )
 
 
 def suite_for(
@@ -647,15 +566,32 @@ def suite_for(
     retries: int = 2,
     manifest: Path | str | None = None,
 ) -> SuiteResults:
-    """Disk-first suite lookup: a warm artifact-cache hit returns without
-    building the workload at all."""
+    """The suite for ``settings`` over ``grid``, through the artifact cache.
+
+    A hit returns without building the workload at all (and, when asked,
+    writes a ``cached`` manifest). A miss runs :func:`compute_suite` on
+    :func:`~repro.experiments.harness.get_workload` with the other
+    arguments and stores the result, so a computed suite reads the
+    ``suite`` kind exactly once. ``shards`` and ``jobs`` only affect how
+    a miss is computed, never the key: sharded results are bit-identical
+    to fused ones.
+    """
     _check_shards(shards)
     tc_rows = grid if tc_rows is None else tc_rows
-    return _cached_suite(
-        settings, grid, tc_rows, manifest,
-        lambda: compute_suite(
-            get_workload(settings), grid, tc_rows=tc_rows, progress=progress,
-            jobs=jobs, shards=shards, resume=resume, task_timeout=task_timeout,
-            retries=retries, manifest=manifest,
-        ),
+    cache = default_cache()
+    key = suite_cache_key(settings, grid, tc_rows)
+    suite = cache.load("suite", key)
+    if isinstance(suite, SuiteResults):
+        if manifest is not None:
+            runlog = RunLog("suite", settings=settings, n_tasks=0, cache=cache)
+            runlog.event("suite-cache-hit", source="disk")
+            runlog.finish(status="cached")
+            runlog.write(manifest)
+        return suite
+    suite = compute_suite(
+        get_workload(settings), grid, tc_rows=tc_rows, progress=progress, jobs=jobs,
+        shards=shards, resume=resume, task_timeout=task_timeout, retries=retries,
+        manifest=manifest,
     )
+    cache.store("suite", key, suite)
+    return suite

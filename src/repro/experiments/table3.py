@@ -12,22 +12,10 @@ from repro.experiments.harness import (
     suite_options_from_args,
     suite_parser,
 )
-from repro.experiments.suite import SuiteResults, get_suite, suite_for
-from repro.tpcd.workload import Workload
+from repro.experiments.suite import SuiteResults, suite_for
 from repro.util.fmt import format_table
 
-__all__ = ["compute", "render", "main"]
-
-
-def compute(
-    workload: Workload,
-    grid: tuple[tuple[int, int], ...] = CACHE_CFA_GRID,
-    *,
-    progress: bool = False,
-    jobs: int = 1,
-    **suite_options,
-) -> SuiteResults:
-    return get_suite(workload, grid, progress=progress, jobs=jobs, **suite_options)
+__all__ = ["render", "main"]
 
 
 def render(suite: SuiteResults, grid: tuple[tuple[int, int], ...] = CACHE_CFA_GRID) -> str:

@@ -134,8 +134,9 @@ class Workload:
 
     ``settings`` is stamped when the workload was built from a
     :class:`WorkloadSettings`; it is what keys the derived-artifact caches
-    (profiles, suite results) — workloads built ad hoc (``settings is
-    None``) are keyed per instance instead.
+    (profiles, suite checkpoints and results). A workload built ad hoc
+    (``settings is None``) has its training profile memoized per instance
+    and no cached suite: every ``compute_suite`` on it recomputes.
     """
 
     db: Database

@@ -283,11 +283,11 @@ def check_paper_shape(
 ) -> tuple[list[Claim], dict]:
     """Run the gate workload and evaluate every table/figure claim."""
     from repro.experiments.harness import WorkloadSettings, get_workload
-    from repro.experiments.suite import get_suite
+    from repro.experiments.suite import suite_for
 
     settings = WorkloadSettings(scale=scale)
     workload = get_workload(settings)
-    suite = get_suite(workload, grid, jobs=jobs)
+    suite = suite_for(settings, grid, jobs=jobs)
 
     claims = check_figure3()
     claims += _check_table1(workload)

@@ -20,7 +20,7 @@ _SCRIPT = """
 import hashlib, json
 from dataclasses import asdict
 from repro.experiments.harness import WorkloadSettings, get_workload
-from repro.experiments.suite import get_suite
+from repro.experiments.suite import suite_for
 
 settings = WorkloadSettings(scale=0.0002)
 workload = get_workload(settings)
@@ -28,7 +28,7 @@ for trace in (workload.training_trace, workload.test_trace):
     digest = hashlib.sha256(trace.path.read_bytes()).hexdigest()
     print(trace.path.name, digest)
 
-suite = get_suite(workload, ((8, 2),))
+suite = suite_for(settings, ((8, 2),))
 row = {name: asdict(cell) for name, cell in suite.cells[(8, 2)].items()}
 print(json.dumps(row, sort_keys=True))
 print(json.dumps({

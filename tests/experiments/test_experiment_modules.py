@@ -5,7 +5,7 @@ import pytest
 from repro.experiments import figure2, figure3, headline, table1, table2, table3, table4
 from repro.experiments.config import PRIMARY_ROWS
 from repro.experiments.harness import WorkloadSettings, get_workload
-from repro.experiments.suite import get_suite
+from repro.experiments.suite import suite_for
 
 SCALE = 0.0005
 GRID = PRIMARY_ROWS[:2]  # (8,2) and (16,4): keep the suite quick
@@ -17,8 +17,8 @@ def workload():
 
 
 @pytest.fixture(scope="module")
-def suite(workload):
-    return get_suite(workload, GRID)
+def suite():
+    return suite_for(WorkloadSettings(scale=SCALE), GRID)
 
 
 def test_table1(workload):
@@ -72,15 +72,9 @@ def test_table4_render(suite):
     assert "Ideal" in text and "TC+ops" in text
 
 
-def test_headline(workload):
-    rows = headline.compute(workload, GRID)
+def test_headline(suite):
+    rows = headline.compute(suite, GRID)
     assert "instructions between taken branches (orig)" in rows
     measured, paper = rows["instructions between taken branches (orig)"]
     assert measured > 1 and paper == 8.9
     assert "Section 8" in headline.render(rows)
-
-
-def test_suite_cached(workload):
-    a = get_suite(workload, GRID)
-    b = get_suite(workload, GRID)
-    assert a is b

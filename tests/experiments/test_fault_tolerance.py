@@ -15,9 +15,9 @@ relay job when there is one shard).
 
 import dataclasses
 import errno
-import io
 import json
 import os
+import re
 import time
 from types import SimpleNamespace
 
@@ -37,7 +37,6 @@ from repro.simulators import FetchStream, ShardError, miss_counter, run_sharded
 from repro.simulators import fused as fused_mod
 from repro.simulators import sharded as sharded_mod
 from repro.tpcd.workload import WorkloadSettings
-from repro.util.progress import Progress
 from repro.validate.generators import random_case
 
 SETTINGS = WorkloadSettings(scale=0.0005)
@@ -381,8 +380,7 @@ def test_every_suite_cache_kind_has_a_version(workload, tmp_path, monkeypatch):
         return real_store(self, kind, key_obj, value)
 
     monkeypatch.setattr(ArtifactCache, "store", spy)
-    monkeypatch.setattr(suite_mod, "_SUITES", {})  # no in-memory hit
-    suite_mod.get_suite(workload, GRID[:1], jobs=1)
+    suite_mod.suite_for(SETTINGS, GRID[:1], jobs=1)
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "sharded-cache"))
     compute_suite(workload, GRID[:1], jobs=1, shards=2)
     assert {"suite", "suite-task", "suite-shard"} <= written
@@ -497,11 +495,10 @@ def test_shard_counts_below_one_are_rejected(workload, monkeypatch, shards):
     def touched(*args, **kwargs):
         pytest.fail("looked something up for an invalid shard count")
 
-    for name in ("default_cache", "get_workload", "_cached_suite", "_unit_for"):
+    for name in ("default_cache", "get_workload", "_unit_for"):
         monkeypatch.setattr(suite_mod, name, touched)
     calls = [
         lambda: compute_suite(workload, GRID, shards=shards),
-        lambda: suite_mod.get_suite(workload, GRID, shards=shards),
         lambda: suite_mod.suite_for(SETTINGS, GRID, shards=shards),
     ]
     for call in calls:
@@ -580,22 +577,16 @@ def test_only_failures_that_can_succeed_are_retried(
     assert attempts.count(True) == (1 + retries if transient else 1)
 
 
-# -- progress accounting under retries -----------------------------------
+# -- the progress echo: the run log, printed as it is recorded ----------
+
+ECHO_LINE = re.compile(r"\[suite \+\d+\.\d{2}s\] (.+)")
 
 
-def test_retried_task_steps_progress_exactly_once(workload, tmp_path, monkeypatch):
-    """A retried task must not be double-counted toward the total: the
-    engine reports the retry via ``fail`` (which never advances the
-    counter) and ``step``s only on eventual completion."""
-    instances = []
-
-    class Recording(Progress):
-        def __init__(self, *args, **kwargs):
-            kwargs["stream"] = io.StringIO()
-            super().__init__(*args, **kwargs)
-            instances.append(self)
-
-    monkeypatch.setattr(suite_mod, "Progress", Recording)
+def test_progress_echo_reports_each_record_once(workload, tmp_path, monkeypatch, capsys):
+    """``progress=True`` prints one line per record of the run log: a
+    retried task shows its retry once and its completion once, task lines
+    count up to ``n/n``, and every shard job shows up as it finishes,
+    before the first task line (tasks finish when the pass does)."""
     marker = tmp_path / "failed-once"
 
     def flaky(wl, task, grid, cache_sizes, layout_memo=None):
@@ -605,20 +596,19 @@ def test_retried_task_steps_progress_exactly_once(workload, tmp_path, monkeypatc
         return REAL_UNIT(wl, task, grid, cache_sizes, layout_memo)
 
     monkeypatch.setattr(suite_mod, "_unit_for", flaky)
-    compute_suite(workload, GRID, jobs=1, progress=True)
-    (prog,) = instances
+    compute_suite(workload, GRID, jobs=1, shards=2, progress=True)
+    records = [ECHO_LINE.fullmatch(line) for line in capsys.readouterr().err.splitlines()]
+    assert records and all(records)
+    records = [match.group(1) for match in records]
     n_tasks = len(suite_mod._suite_tasks(GRID, GRID))
-    assert prog.total == n_tasks
-    assert prog.count == n_tasks  # not n_tasks + 1: the retry never stepped
-    assert prog.failures == 1
-    # the visible stream agrees: no k/N line ever exceeds the total
-    lines = prog.stream.getvalue().splitlines()
-    counts = [
-        int(line.split("] ")[-1].split("/")[0])
-        for line in lines
-        if f"/{n_tasks} " in line
+    task_lines = [i for i, text in enumerate(records) if re.match(r"\d+/\d+ ", text)]
+    assert [records[i].split()[0] for i in task_lines] == [
+        f"{k}/{n_tasks}" for k in range(1, n_tasks + 1)
     ]
-    assert counts and max(counts) == n_tasks
+    retries = [text for text in records if text.startswith("retry ")]
+    assert len(retries) == 1 and suite_mod._task_label(FAIL_TASK) in retries[0]
+    shard_jobs = [i for i, text in enumerate(records) if text.startswith("shard-job ")]
+    assert shard_jobs and max(shard_jobs) < min(task_lines)
 
 
 def test_quick_run_checkpoints_seed_the_larger_grid(workload, monkeypatch):

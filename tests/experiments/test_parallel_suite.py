@@ -1,12 +1,13 @@
-"""Parallel suite engine and persistent-cache behavior.
+"""Parallel suite engine, persistent-cache behavior and concurrent callers.
 
-The parallel path must be bit-identical to serial, and warm disk-cache
-lookups must skip recomputation (and, for ``suite_for``, the workload
-build itself).
+The parallel path must be bit-identical to serial, warm disk-cache
+lookups must skip recomputation and the workload build itself, and
+concurrent cold calls must build each workload once.
 """
 
 import dataclasses
 import gc
+import sys
 import threading
 from types import SimpleNamespace
 
@@ -16,7 +17,7 @@ from repro.cache import ArtifactCache, default_cache
 from repro.experiments import harness, suite
 from repro.experiments.config import PRIMARY_ROWS
 from repro.experiments.harness import get_workload, training_profile
-from repro.experiments.suite import compute_suite, get_suite, suite_cache_key, suite_for
+from repro.experiments.suite import compute_suite, suite_for
 from repro.serve.codec import result_digest, serialize_suite
 from repro.tpcd.workload import WorkloadSettings
 
@@ -83,20 +84,19 @@ def test_concurrent_parallel_suites_keep_their_own_workload():
 
 
 def test_get_suite_warm_disk_hit_skips_recompute(workload, monkeypatch):
-    first = get_suite(workload, GRID)
-    key = suite_cache_key(SETTINGS, GRID, GRID)
-    assert suite._SUITES.pop(key) is first
+    """With the workload already built, a suite on disk is returned
+    without recomputing it, and equals the suite computed directly."""
+    computed = compute_suite(workload, GRID)
+    suite_for(SETTINGS, GRID)  # populates the disk cache
     monkeypatch.setattr(
         suite, "compute_suite", lambda *a, **k: pytest.fail("recomputed despite disk hit")
     )
-    warm = get_suite(workload, GRID)
-    assert _flatten(warm) == _flatten(first)
+    warm = suite_for(SETTINGS, GRID)
+    assert _flatten(warm) == _flatten(computed)
 
 
-def test_suite_for_warm_hit_skips_workload_build(workload, monkeypatch):
-    get_suite(workload, GRID)  # populate memory + disk
-    key = suite_cache_key(SETTINGS, GRID, GRID)
-    suite._SUITES.pop(key)
+def test_suite_for_warm_hit_skips_workload_build(monkeypatch):
+    first = suite_for(SETTINGS, GRID)  # populates the disk cache
     monkeypatch.setattr(
         suite, "get_workload", lambda *a, **k: pytest.fail("built workload despite disk hit")
     )
@@ -104,16 +104,13 @@ def test_suite_for_warm_hit_skips_workload_build(workload, monkeypatch):
         suite, "compute_suite", lambda *a, **k: pytest.fail("recomputed despite disk hit")
     )
     warm = suite_for(SETTINGS, GRID)
-    assert warm.cells[GRID[0]]["ops"].miss_rate == pytest.approx(
-        get_suite(workload, GRID).cells[GRID[0]]["ops"].miss_rate
-    )
+    assert _flatten(warm) == _flatten(first)
 
 
 def test_cold_suite_for_records_one_suite_miss(tmp_path, monkeypatch):
     """A computed suite reads the ``suite`` kind once, so manifests and
     ``/v1/metrics`` count one miss per computed suite."""
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
-    monkeypatch.setattr(suite, "_SUITES", {})
     monkeypatch.setattr(suite, "get_workload", lambda settings: SimpleNamespace(settings=settings))
     monkeypatch.setattr(suite, "compute_suite", lambda *a, **k: suite.SuiteResults())
     loads = []
@@ -128,6 +125,55 @@ def test_cold_suite_for_records_one_suite_miss(tmp_path, monkeypatch):
     suite_for(SETTINGS, GRID)
     assert loads == ["suite"]
     assert default_cache().stats.delta(before)["misses"] == 1
+
+
+@pytest.mark.parametrize(
+    "seeds", [(7, 7, 7), (7, 8, 9)], ids=["same-settings", "distinct-settings"]
+)
+def test_concurrent_cold_calls_build_each_workload_once(tmp_path, monkeypatch, seeds):
+    """Three threads ask for suites on a cold cache at the same moment, as
+    ``repro.serve``'s workers do: on one settings with different grids,
+    or on distinct settings. Trace capture is process-global, so builds
+    must not overlap: every call succeeds, and each workload and training
+    profile is built once. A short switch interval makes the threads
+    interleave often inside the check-then-build windows."""
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+    monkeypatch.setattr(harness, "_WORKLOADS", {})
+    monkeypatch.setattr(harness, "_PROFILES", {})
+    builds, profiles = [], []
+    real_build, real_profile = WorkloadSettings.build, harness.profile_trace
+    monkeypatch.setattr(
+        WorkloadSettings, "build", lambda self: builds.append(self) or real_build(self)
+    )
+    monkeypatch.setattr(
+        harness, "profile_trace", lambda *a: profiles.append(a) or real_profile(*a)
+    )
+    settings = [WorkloadSettings(scale=0.0002, seed=seed) for seed in seeds]
+    grids = [((8, 2),), ((16, 4),), ((32, 4),)]
+    barrier = threading.Barrier(len(settings))
+    results: list = [None] * len(settings)
+
+    def caller(i: int) -> None:
+        barrier.wait(timeout=60)
+        try:
+            results[i] = suite_for(settings[i], grids[i])
+        except Exception as exc:
+            results[i] = exc
+
+    threads = [threading.Thread(target=caller, args=(i,)) for i in range(len(settings))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=600)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert all(isinstance(result, suite.SuiteResults) for result in results), results
+    assert [tuple(result.cells) for result in results] == grids
+    assert len(builds) == len(profiles) == len(set(settings))
 
 
 def test_get_workload_warm_disk_hit_skips_build(monkeypatch):

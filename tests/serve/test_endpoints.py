@@ -14,6 +14,7 @@ import time
 
 import pytest
 
+from repro.experiments import harness
 from repro.experiments.suite import suite_for
 from repro.serve.client import Backpressure, ServeClient, ServeError
 from repro.serve.codec import JobSpec, canonical_json, serialize_suite
@@ -256,6 +257,34 @@ def test_round_trip_dedupe_and_batch_identity(tmp_path):
             # manifests exist for both the executed and the deduped job
             manifests = list((app.spool / "manifests").glob("*.json"))
             assert len(manifests) >= 2
+        finally:
+            await app.stop()
+
+    run(scenario())
+
+
+def test_cold_pair_on_one_settings_both_complete(tmp_path, monkeypatch):
+    """Two workers take two jobs on one cold settings with different
+    grids, which in-flight dedupe does not merge: both threads reach the
+    workload build at once, and both jobs complete."""
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+    monkeypatch.setattr(harness, "_WORKLOADS", {})
+    monkeypatch.setattr(harness, "_PROFILES", {})
+
+    async def scenario():
+        app, client = await _started(tmp_path, workers=2)
+        try:
+            jobs = [
+                await client.submit_job({**TINY, "grid": grid})
+                for grid in ([[8, 2]], [[16, 4]])
+            ]
+            done = await asyncio.gather(
+                *(client.wait_job(job["id"], timeout=300) for job in jobs)
+            )
+            assert [d["state"] for d in done] == ["completed"] * 2, [
+                d.get("error") for d in done
+            ]
+            assert [list(d["result"]["cells"]) for d in done] == [["8/2"], ["16/4"]]
         finally:
             await app.stop()
 
