@@ -10,17 +10,24 @@ up in review.
 
 Run: ``PYTHONPATH=src python benchmarks/perf_smoke.py [--scale 0.001] [--jobs N]
 [--shards N] [--out PATH]``. With ``--shards`` above 1 the script exits 1
-when the sharded suite is not identical to the serial one.
+when the sharded suite is not identical to the serial one. It builds into
+``$REPRO_CACHE_DIR`` and clears that cache's ``suite-task`` and
+``suite-shard`` entries; with the variable unset it uses a private
+temporary cache, removed at exit.
 """
 
 from __future__ import annotations
 
 import argparse
+import atexit
 import dataclasses
 import json
+import os
 import pathlib
 import resource
+import shutil
 import sys
+import tempfile
 import time
 
 from repro.cache import default_cache
@@ -266,6 +273,9 @@ def main(argv=None) -> None:
     )
     parser.add_argument("--out", default=str(REPO_ROOT / "BENCH_suite.json"))
     args = parser.parse_args(argv)
+    if not os.environ.get("REPRO_CACHE_DIR"):  # a private cache, removed at exit
+        os.environ["REPRO_CACHE_DIR"] = tempfile.mkdtemp(prefix="repro-perf-cache-")
+        atexit.register(shutil.rmtree, os.environ["REPRO_CACHE_DIR"], ignore_errors=True)
     jobs = resolve_jobs(args.jobs)
 
     record = _measure(args.scale, jobs, args.shards)

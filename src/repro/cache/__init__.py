@@ -8,7 +8,6 @@ from repro.cache.store import (
     CACHE_VERSION,
     ArtifactCache,
     CacheStats,
-    cache_enabled,
     default_cache,
     stable_digest,
 )
@@ -18,7 +17,6 @@ __all__ = [
     "CACHE_VERSION",
     "ArtifactCache",
     "CacheStats",
-    "cache_enabled",
     "default_cache",
     "stable_digest",
 ]

@@ -1,8 +1,9 @@
 """Content-addressed on-disk artifact store.
 
-Artifacts (built workloads, training profiles, suite results) are pickled
-under ``$REPRO_CACHE_DIR`` (default ``~/.cache/repro-stc``), addressed by a
-SHA-256 digest of a canonicalized key object plus two version salts:
+Artifacts (built workloads with their training profiles, suite results)
+are pickled under ``$REPRO_CACHE_DIR`` (default ``~/.cache/repro-stc``),
+addressed by a SHA-256 digest of a canonicalized key object plus two
+version salts:
 
 * :data:`CACHE_VERSION` — the store format; bumping it orphans every entry
   (they live under a ``v<N>`` directory that is simply no longer read);
@@ -39,7 +40,6 @@ __all__ = [
     "CACHE_VERSION",
     "ArtifactCache",
     "CacheStats",
-    "cache_enabled",
     "default_cache",
     "stable_digest",
 ]
@@ -50,9 +50,10 @@ CACHE_VERSION = 1
 #: Per-kind schema versions, folded into every key of that kind. Bump one
 #: when the producing code changes what the artifact means.
 ARTIFACT_VERSIONS: dict[str, int] = {
-    "workload": 2,  # v2: traces stored as on-disk TraceStore files
-    "profile": 1,
-    # the four result kinds below were last bumped when a separator that
+    # v2: traces stored as on-disk TraceStore files; v3: the pickle carries
+    # the workload's training profile
+    "workload": 3,
+    # the three result kinds below were last bumped when a separator that
     # ends a window stopped letting its run fall through into the next one
     "suite": 2,
     "suite-task": 2,  # per-task suite checkpoints (crash/interrupt resume)
@@ -61,18 +62,13 @@ ARTIFACT_VERSIONS: dict[str, int] = {
     # v4: a relay step carries a list of streams, {"states": [...]};
     # v5: a relay payload is the list of its streams' state_dict()s
     "suite-shard": 5,
-    "trace": 1,  # chunked trace files (repro.profiling.tracestore format v1)
-    "serve-result": 2,  # repro.serve job results for uploaded-trace jobs
+    # chunked trace files (repro.profiling.tracestore format v1): captured
+    # traces and repro.serve uploads
+    "trace": 1,
 }
 
 _ENV_DIR = "REPRO_CACHE_DIR"
-_ENV_DISABLE = "REPRO_CACHE_DISABLE"
 _ENV_MAX_BYTES = "REPRO_CACHE_MAX_BYTES"
-
-
-def cache_enabled() -> bool:
-    """Artifact caching is on unless ``REPRO_CACHE_DISABLE`` is truthy."""
-    return os.environ.get(_ENV_DISABLE, "") not in ("1", "true", "yes")
 
 
 def _default_root() -> Path:
@@ -188,18 +184,19 @@ class ArtifactCache:
             return None
         return cap if cap > 0 else None
 
+    def kind_dir(self, kind: str) -> Path:
+        """The directory that holds every entry of ``kind``."""
+        return self.root / f"v{CACHE_VERSION}" / kind
+
     def path_for(self, kind: str, key_obj: Any) -> Path:
-        digest = stable_digest((kind, ARTIFACT_VERSIONS.get(kind, 0), key_obj))
-        return self.root / f"v{CACHE_VERSION}" / kind / f"{digest}.pkl"
+        return self.file_path(kind, key_obj, suffix=".pkl")
 
     def load(self, kind: str, key_obj: Any) -> Any | None:
-        """The stored artifact, or ``None`` on miss/corruption/disable.
+        """The stored artifact, or ``None`` on miss or corruption.
 
         Only genuine corruption (truncation, unparseable bytes) deletes
         the entry; transient errors leave it in place for the next reader.
         """
-        if not cache_enabled():
-            return None
         path = self.path_for(kind, key_obj)
         try:
             with open(path, "rb") as fh:
@@ -227,9 +224,8 @@ class ArtifactCache:
         return value
 
     def store(self, kind: str, key_obj: Any, value: Any) -> Path | None:
-        """Atomically persist ``value``; returns its path (None if disabled)."""
-        if not cache_enabled():
-            return None
+        """Atomically persist ``value``; returns its path (None if the
+        store failed)."""
         path = self.path_for(kind, key_obj)
         try:
             path.parent.mkdir(parents=True, exist_ok=True)
@@ -253,7 +249,7 @@ class ArtifactCache:
         return path
 
     def has(self, kind: str, key_obj: Any) -> bool:
-        return cache_enabled() and self.path_for(kind, key_obj).exists()
+        return self.path_for(kind, key_obj).exists()
 
     def file_path(self, kind: str, key_obj: Any, suffix: str = ".bin") -> Path:
         """Content-addressed location for a *file* artifact.
@@ -265,7 +261,7 @@ class ArtifactCache:
         are reclaimed by the same sweep as pickle writes).
         """
         digest = stable_digest((kind, ARTIFACT_VERSIONS.get(kind, 0), key_obj))
-        return self.root / f"v{CACHE_VERSION}" / kind / f"{digest}{suffix}"
+        return self.kind_dir(kind) / f"{digest}{suffix}"
 
     def _sweep_tmp(self, directory: Path, max_age: float = TMP_MAX_AGE_SECONDS) -> int:
         """Reclaim orphaned ``*.tmp`` files left by killed writers.

@@ -3,9 +3,9 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import threading
-import weakref
 
 from repro.baselines import original_layout, pettis_hansen_layout, torrellas_sequences
 from repro.cache import default_cache
@@ -15,7 +15,7 @@ from repro.core import CacheGeometry, STCParams, stc_sequences
 from repro.experiments.config import KB
 from repro.profiling import profile_trace
 from repro.profiling.tracestore import TraceFormatError, TraceStore
-from repro.tpcd.workload import Workload, WorkloadSettings
+from repro.tpcd.workload import Workload, WorkloadSettings, uploaded_trace_path
 
 __all__ = [
     "WorkloadSettings",
@@ -32,16 +32,14 @@ __all__ = [
 ]
 
 
+#: How many workloads the process keeps, oldest first. Each holds its
+#: database, so a long-lived service must not keep every settings it was
+#: asked for; an evicted workload reloads from the artifact cache.
+_WORKLOADS_KEPT = 4
 _WORKLOADS: dict[WorkloadSettings, Workload] = {}
-#: Training profiles for settings-stamped workloads, keyed by the settings
-#: (never by ``id()`` — object ids are reused after garbage collection and
-#: would silently alias a stale profile to a different workload).
-_PROFILES: dict[WorkloadSettings, WeightedCFG] = {}
-#: Profiles for ad-hoc workloads, keyed by the live instance itself.
-_PROFILES_ADHOC: "weakref.WeakKeyDictionary[Workload, WeightedCFG]" = weakref.WeakKeyDictionary()
-#: Serializes every load-or-build of a workload or profile in the process,
-#: so concurrent callers (the service's worker threads) build each one
-#: once: trace capture must run alone, because the kernel tracer is
+#: Serializes every load-or-build of a workload in the process, so
+#: concurrent callers (the service's worker threads) build each one once:
+#: trace capture must run alone, because the kernel tracer is
 #: process-global. A memo hit never takes the lock. Shard workers never
 #: call this module: a worker forked while another thread holds the lock
 #: inherits it locked.
@@ -66,43 +64,45 @@ def _stored_traces_ok(workload: Workload) -> bool:
 
 
 def get_workload(settings: WorkloadSettings = WorkloadSettings()) -> Workload:
-    """Build (once per process) and cache the workload for these settings.
+    """The workload for these settings, with its Training profile.
 
-    Built workloads are also persisted to the artifact cache, so a second
-    run at the same settings — in any process — skips database generation
-    and trace capture entirely.
+    A built workload is persisted to the artifact cache with its profile,
+    so a second run at the same settings — in any process — skips
+    database generation, trace capture and profiling; the process keeps
+    the last few in memory. Settings with a ``test_trace_id`` derive their
+    workload from the settings without it: the same database, program
+    and profile, with the uploaded trace as the Test set.
     """
+    if settings.test_trace_id is not None:
+        base = get_workload(dataclasses.replace(settings, test_trace_id=None))
+        test_trace = TraceStore(uploaded_trace_path(settings.test_trace_id))
+        test_trace.verify()  # a missing or damaged upload fails here, by name
+        return dataclasses.replace(base, test_trace=test_trace, settings=settings)
     workload = _WORKLOADS.get(settings)
     if workload is not None:
         return workload
     with _BUILD_LOCK:
-        if settings not in _WORKLOADS:
+        workload = _WORKLOADS.get(settings)
+        if workload is None:
             cache = default_cache()
             workload = cache.load("workload", settings)
             if not isinstance(workload, Workload) or not _stored_traces_ok(workload):
                 workload = settings.build()
+                training_profile(workload)
                 cache.store("workload", settings, workload)
             workload.settings = settings
             _WORKLOADS[settings] = workload
-        return _WORKLOADS[settings]
+            while len(_WORKLOADS) > _WORKLOADS_KEPT:
+                del _WORKLOADS[next(iter(_WORKLOADS))]
+        return workload
 
 
 def training_profile(workload: Workload) -> WeightedCFG:
-    """The weighted CFG profiled from the Training set (cached)."""
-    settings = workload.settings
-    memo, key = (_PROFILES_ADHOC, workload) if settings is None else (_PROFILES, settings)
-    profile = memo.get(key)
-    if profile is not None:
-        return profile
-    with _BUILD_LOCK:
-        if key not in memo:
-            profile = None if settings is None else default_cache().load("profile", settings)
-            if not isinstance(profile, WeightedCFG):
-                profile = profile_trace(workload.training_trace, workload.program.n_blocks)
-                if settings is not None:
-                    default_cache().store("profile", settings, profile)
-            memo[key] = profile
-        return memo[key]
+    """The weighted CFG profiled from the Training set, filled in on the
+    workload the first time it is asked for."""
+    if workload.profile is None:
+        workload.profile = profile_trace(workload.training_trace, workload.program.n_blocks)
+    return workload.profile
 
 
 def layouts_for(

@@ -54,7 +54,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from types import SimpleNamespace
 
-from repro.cache import cache_enabled, default_cache
+from repro.cache import default_cache
 from repro.experiments.config import CACHE_CFA_GRID, KB
 from repro.experiments.harness import build_layout, get_workload, training_profile
 from repro.experiments.runlog import RunLog
@@ -466,7 +466,7 @@ def compute_suite(
     tasks = _suite_tasks(grid, tc_rows)
     settings = workload.settings
     cache = default_cache()
-    checkpointing = resume and settings is not None and cache_enabled()
+    checkpointing = resume and settings is not None
     runlog = RunLog(
         "suite",
         settings=settings,

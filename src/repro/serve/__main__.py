@@ -68,8 +68,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--spool",
         default=None,
         metavar="DIR",
-        help="directory for uploaded traces and per-job manifests "
-        "(default: a fresh temporary directory)",
+        help="directory for per-job manifests (default: a fresh temporary "
+        "directory; uploaded traces live in the artifact cache)",
     )
     parser.add_argument(
         "--max-upload-mb",

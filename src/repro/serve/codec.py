@@ -81,7 +81,9 @@ class JobSpec:
     ``repro.experiments`` CLIs compute, sharing their artifact-cache
     entries. With ``trace_id`` the Test-set trace is replaced by the
     uploaded stored trace of that id (the static image and Training
-    profile still come from the settings).
+    profile still come from the settings): :attr:`settings` carries it as
+    ``test_trace_id``, so the job checkpoints, resumes and caches under
+    its own settings like any other.
     """
 
     scale: float = 0.0005
@@ -133,7 +135,10 @@ class JobSpec:
 
     @property
     def settings(self) -> WorkloadSettings:
-        return WorkloadSettings(scale=self.scale, seed=self.seed, kernel_seed=self.kernel_seed)
+        return WorkloadSettings(
+            scale=self.scale, seed=self.seed, kernel_seed=self.kernel_seed,
+            test_trace_id=self.trace_id,
+        )
 
     def digest(self) -> str:
         """Content address of this spec — the cross-tenant dedupe key.

@@ -11,12 +11,12 @@ engine (:mod:`repro.experiments.suite`). Its contract:
   whose result already sits in the artifact cache completes immediately
   (``source="cache"``); one identical to a queued/running job attaches to
   that execution (``source="inflight"``) and completes when it does.
-  Settings-only jobs probe the *same* artifact address the batch CLIs
-  use (:func:`~repro.experiments.suite.suite_cache_key`), so a prior
+  Every job probes the *same* artifact address the batch CLIs use
+  (:func:`~repro.experiments.suite.suite_cache_key` of its settings,
+  which name its uploaded trace if it has one), so a prior
   ``python -m repro.experiments`` run warms the service and vice versa.
 * **Engine semantics preserved.** Executed jobs run
-  :func:`~repro.experiments.suite.suite_for` /
-  :func:`~repro.experiments.suite.compute_suite` in a worker thread with
+  :func:`~repro.experiments.suite.suite_for` in a worker thread with
   checkpoint/resume, bounded retries and task timeouts intact, and every
   job — executed or deduped — writes a JSON manifest under the spool
   directory recording what happened.
@@ -37,10 +37,9 @@ from typing import Callable
 
 from repro.cache import default_cache
 from repro.experiments.runlog import RunLog
-from repro.experiments.suite import compute_suite, suite_cache_key, suite_for
-from repro.profiling.tracestore import TraceStore
+from repro.experiments.suite import suite_cache_key, suite_for
 from repro.serve.codec import JobSpec, result_digest, serialize_suite
-from repro.tpcd.workload import Workload
+from repro.tpcd.workload import uploaded_trace_path
 
 __all__ = [
     "Job",
@@ -136,8 +135,6 @@ class JobManager:
         engine_shards: int | None = None,
         retries: int = 2,
         task_timeout: float | None = None,
-        trace_path_for: Callable[[str], Path | None] | None = None,
-        cache=None,
         execute_fn: Callable[[JobSpec, Path], dict] | None = None,
     ) -> None:
         self.spool = Path(spool)
@@ -148,8 +145,6 @@ class JobManager:
         self.engine_shards = engine_shards
         self.retries = retries
         self.task_timeout = task_timeout
-        self._trace_path_for = trace_path_for or (lambda trace_id: None)
-        self._cache = cache if cache is not None else default_cache()
         self._execute_fn = execute_fn or self._execute
         self._queue: asyncio.Queue[Job] = asyncio.Queue(maxsize=max(1, queue_limit))
         self._ids = itertools.count(1)
@@ -198,7 +193,7 @@ class JobManager:
         """Admit one spec: dedupe against cache and in-flight work, else
         enqueue. Raises :class:`QueueFullError` on a saturated queue and
         :class:`UnknownTraceError` for a dangling ``trace_id``."""
-        if spec.trace_id is not None and self._trace_path_for(spec.trace_id) is None:
+        if spec.trace_id is not None and not uploaded_trace_path(spec.trace_id).exists():
             raise UnknownTraceError(spec.trace_id)
         key = spec.digest()
         job = Job(
@@ -242,19 +237,14 @@ class JobManager:
         return job
 
     def _load_cached(self, spec: JobSpec) -> dict | None:
-        if spec.trace_id is not None:
-            return self._cache.load("serve-result", self._trace_job_key(spec))
-        suite = self._cache.load("suite", suite_cache_key(spec.settings, spec.grid, spec.tc_rows))
+        key = suite_cache_key(spec.settings, spec.grid, spec.tc_rows)
+        suite = default_cache().load("suite", key)
         if suite is None:
             return None
         try:
             return serialize_suite(suite)
         except Exception:
             return None  # foreign/stale artifact shape: recompute
-
-    @staticmethod
-    def _trace_job_key(spec: JobSpec) -> tuple:
-        return (spec.settings, spec.grid, spec.tc_rows, spec.trace_id)
 
     # -- completion ------------------------------------------------------
 
@@ -323,37 +313,8 @@ class JobManager:
         # per-job shard override beats the service-wide default; either
         # way the result (and its digest) is bit-identical to unsharded
         shards = spec.shards if spec.shards is not None else self.engine_shards
-        if spec.trace_id is None:
-            suite = suite_for(
-                spec.settings,
-                spec.grid,
-                tc_rows=spec.tc_rows,
-                jobs=self.engine_jobs,
-                shards=shards,
-                retries=self.retries,
-                task_timeout=self.task_timeout,
-                manifest=manifest,
-            )
-            return serialize_suite(suite)
-        # Uploaded-trace job: the settings provide the static image and
-        # Training profile; the uploaded stored trace replaces the Test
-        # set. The derived workload is ad hoc (settings=None), so engine
-        # checkpointing is off; completed results are cached whole under
-        # the serve-result kind instead.
-        from repro.experiments.harness import get_workload
-
-        trace_path = self._trace_path_for(spec.trace_id)
-        if trace_path is None:
-            raise UnknownTraceError(spec.trace_id)
-        base = get_workload(spec.settings)
-        derived = Workload(
-            db=base.db,
-            model=base.model,
-            training_trace=base.training_trace,
-            test_trace=TraceStore(trace_path),
-        )
-        suite = compute_suite(
-            derived,
+        suite = suite_for(
+            spec.settings,
             spec.grid,
             tc_rows=spec.tc_rows,
             jobs=self.engine_jobs,
@@ -362,9 +323,7 @@ class JobManager:
             task_timeout=self.task_timeout,
             manifest=manifest,
         )
-        doc = serialize_suite(suite)
-        self._cache.store("serve-result", self._trace_job_key(spec), doc)
-        return doc
+        return serialize_suite(suite)
 
     # -- observability ---------------------------------------------------
 
@@ -393,5 +352,5 @@ class JobManager:
                 "p99": percentile(self._exec_seconds, 99),
                 "max": max(self._exec_seconds, default=0.0),
             },
-            "cache": self._cache.stats.as_dict(),
+            "cache": default_cache().stats.as_dict(),
         }

@@ -8,9 +8,10 @@ method    path                   behaviour
 GET       /healthz               liveness probe
 GET       /v1/metrics            queue depth, job/dedupe counters, cache
                                  stats, execution latency percentiles
-POST      /v1/traces             RTRC trace upload (raw body, streamed to
-                                 disk); 200 with ``trace_id``, 400 for a
-                                 malformed trace — nothing partial stored
+POST      /v1/traces             RTRC trace upload (raw body, streamed
+                                 into the artifact cache); 200 with
+                                 ``trace_id``, 400 for a malformed trace —
+                                 nothing partial stored
 GET       /v1/traces/<id>        stored-trace metadata
 POST      /v1/jobs               submit a job spec; 202 with the job
                                  record, 429 + ``Retry-After`` when the
@@ -42,6 +43,7 @@ from repro.profiling.tracestore import TraceFormatError, TraceStore
 from repro.serve.codec import JobSpec, SpecError
 from repro.serve.http import HttpError, Request, read_request, response_bytes
 from repro.serve.jobs import JobManager, QueueFullError, UnknownTraceError
+from repro.tpcd.workload import uploaded_trace_path
 
 __all__ = ["ServeApp", "TraceRegistry"]
 
@@ -51,30 +53,23 @@ _UPLOAD_CHUNK = 1 << 20
 
 
 class TraceRegistry:
-    """Content-addressed stored-trace uploads under the spool directory.
+    """Content-addressed stored-trace uploads in the artifact cache.
 
-    Uploads stream to a ``*.tmp`` sibling while being SHA-256 hashed,
-    are structurally verified (header, directory, per-chunk CRC), and
-    only then renamed to ``<digest>.trace`` — the same atomic-write
-    discipline as the tracestore writer itself. Re-uploads of identical
-    bytes dedupe on the digest.
+    Uploads stream to an ``upload-*.tmp`` file in the cache's ``trace``
+    directory while being SHA-256 hashed, are structurally verified
+    (header, directory, per-chunk CRC), and only then renamed to
+    :func:`~repro.tpcd.workload.uploaded_trace_path` of their digest —
+    the same atomic-write discipline as the tracestore writer itself.
+    Uploads outlive the server that took them, and re-uploads of
+    identical bytes dedupe on the digest.
     """
 
-    def __init__(self, root: Path) -> None:
-        self.root = Path(root)
-        self.root.mkdir(parents=True, exist_ok=True)
+    def __init__(self) -> None:
         self.stats = {"uploads": 0, "dedupe": 0, "rejected": 0, "bytes": 0}
 
-    def path_for(self, trace_id: str) -> Path:
-        return self.root / f"{trace_id}.trace"
-
-    def path_if_exists(self, trace_id: str) -> Path | None:
-        path = self.path_for(trace_id)
-        return path if path.exists() else None
-
     def info(self, trace_id: str) -> dict | None:
-        path = self.path_if_exists(trace_id)
-        if path is None:
+        path = uploaded_trace_path(trace_id)
+        if not path.exists():
             return None
         stats = TraceStore(path).stats()
         return {
@@ -95,7 +90,10 @@ class TraceRegistry:
         if length > limit:
             self.stats["rejected"] += 1
             raise HttpError(413, f"trace upload of {length} bytes exceeds {limit}")
-        tmp = self.root / f"upload-{uuid.uuid4().hex}.tmp"
+        # uploaded_trace_path's directory, so the final rename is atomic
+        directory = default_cache().kind_dir("trace")
+        directory.mkdir(parents=True, exist_ok=True)
+        tmp = directory / f"upload-{uuid.uuid4().hex}.tmp"
         digest = hashlib.sha256()
         remaining = length
         try:
@@ -112,7 +110,7 @@ class TraceRegistry:
             except TraceFormatError as exc:
                 raise HttpError(400, f"not a valid RTRC trace: {exc}") from exc
             trace_id = digest.hexdigest()[:40]
-            final = self.path_for(trace_id)
+            final = uploaded_trace_path(trace_id)
             deduped = final.exists()
             if deduped:
                 self.stats["dedupe"] += 1
@@ -142,7 +140,6 @@ class ServeApp:
         retries: int = 2,
         task_timeout: float | None = None,
         max_upload_bytes: int = MAX_UPLOAD_BYTES,
-        cache=None,
         execute_fn=None,
     ) -> None:
         self.spool = Path(spool) if spool is not None else Path(
@@ -150,8 +147,7 @@ class ServeApp:
         )
         self.spool.mkdir(parents=True, exist_ok=True)
         self.max_upload_bytes = max_upload_bytes
-        self._cache = cache if cache is not None else default_cache()
-        self.traces = TraceRegistry(self.spool / "traces")
+        self.traces = TraceRegistry()
         self.manager = JobManager(
             self.spool,
             queue_limit=queue_limit,
@@ -160,8 +156,6 @@ class ServeApp:
             engine_shards=engine_shards,
             retries=retries,
             task_timeout=task_timeout,
-            trace_path_for=self.traces.path_if_exists,
-            cache=self._cache,
             execute_fn=execute_fn,
         )
         self._shutdown = asyncio.Event()

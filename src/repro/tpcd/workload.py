@@ -15,6 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from pathlib import Path
 
+from repro.cache import default_cache
+from repro.cfg.weighted import WeightedCFG
 from repro.kernel.model import ColdCodeConfig, KernelModel
 from repro.minidb.engine import Database
 from repro.profiling.trace import BlockTrace
@@ -30,6 +32,7 @@ __all__ = [
     "capture_trace",
     "Workload",
     "WorkloadSettings",
+    "uploaded_trace_path",
 ]
 
 TRAINING_QUERIES: tuple[int, ...] = (3, 4, 5, 6, 9)
@@ -95,32 +98,42 @@ def capture_trace(
         raise
 
 
+def uploaded_trace_path(trace_id: str) -> Path:
+    """Where the uploaded trace ``trace_id`` (a content id) is stored: the
+    artifact cache's ``trace`` kind, beside the captured traces."""
+    return default_cache().file_path("trace", ("upload", trace_id), suffix=".trace")
+
+
 @dataclass(frozen=True)
 class WorkloadSettings:
-    """Reproducible workload identity — the in-memory and on-disk cache key."""
+    """Reproducible workload identity — the in-memory and on-disk cache key.
+
+    ``test_trace_id`` names an uploaded trace (:func:`uploaded_trace_path`)
+    that replaces the captured Test set; ``None`` keeps the captured one.
+    """
 
     scale: float = 0.005
     seed: int = 7
     kernel_seed: int = 2029
+    test_trace_id: str | None = None
 
     def build(self) -> "Workload":
-        """Build the workload; traces stream to the artifact cache when on.
-
-        With caching enabled the traces are captured straight into the
+        """Build the workload, its traces captured straight into the
         chunked on-disk format (cache kind ``trace``, keyed by these
-        settings), so generation memory is O(flush buffer) and every
-        later simulation streams the stored file. With caching disabled
-        the traces stay in memory, as before.
-        """
-        from repro.cache import cache_enabled, default_cache
+        settings), so generation memory is O(flush buffer) and every later
+        simulation streams the stored file.
 
-        trace_paths = None
-        if cache_enabled():
-            cache = default_cache()
-            trace_paths = (
-                cache.file_path("trace", (self, "training"), suffix=".trace"),
-                cache.file_path("trace", (self, "test"), suffix=".trace"),
-            )
+        A workload on an uploaded trace is never built: it is the one
+        without ``test_trace_id`` with the upload swapped in
+        (:func:`repro.experiments.harness.get_workload`).
+        """
+        if self.test_trace_id is not None:
+            raise ValueError("a workload on an uploaded trace is derived, not built")
+        cache = default_cache()
+        trace_paths = (
+            cache.file_path("trace", (self, "training"), suffix=".trace"),
+            cache.file_path("trace", (self, "test"), suffix=".trace"),
+        )
         workload = Workload.build(
             self.scale, seed=self.seed, kernel_seed=self.kernel_seed, trace_paths=trace_paths
         )
@@ -133,10 +146,12 @@ class Workload:
     """A fully built experimental setup: database, static image and traces.
 
     ``settings`` is stamped when the workload was built from a
-    :class:`WorkloadSettings`; it is what keys the derived-artifact caches
-    (profiles, suite checkpoints and results). A workload built ad hoc
-    (``settings is None``) has its training profile memoized per instance
-    and no cached suite: every ``compute_suite`` on it recomputes.
+    :class:`WorkloadSettings`; it is what keys the suite's checkpoints
+    and results. A workload built ad hoc (``settings is None``) has no
+    cached suite: every ``compute_suite`` on it recomputes. ``profile`` is
+    the Training-set profile, filled in once by
+    :func:`repro.experiments.harness.training_profile` and stored with
+    the workload.
     """
 
     db: Database
@@ -144,6 +159,7 @@ class Workload:
     training_trace: BlockTrace | TraceStore
     test_trace: BlockTrace | TraceStore
     settings: WorkloadSettings | None = None
+    profile: WeightedCFG | None = None
 
     @classmethod
     def build(

@@ -9,7 +9,6 @@ import pytest
 from repro.cache import (
     ARTIFACT_VERSIONS,
     ArtifactCache,
-    cache_enabled,
     default_cache,
     stable_digest,
 )
@@ -51,7 +50,7 @@ def test_kind_and_version_salts_address_separately(tmp_path, monkeypatch):
     key = Key()
     cache.store("suite", key, "suite-value")
     # a different kind with the same key is a different address
-    assert cache.load("profile", key) is None
+    assert cache.load("workload", key) is None
     # bumping the per-kind version invalidates that kind only
     monkeypatch.setitem(ARTIFACT_VERSIONS, "suite", ARTIFACT_VERSIONS["suite"] + 1)
     assert cache.load("suite", key) is None
@@ -159,32 +158,21 @@ def test_clear_reclaims_tmp_files_regardless_of_age(tmp_path):
     assert not fresh.exists()
 
 
-def test_disable_env(tmp_path, monkeypatch):
-    cache = ArtifactCache(tmp_path)
-    cache.store("suite", "k", "v")
-    monkeypatch.setenv("REPRO_CACHE_DISABLE", "1")
-    assert not cache_enabled()
-    assert cache.load("suite", "k") is None
-    assert cache.store("suite", "k2", "v2") is None
-    monkeypatch.delenv("REPRO_CACHE_DISABLE")
-    assert cache.load("suite", "k") == "v"
-
-
 def test_default_cache_follows_env(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "alt"))
     cache = default_cache()
     assert cache.root == tmp_path / "alt"
-    cache.store("profile", "k", [1, 2, 3])
+    cache.store("workload", "k", [1, 2, 3])
     assert (tmp_path / "alt").exists()
-    assert cache.load("profile", "k") == [1, 2, 3]
+    assert cache.load("workload", "k") == [1, 2, 3]
 
 
 def test_clear(tmp_path):
     cache = ArtifactCache(tmp_path)
     cache.store("suite", "a", 1)
     cache.store("suite", "b", 2)
-    cache.store("profile", "a", 3)
+    cache.store("workload", "a", 3)
     assert cache.clear("suite") == 2
     assert cache.load("suite", "a") is None
-    assert cache.load("profile", "a") == 3
+    assert cache.load("workload", "a") == 3
     assert cache.clear() == 1

@@ -1,25 +1,28 @@
 """Parallel suite engine, persistent-cache behavior and concurrent callers.
 
 The parallel path must be bit-identical to serial, warm disk-cache
-lookups must skip recomputation and the workload build itself, and
-concurrent cold calls must build each workload once.
+lookups must skip recomputation and the workload build itself,
+concurrent cold calls must build each workload once, and the process
+keeps only a few workloads, each with its Training profile.
 """
 
 import dataclasses
-import gc
+import hashlib
 import sys
 import threading
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from repro.cache import ArtifactCache, default_cache
+from repro.cfg.weighted import WeightedCFG
 from repro.experiments import harness, suite
 from repro.experiments.config import PRIMARY_ROWS
 from repro.experiments.harness import get_workload, training_profile
 from repro.experiments.suite import compute_suite, suite_for
 from repro.serve.codec import result_digest, serialize_suite
-from repro.tpcd.workload import WorkloadSettings
+from repro.tpcd.workload import WorkloadSettings, uploaded_trace_path
 
 SETTINGS = WorkloadSettings(scale=0.0005)
 GRID = PRIMARY_ROWS[:2]
@@ -139,7 +142,6 @@ def test_concurrent_cold_calls_build_each_workload_once(tmp_path, monkeypatch, s
     interleave often inside the check-then-build windows."""
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
     monkeypatch.setattr(harness, "_WORKLOADS", {})
-    monkeypatch.setattr(harness, "_PROFILES", {})
     builds, profiles = [], []
     real_build, real_profile = WorkloadSettings.build, harness.profile_trace
     monkeypatch.setattr(
@@ -190,18 +192,56 @@ def test_get_workload_warm_disk_hit_skips_build(monkeypatch):
         harness._WORKLOADS[SETTINGS] = saved
 
 
-def test_profiles_keyed_by_settings_not_id(workload):
-    assert training_profile(workload) is training_profile(workload)
-    assert SETTINGS in harness._PROFILES
+def test_workload_memo_evicts_the_oldest_entry(monkeypatch):
+    """The process keeps a few workloads, each with its database: a new
+    one evicts the oldest, which would reload from the artifact cache."""
+    get_workload(SETTINGS)  # built and persisted
+    placeholders = [
+        WorkloadSettings(scale=0.0005, seed=100 + i) for i in range(harness._WORKLOADS_KEPT)
+    ]
+    monkeypatch.setattr(harness, "_WORKLOADS", {s: object() for s in placeholders})
+    loaded = get_workload(SETTINGS)
+    assert list(harness._WORKLOADS) == [*placeholders[1:], SETTINGS]
+    assert harness._WORKLOADS[SETTINGS] is loaded
 
 
-def test_adhoc_workload_profile_keyed_by_instance(workload):
-    before = len(harness._PROFILES_ADHOC)
-    adhoc = dataclasses.replace(workload, settings=None)
-    profile = training_profile(adhoc)
-    assert training_profile(adhoc) is profile
-    assert adhoc in harness._PROFILES_ADHOC
-    del adhoc
-    gc.collect()
-    # the weak key released the entry: no stale id-keyed aliasing possible
-    assert len(harness._PROFILES_ADHOC) == before
+def test_memo_hit_never_takes_the_build_lock():
+    """A memoized workload is served while another thread holds the build
+    lock (a cold build of other settings in progress)."""
+    memoized = get_workload(SETTINGS)
+    got = []
+    with harness._BUILD_LOCK:
+        reader = threading.Thread(target=lambda: got.append(get_workload(SETTINGS)))
+        reader.start()
+        reader.join(timeout=30)
+        served = not reader.is_alive()
+    reader.join()
+    assert served, "a memo hit waited for the build lock"
+    assert got[0] is memoized
+
+
+def test_profile_lives_on_its_workload(workload):
+    """The Training profile is filled in on the workload and stored with
+    it; a workload derived for an uploaded trace shares its base's, and a
+    workload built by hand gets its own on first use."""
+    profile = workload.profile
+    assert isinstance(profile, WeightedCFG)
+    assert training_profile(workload) is profile
+    stored = default_cache().load("workload", SETTINGS)
+    assert np.array_equal(stored.profile.block_count, profile.block_count)
+
+    data = workload.test_trace.path.read_bytes()
+    trace_id = hashlib.sha256(data).hexdigest()[:40]  # the upload's content id
+    path = uploaded_trace_path(trace_id)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_bytes(data)
+    base = get_workload(SETTINGS)
+    derived = get_workload(dataclasses.replace(SETTINGS, test_trace_id=trace_id))
+    assert derived.profile is base.profile
+    assert derived.test_trace.path == path
+    assert derived.settings.test_trace_id == trace_id
+
+    by_hand = dataclasses.replace(workload, settings=None, profile=None)
+    fresh = training_profile(by_hand)
+    assert by_hand.profile is fresh and training_profile(by_hand) is fresh
+    assert np.array_equal(fresh.block_count, profile.block_count)

@@ -1,24 +1,30 @@
 """Endpoint tests against an in-process server through the client library.
 
 Fast protocol tests inject a stub ``execute_fn`` (no workloads built);
-the round-trip/dedupe/upload-equivalence tests run real tiny jobs at
-scale 0.0002 and share the session artifact cache with the CLI smoke
-tests, so the workload build is paid at most once per session.
+the round-trip/dedupe/upload tests run real tiny jobs at scale 0.0002
+and share the session artifact cache with the CLI smoke tests, so the
+workload build is paid at most once per session.
 """
 
 from __future__ import annotations
 
 import asyncio
+import json
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
+from repro.cache import default_cache
 from repro.experiments import harness
+from repro.experiments import suite as suite_mod
+from repro.experiments.harness import get_workload
 from repro.experiments.suite import suite_for
 from repro.serve.client import Backpressure, ServeClient, ServeError
 from repro.serve.codec import JobSpec, canonical_json, serialize_suite
 from repro.serve.server import ServeApp
+from repro.simulators import sharded as sharded_mod
 
 TINY = {"scale": 0.0002, "grid": [[8, 2]]}
 
@@ -31,6 +37,18 @@ async def _started(tmp_path, **kwargs) -> tuple[ServeApp, ServeClient]:
     app = ServeApp(spool=tmp_path / "spool", **kwargs)
     await app.start()
     return app, ServeClient("127.0.0.1", app.port, tenant="test")
+
+
+def _test_trace_bytes(spec: dict) -> bytes:
+    """The stored Test trace of the spec's workload: a valid upload whose
+    job reproduces the settings job."""
+    return get_workload(JobSpec.from_dict(spec).settings).test_trace.path.read_bytes()
+
+
+def _upload_leftovers() -> list:
+    """Partial uploads in the directory uploads land in, which also holds
+    the captured traces."""
+    return list(default_cache().kind_dir("trace").glob("upload-*.tmp"))
 
 
 # -- protocol behaviour (stubbed execution) ------------------------------
@@ -182,7 +200,7 @@ def test_malformed_upload_rejected_without_partial_store(tmp_path):
                 await client.upload_trace(b"this is not an RTRC trace" * 100)
             assert err.value.status == 400
             assert "RTRC" in str(err.value) or "trace" in str(err.value)
-            leftovers = list((app.spool / "traces").iterdir())
+            leftovers = _upload_leftovers()
             assert leftovers == [], f"partial upload left behind: {leftovers}"
             # empty body: 411 (length required to be non-zero)
             with pytest.raises(ServeError) as err:
@@ -204,7 +222,7 @@ def test_oversized_upload_answers_413(tmp_path):
             with pytest.raises(ServeError) as err:
                 await client.upload_trace(b"z" * 1024)
             assert err.value.status == 413
-            assert list((app.spool / "traces").iterdir()) == []
+            assert _upload_leftovers() == []
         finally:
             await app.stop()
 
@@ -269,7 +287,6 @@ def test_cold_pair_on_one_settings_both_complete(tmp_path, monkeypatch):
     workload build at once, and both jobs complete."""
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
     monkeypatch.setattr(harness, "_WORKLOADS", {})
-    monkeypatch.setattr(harness, "_PROFILES", {})
 
     async def scenario():
         app, client = await _started(tmp_path, workers=2)
@@ -302,11 +319,7 @@ def test_uploaded_trace_job_matches_settings_job(tmp_path):
             base = await client.wait_job(settings_job["id"], timeout=300)
             assert base["state"] == "completed", base.get("error")
 
-            from repro.experiments.harness import get_workload
-
-            spec = JobSpec.from_dict(TINY)
-            workload = get_workload(spec.settings)
-            trace_bytes = workload.test_trace.path.read_bytes()
+            trace_bytes = _test_trace_bytes(TINY)
 
             meta = await client.upload_trace(trace_bytes)
             assert meta["n_events"] > 0 and not meta["deduped"]
@@ -324,6 +337,105 @@ def test_uploaded_trace_job_matches_settings_job(tmp_path):
             rerun = await client.submit_job({**TINY, "trace_id": meta["trace_id"]})
             rerun_done = await client.wait_job(rerun["id"], timeout=30)
             assert rerun_done["source"] == "cache"
+        finally:
+            await app.stop()
+
+    run(scenario())
+
+
+@pytest.mark.parametrize("where", ["task", "shard"])
+def test_failed_uploaded_trace_job_resumes_from_its_checkpoints(tmp_path, monkeypatch, where):
+    """A job on an uploaded trace checkpoints under its own settings like
+    any other: after a task's streams or a shard job fail, the rerun
+    loads the completed tasks or shard jobs and computes only the rest.
+    A trace of two windows (scale 0.0005) makes two shards."""
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+    spec = {"scale": 0.0002 if where == "task" else 0.0005, "grid": [[8, 2], [16, 4]]}
+    real_unit, real_family = suite_mod._unit_for, sharded_mod._family_shard
+
+    def failing_unit(workload, task, *args):
+        if task == ("row", (16, 4)):
+            raise ValueError("injected deterministic failure")
+        return real_unit(workload, task, *args)
+
+    def failing_family(trace, program, chunk_events, plan, family, shard_idx):
+        if shard_idx == plan.n_shards - 1:
+            raise ValueError("injected mid-shard failure")
+        return real_family(trace, program, chunk_events, plan, family, shard_idx)
+
+    module, name, real, failing = {
+        "task": (suite_mod, "_unit_for", real_unit, failing_unit),
+        "shard": (sharded_mod, "_family_shard", real_family, failing_family),
+    }[where]
+
+    async def scenario():
+        app, client = await _started(tmp_path, workers=1)
+        try:
+            meta = await client.upload_trace(_test_trace_bytes(spec))
+            job = {**spec, "trace_id": meta["trace_id"], "shards": 2 if where == "shard" else 1}
+            monkeypatch.setattr(module, name, failing)
+            failed = await client.wait_job((await client.submit_job(job))["id"], timeout=300)
+            assert failed["state"] == "failed"
+            monkeypatch.setattr(module, name, real)
+            done = await client.wait_job((await client.submit_job(job))["id"], timeout=300)
+            assert done["state"] == "completed", done.get("error")
+            return json.loads(Path(done["manifest"]).read_text())
+        finally:
+            await app.stop()
+
+    manifest = run(scenario())
+    if where == "task":
+        sources = [t["source"] for t in manifest["tasks"]]
+        assert sorted(sources) == ["checkpoint"] * 6 + ["computed"]
+    else:
+        sources = [e["source"] for e in manifest["events"] if e["type"] == "shard-job"]
+        assert "checkpoint" in sources and "computed" in sources
+
+
+def test_upload_jobs_reuse_the_settings_profile(tmp_path, monkeypatch):
+    """Jobs on uploaded traces run on their settings' workload with the
+    upload as the Test set, and share its Training profile: three of them
+    profile the Training set no more times."""
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+    trace_bytes = _test_trace_bytes(TINY)  # the workload comes with its profile
+    calls = []
+    real_profile = harness.profile_trace
+    monkeypatch.setattr(harness, "profile_trace", lambda *a: calls.append(a) or real_profile(*a))
+
+    async def scenario():
+        app, client = await _started(tmp_path, workers=1)
+        try:
+            meta = await client.upload_trace(trace_bytes)
+            jobs = [
+                await client.submit_job({**TINY, "grid": grid, "trace_id": meta["trace_id"]})
+                for grid in ([[8, 2]], [[16, 4]], [[32, 4]])
+            ]
+            done = [await client.wait_job(job["id"], timeout=300) for job in jobs]
+            assert [(d["state"], d["source"]) for d in done] == [("completed", "computed")] * 3
+        finally:
+            await app.stop()
+
+    run(scenario())
+    assert calls == []
+
+
+def test_upload_survives_a_restart(tmp_path):
+    """Uploads live in the artifact cache, not the spool: a server started
+    later on a fresh spool serves the trace and runs jobs on it."""
+
+    async def scenario():
+        app, client = await _started(tmp_path / "first")
+        try:
+            meta = await client.upload_trace(_test_trace_bytes(TINY))
+        finally:
+            await app.stop()
+        app, client = await _started(tmp_path / "second", workers=1)
+        try:
+            info = await client.trace_info(meta["trace_id"])
+            assert info["n_events"] == meta["n_events"]
+            job = await client.submit_job({**TINY, "trace_id": meta["trace_id"]})
+            done = await client.wait_job(job["id"], timeout=300)
+            assert done["state"] == "completed", done.get("error")
         finally:
             await app.stop()
 
